@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from lbicasim import EventLog, RunResult, load_config, run_simulation, write_run
+from lbicasim import BALANCERS, EventLog, RunResult, load_config, run_simulation, write_run
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -52,21 +52,13 @@ def execute_run(config_path: Path, balancer: str, out_dir: Path) -> CachedRun:
 
 @pytest.fixture(scope="session")
 def scenario_runs(tmp_path_factory) -> dict[tuple[str, str], CachedRun]:
-    """Every (scenario, balancer) pair the acceptance criteria compare."""
-    wanted = [
-        ("random_read", "none-wb"),
-        ("random_read", "lbica"),
-        ("mixed_rw", "none-wb"),
-        ("mixed_rw", "lbica"),
-        ("write_intensive", "none-wb"),
-        ("write_intensive", "lbica"),
-        ("write_intensive", "sib"),
-    ]
+    """Every scenario x balancer pair, each with its event log and reports."""
     root = tmp_path_factory.mktemp("runs")
     runs = {}
-    for scenario, balancer in wanted:
-        out = root / f"{scenario}-{balancer}"
-        runs[(scenario, balancer)] = execute_run(SCENARIOS[scenario], balancer, out)
+    for scenario, config_path in SCENARIOS.items():
+        for balancer in BALANCERS:
+            out = root / f"{scenario}-{balancer}"
+            runs[(scenario, balancer)] = execute_run(config_path, balancer, out)
     return runs
 
 
