@@ -21,7 +21,6 @@ from .balancer import (
     compute_bypass_depth,
     detect_bottleneck,
     make_balancer,
-    sib_scan_depth,
 )
 from .cache import CacheConfig, CacheEngine, RoutingPlan, WritePolicy
 from .config import ConfigError, RunConfig, load_config, parse_config_text
@@ -81,7 +80,6 @@ __all__ = [
     "make_balancer",
     "parse_config_text",
     "run_simulation",
-    "sib_scan_depth",
     "take_snapshot",
     "write_run",
 ]

@@ -1,7 +1,8 @@
 """Load balancing controllers for the two-tier stack.
 
 Three controllers share one tick interface, invoked at every interval
-boundary with the closed interval's stats and a queue snapshot:
+boundary with the closed interval's stats and the origin mix of the
+cache queue:
 
 * ``none-wb``: write-back cache, no balancing. The baseline.
 * ``lbica``: detects a cache-side bottleneck by comparing queue times,
@@ -10,9 +11,9 @@ boundary with the closed interval's stats and a queue snapshot:
   overloaded cache; write-intensive queues additionally get their tail
   bypassed to the disk.
 * ``sib``: prior selective-bypass baseline. The cache is pinned to
-  write-through and requests are bypassed from the cache queue tail
-  whenever their estimated wait exceeds the disk-side estimate. It never
-  changes the write policy.
+  write-through and every tick makes the same tail cut as LBICA's
+  write-intensive bypass, capped so the in-service request is never
+  moved. It never changes the write policy.
 
 Controllers mutate the running system only through the narrow surface
 the runner hands them (``set_policy`` and ``bypass_tail``), which keeps
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Protocol
+from typing import Protocol
 
 from .cache import WritePolicy
 from .engine import Origin
@@ -81,7 +82,6 @@ class PolicyDecision:
     tail_bypass: bool = False
     bypass_depth: int = 0
     klass: WorkloadClass | None = None
-    burst: bool = False
 
 
 def detect_bottleneck(stats: IntervalStats) -> bool:
@@ -129,18 +129,18 @@ def assign_policy(klass: WorkloadClass, burst: bool) -> PolicyDecision:
     keeps WB: its load comes from misses the disk must serve anyway.
     """
     if not burst:
-        return PolicyDecision(WritePolicy.WB, klass=klass, burst=False)
+        return PolicyDecision(WritePolicy.WB, klass=klass)
     if klass is WorkloadClass.RANDOM_READ:
-        return PolicyDecision(WritePolicy.WO, klass=klass, burst=True)
+        return PolicyDecision(WritePolicy.WO, klass=klass)
     if klass is WorkloadClass.MIXED_READ_WRITE:
-        return PolicyDecision(WritePolicy.RO, klass=klass, burst=True)
+        return PolicyDecision(WritePolicy.RO, klass=klass)
     if klass in (
         WorkloadClass.RANDOM_WRITE,
         WorkloadClass.SEQUENTIAL_WRITE,
         WorkloadClass.UNCLASSIFIED,
     ):
-        return PolicyDecision(WritePolicy.WB, tail_bypass=True, klass=klass, burst=True)
-    return PolicyDecision(WritePolicy.WB, klass=klass, burst=True)  # sequential read
+        return PolicyDecision(WritePolicy.WB, tail_bypass=True, klass=klass)
+    return PolicyDecision(WritePolicy.WB, klass=klass)  # sequential read
 
 
 def compute_bypass_depth(stats: IntervalStats) -> int:
@@ -177,8 +177,8 @@ class WriteBackBaseline:
     def prepare(self) -> None:
         self.controls.set_policy(WritePolicy.WB)
 
-    def tick(self, stats: IntervalStats, snapshot: QueueSnapshot) -> PolicyDecision:
-        return PolicyDecision(WritePolicy.WB, burst=detect_bottleneck(stats))
+    def tick(self, stats: IntervalStats, ratios: RatioVector) -> PolicyDecision:
+        return PolicyDecision(WritePolicy.WB)
 
 
 class LbicaBalancer:
@@ -193,11 +193,10 @@ class LbicaBalancer:
     def prepare(self) -> None:
         self.controls.set_policy(WritePolicy.WB)
 
-    def tick(self, stats: IntervalStats, snapshot: QueueSnapshot) -> PolicyDecision:
+    def tick(self, stats: IntervalStats, ratios: RatioVector) -> PolicyDecision:
         if not detect_bottleneck(stats):
             self.controls.set_policy(WritePolicy.WB)
-            return PolicyDecision(WritePolicy.WB, burst=False)
-        ratios = RatioVector.from_snapshot(snapshot)
+            return PolicyDecision(WritePolicy.WB)
         klass = classify(ratios, self.theta_dom)
         decision = assign_policy(klass, burst=True)
         moved = 0
@@ -210,11 +209,10 @@ class LbicaBalancer:
 class SibBalancer:
     """Selective bypass over a write-through cache.
 
-    Walks the cache queue from the tail inward; a request at 1-based
-    position ``pos`` is expected to wait ``pos * ssd_latency_avg``, and is
-    bypassed while that exceeds the disk-side estimate
-    ``(hdd_qsize + already_bypassed) * hdd_latency_avg``. The in-service
-    request (position 1) is never considered. The policy never changes.
+    Every tick cuts the cache queue tail by the same depth as LBICA's
+    write-intensive bypass (:func:`compute_bypass_depth`), capped at
+    ``ssd_qsize - 1`` so the in-service request is never moved. The
+    policy never changes.
     """
 
     name = "sib"
@@ -225,26 +223,10 @@ class SibBalancer:
     def prepare(self) -> None:
         self.controls.set_policy(WritePolicy.WT)
 
-    def tick(self, stats: IntervalStats, snapshot: QueueSnapshot) -> PolicyDecision:
-        count = sib_scan_depth(
-            stats.ssd_qsize, stats.ssd_latency_avg, stats.hdd_qsize, stats.hdd_latency_avg
-        )
+    def tick(self, stats: IntervalStats, ratios: RatioVector) -> PolicyDecision:
+        count = min(compute_bypass_depth(stats), max(stats.ssd_qsize - 1, 0))
         moved = self.controls.bypass_tail(count) if count else 0
-        return PolicyDecision(
-            WritePolicy.WT, bypass_depth=moved, burst=detect_bottleneck(stats)
-        )
-
-
-def sib_scan_depth(
-    ssd_qsize: int, ssd_latency_avg: int, hdd_qsize: int, hdd_latency_avg: int
-) -> int:
-    """How many tail requests the SIB estimator sends to the disk."""
-    pos = ssd_qsize
-    bypassed = 0
-    while pos >= 2 and pos * ssd_latency_avg > (hdd_qsize + bypassed) * hdd_latency_avg:
-        bypassed += 1
-        pos -= 1
-    return bypassed
+        return PolicyDecision(WritePolicy.WT, bypass_depth=moved)
 
 
 BALANCERS: dict[str, type] = {

@@ -51,27 +51,6 @@ class CacheConfig:
 
 
 @dataclass
-class CacheEntry:
-    dirty: bool
-    last_touch: int
-
-
-@dataclass
-class DeferredPromotion:
-    """Submit ``request`` once the request with id ``after_id`` completes.
-
-    A promotion installs data fetched from disk, so it cannot enter the
-    cache queue before the backing disk read finishes. Materialization
-    must re-check the active policy: if the cache switched to WO while the
-    read was in flight, the promotion is dropped, not submitted. The
-    runner refreshes ``request.arrival`` to the submission instant.
-    """
-
-    after_id: int
-    request: IoRequest
-
-
-@dataclass
 class RoutingPlan:
     """Device submissions realizing one application access.
 
@@ -80,10 +59,17 @@ class RoutingPlan:
     invalidating disk write). ``foreground`` lists the request ids whose
     completion completes the application access; other traffic in the
     plan (promotions, eviction write-backs) is background.
+
+    ``promotion``, set by a read miss that admits its block, is held back
+    until the access's own disk read completes: a promotion installs data
+    fetched from disk, so it cannot enter the cache queue earlier. When it
+    is submitted the active policy is checked again; if the cache switched
+    to WO while the read was in flight, the promotion is dropped. The
+    runner refreshes its ``arrival`` to the submission instant.
     """
 
     immediate: list[IoRequest] = field(default_factory=list)
-    deferred: list[DeferredPromotion] = field(default_factory=list)
+    promotion: IoRequest | None = None
     foreground: list[int] = field(default_factory=list)
 
 
@@ -103,8 +89,8 @@ class CacheEngine:
     ):
         self.config = config
         self.policy = policy
-        # insertion order is recency order: first entry is the LRU victim
-        self._entries: OrderedDict[int, CacheEntry] = OrderedDict()
+        # lba -> dirty; insertion order is recency order, first entry is the LRU victim
+        self._entries: OrderedDict[int, bool] = OrderedDict()
         self._next_id = next_id or itertools.count(1_000_000).__next__
         self.read_hits = 0
         self.read_misses = 0
@@ -125,7 +111,7 @@ class CacheEngine:
         return list(self._entries)
 
     def dirty_lbas(self) -> set[int]:
-        return {lba for lba, e in self._entries.items() if e.dirty}
+        return {lba for lba, dirty in self._entries.items() if dirty}
 
     @property
     def admits_promotion(self) -> bool:
@@ -163,8 +149,8 @@ class CacheEngine:
         """
         if len(self._entries) < self.config.capacity_blocks:
             raise ValueError("evict_victim called on a cache that is not full")
-        lba, entry = self._entries.popitem(last=False)
-        if entry.dirty:
+        lba, dirty = self._entries.popitem(last=False)
+        if dirty:
             return lba, self._writeback(lba, now)
         return lba, None
 
@@ -174,7 +160,7 @@ class CacheEngine:
     def _plan_read(self, req: IoRequest, now: int, plan: RoutingPlan) -> None:
         if req.lba in self._entries:
             self.read_hits += 1
-            self._touch(req.lba, now)
+            self._touch(req.lba)
             req.target = DeviceRole.SSD
             plan.immediate.append(req)
             return
@@ -186,7 +172,7 @@ class CacheEngine:
         writeback = self._admit(req.lba, dirty=False, now=now)
         if writeback is not None:
             plan.immediate.append(writeback)
-        promote = IoRequest(
+        plan.promotion = IoRequest(
             id=self._next_id(),
             arrival=now,
             lba=req.lba,
@@ -194,12 +180,10 @@ class CacheEngine:
             origin=Origin.P,
             target=DeviceRole.SSD,
         )
-        plan.deferred.append(DeferredPromotion(after_id=req.id, request=promote))
 
     def _plan_write(self, req: IoRequest, now: int, plan: RoutingPlan) -> None:
         if self.policy is WritePolicy.RO:
-            entry = self._entries.pop(req.lba, None)  # invalidate any cached copy
-            if entry is not None and entry.dirty:
+            if self._entries.pop(req.lba, False):  # invalidate any cached copy
                 # the cached copy holds unwritten data: persist it before
                 # the new write lands on the same device queue
                 plan.immediate.append(self._writeback(req.lba, now))
@@ -208,10 +192,9 @@ class CacheEngine:
             return
 
         if self.policy is WritePolicy.WT:
-            entry = self._entries.get(req.lba)
-            if entry is not None:
-                entry.dirty = False  # disk copy becomes current again
-                self._touch(req.lba, now)
+            if req.lba in self._entries:
+                self._entries[req.lba] = False  # disk copy becomes current again
+                self._touch(req.lba)
             else:
                 writeback = self._admit(req.lba, dirty=False, now=now)
                 if writeback is not None:
@@ -234,25 +217,23 @@ class CacheEngine:
         # WB and WO both buffer the write and mark the block dirty
         req.target = DeviceRole.SSD
         plan.immediate.append(req)
-        entry = self._entries.get(req.lba)
-        if entry is not None:
-            entry.dirty = True
-            self._touch(req.lba, now)
+        if req.lba in self._entries:
+            self._entries[req.lba] = True
+            self._touch(req.lba)
         else:
             writeback = self._admit(req.lba, dirty=True, now=now)
             if writeback is not None:
                 plan.immediate.append(writeback)
 
-    def _touch(self, lba: int, now: int) -> None:
+    def _touch(self, lba: int) -> None:
         self._entries.move_to_end(lba)
-        self._entries[lba].last_touch = now
 
     def _admit(self, lba: int, dirty: bool, now: int) -> IoRequest | None:
         """Insert a non-resident block as MRU, evicting first if full."""
         writeback = None
         if len(self._entries) >= self.config.capacity_blocks:
             _victim, writeback = self.evict_victim(now)
-        self._entries[lba] = CacheEntry(dirty=dirty, last_touch=now)
+        self._entries[lba] = dirty
         return writeback
 
     def _writeback(self, lba: int, now: int) -> IoRequest:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -50,10 +50,6 @@ class IoRequest:
     cache engine routes the request. Timestamps fill in as the request
     moves through a device queue and must satisfy
     ``arrival <= enqueued_at <= service_start <= completed_at``.
-
-    ``hops`` records every device the request was enqueued on, in order;
-    a request bypassed from the cache queue to the disk therefore shows
-    ``[SSD, HDD]``.
     """
 
     id: int
@@ -66,7 +62,6 @@ class IoRequest:
     enqueued_at: int | None = None
     service_start: int | None = None
     completed_at: int | None = None
-    hops: list[DeviceRole] = field(default_factory=list)
 
 
 class Device:
@@ -107,7 +102,6 @@ class Device:
                 f"submitted to {self.role.name}"
             )
         req.enqueued_at = max(now, req.arrival)
-        req.hops.append(self.role)
         self.waiting.append(req)
         self._maybe_start(now)
 
@@ -164,20 +158,13 @@ class Simulator:
         self._arrivals: list[tuple[int, int, IoRequest]] = []
         self._seq = 0
 
-    def device(self, role: DeviceRole | None) -> Device:
-        if role is DeviceRole.SSD:
-            return self.ssd
-        if role is DeviceRole.HDD:
-            return self.hdd
-        raise RoutingError(f"request routed to unknown device {role}")
-
     def schedule_arrival(self, req: IoRequest) -> None:
         heapq.heappush(self._arrivals, (req.arrival, self._seq, req))
         self._seq += 1
 
-    def submit(self, req: IoRequest, device: Device | None = None) -> None:
-        if device is None:
-            device = self.device(req.target)
+    def submit(self, req: IoRequest) -> None:
+        # an unrouted request fails the HDD's role check
+        device = self.ssd if req.target is DeviceRole.SSD else self.hdd
         device.submit(req, self.clock)
 
     def next_event_time(self) -> int | None:

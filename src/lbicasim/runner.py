@@ -104,7 +104,7 @@ class Simulation:
         self.submitted = {DeviceRole.SSD: 0, DeviceRole.HDD: 0}
         self.bypassed_total = 0
         self.dropped_promotions = 0
-        self._deferred: dict[int, list] = {}
+        self._deferred: dict[int, IoRequest] = {}
         self._outstanding: dict[int, set[int]] = {}
         self._arrival_of: dict[int, int] = {}
         self._latencies: list[int] = []
@@ -152,8 +152,8 @@ class Simulation:
         self._arrival_of[req.id] = req.arrival
         plan = self.cache.access(req, self.sim.clock)
         self._outstanding[req.id] = set(plan.foreground)
-        for deferred in plan.deferred:
-            self._deferred.setdefault(deferred.after_id, []).append(deferred)
+        if plan.promotion is not None:
+            self._deferred[req.id] = plan.promotion
         for sub in plan.immediate:
             self._submit(sub)
 
@@ -161,16 +161,15 @@ class Simulation:
         self.tracker.record_completion(req)
         if self.events:
             self.events.request(self.sim.clock, "complete", req)
-        for deferred in self._deferred.pop(req.id, ()):
+        promotion = self._deferred.pop(req.id, None)
+        if promotion is not None:
             if self.cache.admits_promotion:
-                deferred.request.arrival = self.sim.clock
-                self._submit(deferred.request)
+                promotion.arrival = self.sim.clock
+                self._submit(promotion)
             else:
                 self.dropped_promotions += 1
                 if self.events:
-                    self.events.request(
-                        self.sim.clock, "drop", deferred.request, note="write-only policy"
-                    )
+                    self.events.request(self.sim.clock, "drop", promotion, note="write-only policy")
         if req.app_id is not None:
             self._foreground_resolved(req.app_id, req.id, self.sim.clock)
 
@@ -184,15 +183,14 @@ class Simulation:
             self._latencies.append(when - self._arrival_of.pop(app_id))
 
     def _tick(self, boundary: int) -> None:
-        ssd_q = self.sim.ssd.qsize
-        hdd_q = self.sim.hdd.qsize
-        snapshot = take_snapshot(boundary, self.sim.ssd, self.sim.hdd)
-        stats = self.tracker.close_interval(boundary, ssd_q, hdd_q)
-        decision = self.balancer.tick(stats, snapshot)
+        ssd, hdd = self.sim.ssd, self.sim.hdd
+        ratios = RatioVector.from_snapshot(take_snapshot(boundary, ssd, hdd))
+        stats = self.tracker.close_interval(boundary, ssd.qsize, hdd.qsize)
+        decision = self.balancer.tick(stats, ratios)
         self.rows.append(
             IntervalRow(
                 stats=stats,
-                ratios=RatioVector.from_snapshot(snapshot),
+                ratios=ratios,
                 burst=detect_bottleneck(stats),
                 klass=decision.klass.value if decision.klass is not None else "",
                 policy=self.cache.policy.value,

@@ -3,7 +3,8 @@
 The balancers act on two views of the system, both produced here:
 
 * a point-in-time :class:`QueueSnapshot` of what sits in each device
-  queue, tagged by origin, used to characterize the queued workload;
+  queue, tagged by origin, which the runner reduces to the cache queue's
+  origin mix to characterize the queued workload;
 * an :class:`IntervalStats` record closed at every interval boundary,
   carrying sampled queue depths and the queue-time products
   ``qsize * latency_avg`` that drive bottleneck detection.

@@ -1,7 +1,7 @@
 """Bottleneck detection, workload classification, policy mapping, bypass depth."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lbicasim import (
@@ -20,7 +20,6 @@ from lbicasim import (
     compute_bypass_depth,
     detect_bottleneck,
     make_balancer,
-    sib_scan_depth,
 )
 from lbicasim.engine import Origin
 
@@ -40,14 +39,6 @@ def make_stats(ssd_qsize, ssd_lat, hdd_qsize, hdd_lat, index=1):
         disk_qtime=disk_qtime,
         served={role: {origin: 0 for origin in Origin} for role in DeviceRole},
         max_latency={DeviceRole.SSD: 0, DeviceRole.HDD: 0},
-    )
-
-
-def snapshot_of(*origins):
-    return QueueSnapshot(
-        taken_at=0,
-        ssd_inqueue=tuple((i, o) for i, o in enumerate(origins)),
-        hdd_inqueue=(),
     )
 
 
@@ -232,30 +223,20 @@ class TestComputeBypassDepth:
             assert (s - (k - 1)) * ls > (h + (k - 1)) * lh
 
 
-class TestSibScanDepth:
-    def test_balanced_queues_bypass_nothing(self):
-        assert sib_scan_depth(10, 100, 1, 5000) == 0
+def sib_scan_oracle(s, ls, h, lh):
+    """SIB's per-request scan: walk the cache queue from the tail inward.
 
-    def test_imbalanced_queue_bypasses_until_the_inequality_flips(self):
-        # brute-force per-position scan over the same state
-        def brute(s, ls, h, lh):
-            moved = 0
-            for pos in range(s, 1, -1):
-                if pos * ls > (h + moved) * lh:
-                    moved += 1
-                else:
-                    break
-            return moved
-
-        assert sib_scan_depth(60, 100, 1, 5000) == brute(60, 100, 1, 5000) == 1
-
-    def test_lockstep_queues_never_bypass(self):
-        # mirrored write-through queues: equal depths, equal latencies
-        assert sib_scan_depth(300, 100, 300, 100) == 0
-
-    def test_in_service_position_is_never_bypassed(self):
-        # disk estimate of zero would otherwise drain the whole queue
-        assert sib_scan_depth(5, 100, 0, 1) == 4
+    A request at 1-based position ``pos`` is expected to wait ``pos * ls``
+    and is bypassed while that exceeds the disk-side estimate
+    ``(h + already_bypassed) * lh``. The in-service request (position 1)
+    is never considered.
+    """
+    pos = s
+    bypassed = 0
+    while pos >= 2 and pos * ls > (h + bypassed) * lh:
+        bypassed += 1
+        pos -= 1
+    return bypassed
 
 
 class FakeControls:
@@ -277,24 +258,23 @@ class TestControllers:
         controls = FakeControls()
         balancer = WriteBackBaseline(controls)
         balancer.prepare()
-        decision = balancer.tick(make_stats(60, 100, 1, 5000), snapshot_of(Origin.R))
+        decision = balancer.tick(make_stats(60, 100, 1, 5000), RatioVector.from_counts(1, 0, 0, 0))
         assert decision.policy is WritePolicy.WB
-        assert decision.burst is True
         assert controls.policies == [WritePolicy.WB]  # prepare only
         assert controls.bypass_calls == []
 
     def test_lbica_reverts_outside_bursts(self):
         controls = FakeControls()
         balancer = LbicaBalancer(controls)
-        decision = balancer.tick(make_stats(1, 100, 1, 5000), snapshot_of(Origin.W))
-        assert decision == PolicyDecision(WritePolicy.WB, burst=False)
+        decision = balancer.tick(make_stats(1, 100, 1, 5000), RatioVector.from_counts(0, 1, 0, 0))
+        assert decision == PolicyDecision(WritePolicy.WB)
         assert controls.policies == [WritePolicy.WB]
 
     def test_lbica_assigns_wo_on_read_heavy_burst(self):
         controls = FakeControls()
         balancer = LbicaBalancer(controls)
-        snap = snapshot_of(*([Origin.R] * 30 + [Origin.P] * 30))
-        decision = balancer.tick(make_stats(60, 100, 1, 5000), snap)
+        ratios = RatioVector.from_counts(30, 0, 30, 0)
+        decision = balancer.tick(make_stats(60, 100, 1, 5000), ratios)
         assert decision.policy is WritePolicy.WO
         assert decision.klass is WorkloadClass.RANDOM_READ
         assert controls.policies == [WritePolicy.WO]
@@ -303,8 +283,8 @@ class TestControllers:
     def test_lbica_bypasses_write_heavy_burst(self):
         controls = FakeControls(bypass_result=1)
         balancer = LbicaBalancer(controls)
-        snap = snapshot_of(*([Origin.W] * 60))
-        decision = balancer.tick(make_stats(60, 100, 1, 5000), snap)
+        ratios = RatioVector.from_counts(0, 60, 0, 0)
+        decision = balancer.tick(make_stats(60, 100, 1, 5000), ratios)
         assert decision.policy is WritePolicy.WB
         assert decision.klass is WorkloadClass.RANDOM_WRITE
         assert controls.bypass_calls == [1]  # computed depth for this state
@@ -314,17 +294,17 @@ class TestControllers:
         controls = FakeControls()
         balancer = LbicaBalancer(controls)
         mixes = [
-            snapshot_of(*origins)
-            for origins in (
-                [Origin.R] * 30 + [Origin.P] * 30,
-                [Origin.R] * 12 + [Origin.W] * 48,
-                [Origin.W] * 60,
-                [Origin.P] * 60,
-                [Origin.R] * 20 + [Origin.W] * 20 + [Origin.P] * 20,
+            RatioVector.from_counts(*counts)
+            for counts in (
+                (30, 0, 30, 0),
+                (12, 48, 0, 0),
+                (0, 60, 0, 0),
+                (0, 0, 60, 0),
+                (20, 20, 20, 0),
             )
         ]
-        for snap in mixes:
-            decision = balancer.tick(make_stats(60, 100, 1, 5000), snap)
+        for ratios in mixes:
+            decision = balancer.tick(make_stats(60, 100, 1, 5000), ratios)
             assert decision.policy in (WritePolicy.WB, WritePolicy.WO, WritePolicy.RO)
             if decision.tail_bypass:
                 assert decision.policy is WritePolicy.WB
@@ -333,7 +313,7 @@ class TestControllers:
         controls = FakeControls(bypass_result=1)
         balancer = SibBalancer(controls)
         balancer.prepare()
-        decision = balancer.tick(make_stats(60, 100, 1, 5000), snapshot_of(Origin.W))
+        decision = balancer.tick(make_stats(60, 100, 1, 5000), RatioVector.from_counts(0, 1, 0, 0))
         assert controls.policies == [WritePolicy.WT]  # prepare only, ticks add none
         assert decision.policy is WritePolicy.WT
         assert decision.tail_bypass is False
@@ -342,9 +322,31 @@ class TestControllers:
     def test_sib_idle_tick_skips_queue_surgery(self):
         controls = FakeControls()
         balancer = SibBalancer(controls)
-        decision = balancer.tick(make_stats(1, 100, 1, 5000), snapshot_of(Origin.W))
+        decision = balancer.tick(make_stats(1, 100, 1, 5000), RatioVector.from_counts(0, 1, 0, 0))
         assert controls.bypass_calls == []
         assert decision.bypass_depth == 0
+
+    @given(
+        st.integers(min_value=0, max_value=5000),
+        st.integers(min_value=1, max_value=10_000),
+        st.integers(min_value=0, max_value=5000),
+        st.integers(min_value=1, max_value=10_000),
+    )
+    @example(10, 100, 1, 5000)  # balanced queues bypass nothing
+    @example(60, 100, 1, 5000)  # one request flips the inequality
+    @example(300, 100, 300, 100)  # mirrored write-through queues never bypass
+    @example(5, 100, 0, 1)  # an empty disk would otherwise take the in-service request
+    def test_sib_requests_the_scan_oracle_depth(self, s, ls, h, lh):
+        controls = FakeControls(bypass_result=s)
+        decision = SibBalancer(controls).tick(
+            make_stats(s, ls, h, lh), RatioVector.from_counts(0, 0, 0, 0)
+        )
+        depth = sib_scan_oracle(s, ls, h, lh)
+        assert controls.bypass_calls == ([depth] if depth else [])
+        assert decision.bypass_depth == depth
+        assert depth <= max(s - 1, 0)  # the in-service request never moves
+        if s * ls <= h * lh:
+            assert depth == 0
 
 
 class TestFactory:

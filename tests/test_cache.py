@@ -37,31 +37,30 @@ class TestReadPaths:
         read(engine, 1, lba=7)
         plan = read(engine, 2, lba=7)
         assert shapes(plan) == [(Origin.R, DeviceRole.SSD)]
-        assert plan.deferred == []
+        assert plan.promotion is None
 
     def test_miss_fetches_from_disk_and_defers_promotion(self):
         engine = make_engine()
         plan = read(engine, 1, lba=7)
         assert shapes(plan) == [(Origin.R, DeviceRole.HDD)]
-        assert len(plan.deferred) == 1
-        promote = plan.deferred[0]
-        assert promote.after_id == 1
-        assert promote.request.origin is Origin.P
-        assert promote.request.op is OpType.WRITE
-        assert promote.request.target is DeviceRole.SSD
+        promote = plan.promotion
+        assert promote is not None
+        assert promote.origin is Origin.P
+        assert promote.op is OpType.WRITE
+        assert promote.target is DeviceRole.SSD
 
     def test_miss_on_full_cache_evicts_dirty_victim_first(self):
         engine = make_engine(capacity=1)
         write(engine, 1, lba=5)  # resident and dirty under WB
         plan = read(engine, 2, lba=9)
         assert shapes(plan) == [(Origin.R, DeviceRole.HDD), (Origin.E, DeviceRole.HDD)]
-        assert [d.request.origin for d in plan.deferred] == [Origin.P]
+        assert plan.promotion.origin is Origin.P
 
     def test_wo_miss_is_disk_only(self):
         engine = make_engine(policy=WritePolicy.WO)
         plan = read(engine, 1, lba=7)
         assert shapes(plan) == [(Origin.R, DeviceRole.HDD)]
-        assert plan.deferred == []
+        assert plan.promotion is None
         assert engine.occupancy == 0
 
 
@@ -168,10 +167,10 @@ class TestSetPolicy:
     def test_switch_back_resumes_promotion(self):
         engine = make_engine(policy=WritePolicy.WO)
         plan = read(engine, 1, lba=7)
-        assert plan.deferred == []
+        assert plan.promotion is None
         engine.set_policy(WritePolicy.WB)
         plan = read(engine, 2, lba=8)
-        assert [d.request.origin for d in plan.deferred] == [Origin.P]
+        assert plan.promotion.origin is Origin.P
 
     def test_idempotent_switch(self):
         engine = make_engine()

@@ -44,6 +44,11 @@ class TestSubmit:
         with pytest.raises(RoutingError):
             hdd.submit(make_request(1, target=DeviceRole.SSD), now=0)
 
+    def test_unrouted_request_is_a_routing_error(self):
+        sim = Simulator(Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 5000, 5000))
+        with pytest.raises(RoutingError):
+            sim.submit(make_request(1, target=None))
+
     def test_enqueued_at_is_max_of_clock_and_arrival(self):
         dev = Device(DeviceRole.SSD, 100, 100)
         early = make_request(1, arrival=0)

@@ -4,6 +4,7 @@ import csv
 import io
 
 from lbicasim import (
+    BALANCERS,
     DeviceRole,
     EventLog,
     IoRequest,
@@ -51,6 +52,18 @@ def app_read(req_id, lba, arrival=0):
     )
 
 
+def logged_sim(config, requests):
+    """A simulation whose event log is written to the returned buffer."""
+    buffer = io.StringIO()
+    return Simulation(config, requests, events=EventLog(buffer, config.scenario_hash())), buffer
+
+
+def logged_rows(buffer):
+    buffer.seek(0)
+    buffer.readline()  # scenario header
+    return list(csv.DictReader(buffer))
+
+
 class TestEndToEnd:
     def test_all_application_requests_complete(self):
         result = run_simulation(small_config())
@@ -96,11 +109,22 @@ class TestEndToEnd:
 
 class TestDeferredPromotion:
     def test_read_miss_promotes_after_the_disk_read(self):
-        sim = Simulation(small_config(phases=()), [app_read(0, lba=5)])
+        sim, buffer = logged_sim(small_config(phases=()), [app_read(0, lba=5)])
         result = sim.run()
         assert result.summary["ssd_completed_p"] == 1
         assert result.summary["hdd_completed_r"] == 1
         assert result.summary["app_completed"] == 1
+        # the promotion enters the cache queue the instant the disk read completes
+        steps = [
+            (r["event"], r["origin"], r["target"], int(r["time"]))
+            for r in logged_rows(buffer)
+            if r["event"] in ("submit", "complete")
+        ]
+        assert steps[:3] == [
+            ("submit", "R", "hdd", 0),
+            ("complete", "R", "hdd", 5000),
+            ("submit", "P", "ssd", 5000),
+        ]
 
     def test_promotion_dropped_when_policy_turned_write_only(self):
         sim = Simulation(small_config(phases=()), [app_read(0, lba=5)])
@@ -120,13 +144,9 @@ class TestDeferredPromotion:
 
 
 class TestBypassTail:
-    def make_sim(self):
-        sim = Simulation(small_config(phases=()), [])
-        sim.balancer.prepare()
-        return sim
-
     def test_promotions_are_discarded_and_writes_move_to_disk(self):
-        sim = self.make_sim()
+        sim, buffer = logged_sim(small_config(phases=()), [])
+        sim.balancer.prepare()
         blocker = app_write(90, lba=1)
         blocker.target = DeviceRole.SSD
         writes = [app_write(91 + i, lba=2 + i) for i in range(2)]
@@ -146,29 +166,40 @@ class TestBypassTail:
         hdd_pending = sim.sim.hdd.pending()
         assert [r.id for r in hdd_pending] == [91, 92]
         assert all(r.origin is Origin.W for r in hdd_pending)
-        assert all(r.hops == [DeviceRole.SSD, DeviceRole.HDD] for r in hdd_pending)
         # arrivals were preserved on resubmission
         assert all(r.arrival == 0 for r in hdd_pending)
+        # each moved write left the cache queue, then entered the disk queue
+        rows = logged_rows(buffer)
+        for req in hdd_pending:
+            steps = [(r["event"], r["target"]) for r in rows if r["req"] == str(req.id)]
+            assert steps == [("submit", "ssd"), ("remove", "ssd"), ("submit", "hdd")]
 
     def test_bypass_of_an_empty_queue_moves_nothing(self):
-        sim = self.make_sim()
+        sim = Simulation(small_config(phases=()), [])
+        sim.balancer.prepare()
         assert sim.bypass_tail(4) == 0
 
 
 class TestPolicyLog:
     def test_policy_changes_logged_once_per_transition(self):
-        config = small_config(phases=())
-        buffer = io.StringIO()
-        events = EventLog(buffer, config.scenario_hash())
-        sim = Simulation(config, [], events=events)
+        sim, buffer = logged_sim(small_config(phases=()), [])
         sim.balancer.prepare()  # WB -> WB, not a transition
         sim.set_policy(WritePolicy.WO)
         sim.set_policy(WritePolicy.WO)  # repeat is not logged
         sim.set_policy(WritePolicy.WB)
-        buffer.seek(0)
-        buffer.readline()
-        rows = [r for r in csv.DictReader(buffer) if r["event"] == "policy"]
+        rows = [r for r in logged_rows(buffer) if r["event"] == "policy"]
         assert [r["note"] for r in rows] == ["WO", "WB"]
+
+
+class TestIntervalRows:
+    def test_burst_flag_marks_cache_side_bottlenecks(self, scenario_runs):
+        # every balancer reports bursts, the baseline too, though it never acts
+        bursts = dict.fromkeys(BALANCERS, 0)
+        for (_scenario, balancer), run in scenario_runs.items():
+            for row in run.result.rows:
+                assert row.burst == (row.stats.cache_qtime > row.stats.disk_qtime)
+                bursts[balancer] += row.burst
+        assert all(count > 0 for count in bursts.values()), bursts
 
 
 class TestWriteThroughRun:
