@@ -349,6 +349,30 @@ class TestControllers:
             assert depth == 0
 
 
+def sib_requested_depth(s, ls, h, lh):
+    """The depth ``SibBalancer.tick`` hands to ``bypass_tail`` (0 if none)."""
+    controls = FakeControls(bypass_result=s)
+    SibBalancer(controls).tick(make_stats(s, ls, h, lh), RatioVector.from_counts(0, 0, 0, 0))
+    assert len(controls.bypass_calls) <= 1
+    return controls.bypass_calls[0] if controls.bypass_calls else 0
+
+
+class TestSibScanDepth:
+    def test_balanced_queues_bypass_nothing(self):
+        assert sib_requested_depth(10, 100, 1, 5000) == 0
+
+    def test_imbalanced_queue_bypasses_until_the_inequality_flips(self):
+        assert sib_requested_depth(60, 100, 1, 5000) == sib_scan_oracle(60, 100, 1, 5000) == 1
+
+    def test_lockstep_queues_never_bypass(self):
+        # mirrored write-through queues: equal depths, equal latencies
+        assert sib_requested_depth(300, 100, 300, 100) == 0
+
+    def test_in_service_position_is_never_bypassed(self):
+        # disk estimate of zero would otherwise drain the whole queue
+        assert sib_requested_depth(5, 100, 0, 1) == 4
+
+
 class TestFactory:
     def test_known_names(self):
         controls = FakeControls()
