@@ -11,20 +11,22 @@ cache queue:
   overloaded cache; write-intensive queues additionally get their tail
   bypassed to the disk.
 * ``sib``: prior selective-bypass baseline. The cache is pinned to
-  write-through and every tick makes the same tail cut as LBICA's
+  write-through and every tick requests the same tail cut as LBICA's
   write-intensive bypass, capped so the in-service request is never
   moved. It never changes the write policy.
 
-Controllers mutate the running system only through the narrow surface
-the runner hands them (``set_policy`` and ``bypass_tail``), which keeps
-every queue edit logged and accounted in one place.
+A tick is a pure function of its inputs: it returns a
+:class:`PolicyDecision` and touches nothing. The runner is the only
+mutator. It applies each decision (tail bypass first, then the policy
+switch), so every queue edit is logged and accounted in one place. The
+decision's ``bypass_depth`` is the depth the controller requested; the
+runner records how many requests actually moved, which can be fewer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Protocol
 
 from .cache import WritePolicy
 from .engine import Origin
@@ -68,14 +70,16 @@ class RatioVector:
 
 @dataclass(frozen=True)
 class PolicyDecision:
-    """Outcome of one controller tick.
+    """What one controller tick asks the runner to do.
 
+    ``policy`` is the write policy to run the next interval under.
     ``tail_bypass`` is the write-intensive directive that pairs tail
     bypassing with the WB policy; it is never set with any other policy.
-    ``bypass_depth`` reports how many requests actually left the cache
-    queue this tick (SIB reports its per-request bypasses here too).
-    ``klass`` is None when the tick did not classify (no bottleneck, or a
-    controller that never classifies).
+    ``bypass_depth`` is the number of requests the controller asks to
+    move from the cache queue tail to the disk. The runner clamps it to
+    the waiting queue, so the count that actually moved can be smaller
+    (``IntervalRow.bypassed``). ``klass`` is None when the tick did not
+    classify (no bottleneck, or a controller that never classifies).
     """
 
     policy: WritePolicy
@@ -158,24 +162,14 @@ def compute_bypass_depth(stats: IntervalStats) -> int:
     return -(-excess // step)
 
 
-class Controls(Protocol):
-    """Mutation surface the runner exposes to controllers."""
-
-    def set_policy(self, policy: WritePolicy) -> None: ...
-
-    def bypass_tail(self, count: int) -> int: ...
-
-
 class WriteBackBaseline:
     """No balancing: the cache stays write-back for the whole run."""
 
     name = "none-wb"
+    initial_policy = WritePolicy.WB
 
-    def __init__(self, controls: Controls, theta_dom: float = 0.8):
-        self.controls = controls
-
-    def prepare(self) -> None:
-        self.controls.set_policy(WritePolicy.WB)
+    def __init__(self, theta_dom: float = 0.8):
+        """The baseline never classifies, so ``theta_dom`` is unused."""
 
     def tick(self, stats: IntervalStats, ratios: RatioVector) -> PolicyDecision:
         return PolicyDecision(WritePolicy.WB)
@@ -185,48 +179,37 @@ class LbicaBalancer:
     """Adaptive policy assignment driven by queue-time comparison."""
 
     name = "lbica"
+    initial_policy = WritePolicy.WB
 
-    def __init__(self, controls: Controls, theta_dom: float = 0.8):
-        self.controls = controls
+    def __init__(self, theta_dom: float = 0.8):
         self.theta_dom = theta_dom
-
-    def prepare(self) -> None:
-        self.controls.set_policy(WritePolicy.WB)
 
     def tick(self, stats: IntervalStats, ratios: RatioVector) -> PolicyDecision:
         if not detect_bottleneck(stats):
-            self.controls.set_policy(WritePolicy.WB)
             return PolicyDecision(WritePolicy.WB)
-        klass = classify(ratios, self.theta_dom)
-        decision = assign_policy(klass, burst=True)
-        moved = 0
+        decision = assign_policy(classify(ratios, self.theta_dom), burst=True)
         if decision.tail_bypass:
-            moved = self.controls.bypass_tail(compute_bypass_depth(stats))
-        self.controls.set_policy(decision.policy)
-        return replace(decision, bypass_depth=moved)
+            return replace(decision, bypass_depth=compute_bypass_depth(stats))
+        return decision
 
 
 class SibBalancer:
     """Selective bypass over a write-through cache.
 
-    Every tick cuts the cache queue tail by the same depth as LBICA's
-    write-intensive bypass (:func:`compute_bypass_depth`), capped at
-    ``ssd_qsize - 1`` so the in-service request is never moved. The
-    policy never changes.
+    Every tick requests the same tail cut as LBICA's write-intensive
+    bypass (:func:`compute_bypass_depth`), capped at ``ssd_qsize - 1`` so
+    the in-service request is never moved. The policy never changes.
     """
 
     name = "sib"
+    initial_policy = WritePolicy.WT
 
-    def __init__(self, controls: Controls, theta_dom: float = 0.8):
-        self.controls = controls
-
-    def prepare(self) -> None:
-        self.controls.set_policy(WritePolicy.WT)
+    def __init__(self, theta_dom: float = 0.8):
+        """SIB never classifies, so ``theta_dom`` is unused."""
 
     def tick(self, stats: IntervalStats, ratios: RatioVector) -> PolicyDecision:
-        count = min(compute_bypass_depth(stats), max(stats.ssd_qsize - 1, 0))
-        moved = self.controls.bypass_tail(count) if count else 0
-        return PolicyDecision(WritePolicy.WT, bypass_depth=moved)
+        depth = min(compute_bypass_depth(stats), max(stats.ssd_qsize - 1, 0))
+        return PolicyDecision(WritePolicy.WT, bypass_depth=depth)
 
 
 BALANCERS: dict[str, type] = {
@@ -236,9 +219,9 @@ BALANCERS: dict[str, type] = {
 }
 
 
-def make_balancer(name: str, controls: Controls, theta_dom: float = 0.8):
+def make_balancer(name: str, theta_dom: float = 0.8):
     try:
         cls = BALANCERS[name]
     except KeyError:
         raise ValueError(f"unknown balancer {name!r}, expected one of {sorted(BALANCERS)}")
-    return cls(controls, theta_dom)
+    return cls(theta_dom)

@@ -6,13 +6,14 @@ their backing disk reads complete, ticks the balancer at every interval
 boundary, and keeps the per-application bookkeeping that defines request
 latency (a write-through write completes when both halves finish).
 
-It also implements the two mutation hooks controllers use, so every
-policy change and queue edit flows through one logged place:
+Balancer ticks only return a decision; the simulation applies it through
+two methods, so every policy change and queue edit flows through one
+logged place:
 
-* ``set_policy`` switches the cache policy (logged when it changes);
 * ``bypass_tail`` removes requests from the cache queue tail, discarding
   promotions (the disk copy is current, nothing is lost) and resubmitting
-  application requests to the disk with origin and arrival preserved.
+  application requests to the disk with origin and arrival preserved;
+* ``set_policy`` switches the cache policy (logged when it changes).
 
 With an event log enabled, every request lifecycle step and policy
 change is recorded, which is enough to independently replay cache
@@ -67,7 +68,11 @@ class EventLog:
 
 @dataclass
 class IntervalRow:
-    """One intervals.csv row: closed stats plus the controller outcome."""
+    """One intervals.csv row: closed stats plus the controller outcome.
+
+    ``bypassed`` is the number of requests that actually left the cache
+    queue; the depth the controller requested may be larger.
+    """
 
     stats: IntervalStats
     ratios: RatioVector
@@ -99,21 +104,20 @@ class Simulation:
             next_id=self._ids.__next__,
         )
         self.tracker = IntervalTracker(ssd.latency_avg, hdd.latency_avg)
-        self.balancer = make_balancer(config.balancer, self, config.theta_dom)
+        self.balancer = make_balancer(config.balancer, config.theta_dom)
         self.rows: list[IntervalRow] = []
         self.submitted = {DeviceRole.SSD: 0, DeviceRole.HDD: 0}
         self.bypassed_total = 0
         self.dropped_promotions = 0
         self._deferred: dict[int, IoRequest] = {}
         self._outstanding: dict[int, set[int]] = {}
-        self._arrival_of: dict[int, int] = {}
         self._latencies: list[int] = []
         self._n_app = len(requests)
         for req in requests:
             self.sim.schedule_arrival(req)
 
     # ------------------------------------------------------------------
-    # controller surface
+    # applying controller decisions
 
     def set_policy(self, policy: WritePolicy) -> None:
         if policy is not self.cache.policy:
@@ -149,7 +153,6 @@ class Simulation:
     def _dispatch(self, req: IoRequest) -> None:
         if self.events:
             self.events.request(self.sim.clock, "arrive", req)
-        self._arrival_of[req.id] = req.arrival
         plan = self.cache.access(req, self.sim.clock)
         self._outstanding[req.id] = set(plan.foreground)
         if plan.promotion is not None:
@@ -171,37 +174,41 @@ class Simulation:
                 if self.events:
                     self.events.request(self.sim.clock, "drop", promotion, note="write-only policy")
         if req.app_id is not None:
-            self._foreground_resolved(req.app_id, req.id, self.sim.clock)
+            self._foreground_resolved(req)
 
-    def _foreground_resolved(self, app_id: int, req_id: int, when: int) -> None:
-        pending = self._outstanding.get(app_id)
+    def _foreground_resolved(self, req: IoRequest) -> None:
+        # every foreground request carries its application's arrival: the
+        # WT mirror copies it and a bypassed request keeps it
+        pending = self._outstanding.get(req.app_id)
         if pending is None:
             return
-        pending.discard(req_id)
+        pending.discard(req.id)
         if not pending:
-            del self._outstanding[app_id]
-            self._latencies.append(when - self._arrival_of.pop(app_id))
+            del self._outstanding[req.app_id]
+            self._latencies.append(req.completed_at - req.arrival)
 
     def _tick(self, boundary: int) -> None:
         ssd, hdd = self.sim.ssd, self.sim.hdd
         ratios = RatioVector.from_snapshot(take_snapshot(boundary, ssd, hdd))
         stats = self.tracker.close_interval(boundary, ssd.qsize, hdd.qsize)
         decision = self.balancer.tick(stats, ratios)
+        moved = self.bypass_tail(decision.bypass_depth) if decision.bypass_depth else 0
+        self.set_policy(decision.policy)
         self.rows.append(
             IntervalRow(
                 stats=stats,
                 ratios=ratios,
                 burst=detect_bottleneck(stats),
                 klass=decision.klass.value if decision.klass is not None else "",
-                policy=self.cache.policy.value,
-                bypassed=decision.bypass_depth,
+                policy=decision.policy.value,
+                bypassed=moved,
             )
         )
 
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        self.balancer.prepare()
+        self.set_policy(self.balancer.initial_policy)
         interval = self.config.interval_us
         boundary = interval
         while True:
@@ -240,7 +247,6 @@ class Simulation:
             mean_lat = median_lat = 0.0
             p99_lat = max_lat = 0
         burst_rows = [row for row in self.rows if row.burst]
-        totals = self.tracker.totals
         summary = {
             "scenario": self.config.scenario_hash(),
             "balancer": self.config.balancer,
@@ -271,7 +277,9 @@ class Simulation:
         }
         for role in DeviceRole:
             for origin in Origin:
-                summary[f"{role.value}_completed_{origin.value.lower()}"] = totals[role][origin]
+                summary[f"{role.value}_completed_{origin.value.lower()}"] = sum(
+                    row.stats.served[role][origin] for row in self.rows
+                )
         return summary
 
 

@@ -87,7 +87,6 @@ class IntervalTracker:
     def __init__(self, ssd_latency_avg: int, hdd_latency_avg: int):
         self.ssd_latency_avg = ssd_latency_avg
         self.hdd_latency_avg = hdd_latency_avg
-        self.totals = _fresh_counts()
         self._window_start = 0
         self._index = 0
         self._served = _fresh_counts()
@@ -96,7 +95,6 @@ class IntervalTracker:
     def record_completion(self, req: IoRequest) -> None:
         assert req.target is not None and req.completed_at is not None
         self._served[req.target][req.origin] += 1
-        self.totals[req.target][req.origin] += 1
         latency = req.completed_at - req.arrival
         if latency > self._max_latency[req.target]:
             self._max_latency[req.target] = latency

@@ -239,60 +239,37 @@ def sib_scan_oracle(s, ls, h, lh):
     return bypassed
 
 
-class FakeControls:
-    def __init__(self, bypass_result=0):
-        self.policies = []
-        self.bypass_calls = []
-        self._bypass_result = bypass_result
-
-    def set_policy(self, policy):
-        self.policies.append(policy)
-
-    def bypass_tail(self, count):
-        self.bypass_calls.append(count)
-        return min(count, self._bypass_result)
-
-
 class TestControllers:
     def test_baseline_never_balances(self):
-        controls = FakeControls()
-        balancer = WriteBackBaseline(controls)
-        balancer.prepare()
+        balancer = WriteBackBaseline()
         decision = balancer.tick(make_stats(60, 100, 1, 5000), RatioVector.from_counts(1, 0, 0, 0))
-        assert decision.policy is WritePolicy.WB
-        assert controls.policies == [WritePolicy.WB]  # prepare only
-        assert controls.bypass_calls == []
+        assert balancer.initial_policy is WritePolicy.WB
+        assert decision == PolicyDecision(WritePolicy.WB)  # no bypass requested
 
     def test_lbica_reverts_outside_bursts(self):
-        controls = FakeControls()
-        balancer = LbicaBalancer(controls)
+        balancer = LbicaBalancer()
         decision = balancer.tick(make_stats(1, 100, 1, 5000), RatioVector.from_counts(0, 1, 0, 0))
         assert decision == PolicyDecision(WritePolicy.WB)
-        assert controls.policies == [WritePolicy.WB]
 
     def test_lbica_assigns_wo_on_read_heavy_burst(self):
-        controls = FakeControls()
-        balancer = LbicaBalancer(controls)
+        balancer = LbicaBalancer()
         ratios = RatioVector.from_counts(30, 0, 30, 0)
         decision = balancer.tick(make_stats(60, 100, 1, 5000), ratios)
         assert decision.policy is WritePolicy.WO
         assert decision.klass is WorkloadClass.RANDOM_READ
-        assert controls.policies == [WritePolicy.WO]
-        assert controls.bypass_calls == []
+        assert decision.bypass_depth == 0
 
     def test_lbica_bypasses_write_heavy_burst(self):
-        controls = FakeControls(bypass_result=1)
-        balancer = LbicaBalancer(controls)
+        balancer = LbicaBalancer()
         ratios = RatioVector.from_counts(0, 60, 0, 0)
         decision = balancer.tick(make_stats(60, 100, 1, 5000), ratios)
         assert decision.policy is WritePolicy.WB
         assert decision.klass is WorkloadClass.RANDOM_WRITE
-        assert controls.bypass_calls == [1]  # computed depth for this state
-        assert decision.bypass_depth == 1  # what actually moved
+        assert decision.tail_bypass is True
+        assert decision.bypass_depth == 1  # requested depth for this state
 
     def test_lbica_emits_only_its_three_policies(self):
-        controls = FakeControls()
-        balancer = LbicaBalancer(controls)
+        balancer = LbicaBalancer()
         mixes = [
             RatioVector.from_counts(*counts)
             for counts in (
@@ -310,20 +287,16 @@ class TestControllers:
                 assert decision.policy is WritePolicy.WB
 
     def test_sib_locks_write_through_and_never_changes_it(self):
-        controls = FakeControls(bypass_result=1)
-        balancer = SibBalancer(controls)
-        balancer.prepare()
+        balancer = SibBalancer()
         decision = balancer.tick(make_stats(60, 100, 1, 5000), RatioVector.from_counts(0, 1, 0, 0))
-        assert controls.policies == [WritePolicy.WT]  # prepare only, ticks add none
+        assert balancer.initial_policy is WritePolicy.WT
         assert decision.policy is WritePolicy.WT
         assert decision.tail_bypass is False
         assert decision.bypass_depth == 1
 
     def test_sib_idle_tick_skips_queue_surgery(self):
-        controls = FakeControls()
-        balancer = SibBalancer(controls)
+        balancer = SibBalancer()
         decision = balancer.tick(make_stats(1, 100, 1, 5000), RatioVector.from_counts(0, 1, 0, 0))
-        assert controls.bypass_calls == []
         assert decision.bypass_depth == 0
 
     @given(
@@ -337,24 +310,17 @@ class TestControllers:
     @example(300, 100, 300, 100)  # mirrored write-through queues never bypass
     @example(5, 100, 0, 1)  # an empty disk would otherwise take the in-service request
     def test_sib_requests_the_scan_oracle_depth(self, s, ls, h, lh):
-        controls = FakeControls(bypass_result=s)
-        decision = SibBalancer(controls).tick(
-            make_stats(s, ls, h, lh), RatioVector.from_counts(0, 0, 0, 0)
-        )
         depth = sib_scan_oracle(s, ls, h, lh)
-        assert controls.bypass_calls == ([depth] if depth else [])
-        assert decision.bypass_depth == depth
+        assert sib_requested_depth(s, ls, h, lh) == depth
         assert depth <= max(s - 1, 0)  # the in-service request never moves
         if s * ls <= h * lh:
             assert depth == 0
 
 
 def sib_requested_depth(s, ls, h, lh):
-    """The depth ``SibBalancer.tick`` hands to ``bypass_tail`` (0 if none)."""
-    controls = FakeControls(bypass_result=s)
-    SibBalancer(controls).tick(make_stats(s, ls, h, lh), RatioVector.from_counts(0, 0, 0, 0))
-    assert len(controls.bypass_calls) <= 1
-    return controls.bypass_calls[0] if controls.bypass_calls else 0
+    """The bypass depth ``SibBalancer.tick`` requests for this queue state."""
+    stats = make_stats(s, ls, h, lh)
+    return SibBalancer().tick(stats, RatioVector.from_counts(0, 0, 0, 0)).bypass_depth
 
 
 class TestSibScanDepth:
@@ -375,11 +341,10 @@ class TestSibScanDepth:
 
 class TestFactory:
     def test_known_names(self):
-        controls = FakeControls()
-        assert isinstance(make_balancer("none-wb", controls), WriteBackBaseline)
-        assert isinstance(make_balancer("lbica", controls), LbicaBalancer)
-        assert isinstance(make_balancer("sib", controls), SibBalancer)
+        assert isinstance(make_balancer("none-wb"), WriteBackBaseline)
+        assert isinstance(make_balancer("lbica"), LbicaBalancer)
+        assert isinstance(make_balancer("sib"), SibBalancer)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            make_balancer("round-robin", FakeControls())
+            make_balancer("round-robin")

@@ -11,6 +11,7 @@ from lbicasim import (
     OpType,
     Origin,
     PhaseSpec,
+    PolicyDecision,
     RunConfig,
     Simulation,
     UniformRandom,
@@ -128,7 +129,7 @@ class TestDeferredPromotion:
 
     def test_promotion_dropped_when_policy_turned_write_only(self):
         sim = Simulation(small_config(phases=()), [app_read(0, lba=5)])
-        sim.balancer.prepare()
+        sim.set_policy(sim.balancer.initial_policy)
         completed, arrived = sim.sim.step()
         for req in arrived:
             sim._dispatch(req)
@@ -146,7 +147,6 @@ class TestDeferredPromotion:
 class TestBypassTail:
     def test_promotions_are_discarded_and_writes_move_to_disk(self):
         sim, buffer = logged_sim(small_config(phases=()), [])
-        sim.balancer.prepare()
         blocker = app_write(90, lba=1)
         blocker.target = DeviceRole.SSD
         writes = [app_write(91 + i, lba=2 + i) for i in range(2)]
@@ -176,14 +176,49 @@ class TestBypassTail:
 
     def test_bypass_of_an_empty_queue_moves_nothing(self):
         sim = Simulation(small_config(phases=()), [])
-        sim.balancer.prepare()
         assert sim.bypass_tail(4) == 0
+
+
+class FixedDecision:
+    """Stub balancer whose every tick returns the same decision."""
+
+    def __init__(self, decision):
+        self.decision = decision
+
+    def tick(self, stats, ratios):
+        return self.decision
+
+
+class TestApplyDecision:
+    def submit_ssd_writes(self, sim, first_id, count):
+        for i in range(count):
+            req = app_write(first_id + i, lba=first_id + i)
+            req.target = DeviceRole.SSD
+            sim._submit(req)
+
+    def test_runner_clamps_the_requested_bypass_then_switches_policy(self):
+        config = small_config(phases=())
+        sim, buffer = logged_sim(config, [])
+        self.submit_ssd_writes(sim, 90, 3)  # one in service, two waiting
+        sim.balancer = FixedDecision(PolicyDecision(WritePolicy.WT, bypass_depth=10))
+        sim._tick(config.interval_us)
+        assert sim.rows[-1].bypassed == 2  # clamped to the waiting queue
+        assert sim.rows[-1].policy == "WT"
+        events = [r["event"] for r in logged_rows(buffer)]
+        assert events == ["submit"] * 3 + ["remove", "submit"] * 2 + ["policy"]
+        # a decision without a bypass leaves the queue alone
+        self.submit_ssd_writes(sim, 93, 2)
+        sim.balancer = FixedDecision(PolicyDecision(WritePolicy.WT))
+        sim._tick(2 * config.interval_us)
+        assert sim.rows[-1].bypassed == 0
+        assert sim.sim.ssd.qsize == 3
+        assert [r["event"] for r in logged_rows(buffer)].count("remove") == 2
 
 
 class TestPolicyLog:
     def test_policy_changes_logged_once_per_transition(self):
         sim, buffer = logged_sim(small_config(phases=()), [])
-        sim.balancer.prepare()  # WB -> WB, not a transition
+        sim.set_policy(sim.balancer.initial_policy)  # WB -> WB, not a transition
         sim.set_policy(WritePolicy.WO)
         sim.set_policy(WritePolicy.WO)  # repeat is not logged
         sim.set_policy(WritePolicy.WB)
