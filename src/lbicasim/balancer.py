@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .cache import WritePolicy
-from .engine import Origin
 from .telemetry import IntervalStats, QueueSnapshot
 
 
@@ -60,12 +59,7 @@ class RatioVector:
 
     @classmethod
     def from_snapshot(cls, snapshot: QueueSnapshot) -> RatioVector:
-        counts = {origin: 0 for origin in Origin}
-        for _id, origin in snapshot.ssd_inqueue:
-            counts[origin] += 1
-        return cls.from_counts(
-            counts[Origin.R], counts[Origin.W], counts[Origin.P], counts[Origin.E]
-        )
+        return cls.from_counts(*snapshot.ssd_inqueue)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ class Origin(Enum):
     P = "P"  # promotion: write a block fetched from disk into the cache
     E = "E"  # eviction: write a dirty block back to disk
 
+    def __init__(self, value: str):
+        # declaration position: the index of this origin in per-origin counts
+        self.index = len(type(self).__members__)
+
 
 class OpType(Enum):
     READ = "read"
@@ -39,7 +43,7 @@ class RoutingError(ValueError):
     """A request was submitted to a device that does not match its target."""
 
 
-@dataclass
+@dataclass(slots=True)
 class IoRequest:
     """One block-granular device access.
 
@@ -70,6 +74,12 @@ class Device:
     ``qsize`` counts every pending request including the one in service.
     The in-service request can never be cancelled; queue surgery such as
     tail bypassing only reaches the waiting portion of the queue.
+
+    ``inqueue`` counts the same pending requests per origin, indexed by
+    ``Origin.index`` (``R, W, P, E``). ``submit``, ``complete_due`` and
+    ``remove_tail`` keep it current, so reading the queue's origin mix
+    costs the same at any depth; ``pending()`` is the O(n) view it
+    summarizes.
     """
 
     def __init__(self, role: DeviceRole, read_latency: int, write_latency: int):
@@ -80,6 +90,7 @@ class Device:
         self.write_latency = int(write_latency)
         self.waiting: deque[IoRequest] = deque()
         self.in_service: IoRequest | None = None
+        self.inqueue = [0] * len(Origin)
         self.busy_until = 0
         self.busy_time = 0  # summed service time of completed requests
 
@@ -103,6 +114,7 @@ class Device:
             )
         req.enqueued_at = max(now, req.arrival)
         self.waiting.append(req)
+        self.inqueue[req.origin.index] += 1
         self._maybe_start(now)
 
     def _maybe_start(self, now: int) -> None:
@@ -119,6 +131,7 @@ class Device:
             return None
         req.completed_at = now
         self.busy_time += now - req.service_start
+        self.inqueue[req.origin.index] -= 1
         self.in_service = None
         self._maybe_start(now)
         return req
@@ -135,6 +148,9 @@ class Device:
             return []
         removed = [self.waiting.pop() for _ in range(n)]
         removed.reverse()
+        inqueue = self.inqueue
+        for req in removed:
+            inqueue[req.origin.index] -= 1
         return removed
 
     def pending(self) -> list[IoRequest]:
@@ -168,13 +184,13 @@ class Simulator:
         device.submit(req, self.clock)
 
     def next_event_time(self) -> int | None:
-        times = []
-        if self._arrivals:
-            times.append(self._arrivals[0][0])
-        for dev in (self.ssd, self.hdd):
-            if dev.in_service is not None:
-                times.append(dev.busy_until)
-        return min(times) if times else None
+        t = self._arrivals[0][0] if self._arrivals else None
+        ssd, hdd = self.ssd, self.hdd
+        if ssd.in_service is not None and (t is None or ssd.busy_until < t):
+            t = ssd.busy_until
+        if hdd.in_service is not None and (t is None or hdd.busy_until < t):
+            t = hdd.busy_until
+        return t
 
     def step(self) -> tuple[list[IoRequest], list[IoRequest]] | None:
         """Advance the clock to the next event and process it.

@@ -2,9 +2,10 @@
 
 The balancers act on two views of the system, both produced here:
 
-* a point-in-time :class:`QueueSnapshot` of what sits in each device
-  queue, tagged by origin, which the runner reduces to the cache queue's
-  origin mix to characterize the queued workload;
+* a point-in-time :class:`QueueSnapshot` of how many requests of each
+  origin sit in each device queue, copied from the devices' running
+  counts (constant cost at any queue depth), which the runner reduces to
+  the cache queue's origin mix to characterize the queued workload;
 * an :class:`IntervalStats` record closed at every interval boundary,
   carrying sampled queue depths and the queue-time products
   ``qsize * latency_avg`` that drive bottleneck detection.
@@ -34,23 +35,23 @@ def compute_queue_times(
 
 @dataclass(frozen=True)
 class QueueSnapshot:
-    """Immutable copy of both queues at one instant, head to tail.
+    """Per-origin queue counts of both devices at one instant.
 
-    Entries are ``(request id, origin)`` for every pending request,
-    including the one in service. Later simulation steps never mutate a
-    snapshot.
+    Each field holds the number of pending requests of each origin, the
+    in-service request included, in ``Origin`` order ``(r, w, p, e)``.
+    Later simulation steps never mutate a snapshot.
     """
 
     taken_at: int
-    ssd_inqueue: tuple[tuple[int, Origin], ...]
-    hdd_inqueue: tuple[tuple[int, Origin], ...]
+    ssd_inqueue: tuple[int, int, int, int]
+    hdd_inqueue: tuple[int, int, int, int]
 
 
 def take_snapshot(now: int, ssd: Device, hdd: Device) -> QueueSnapshot:
     return QueueSnapshot(
         taken_at=now,
-        ssd_inqueue=tuple((r.id, r.origin) for r in ssd.pending()),
-        hdd_inqueue=tuple((r.id, r.origin) for r in hdd.pending()),
+        ssd_inqueue=tuple(ssd.inqueue),
+        hdd_inqueue=tuple(hdd.inqueue),
     )
 
 

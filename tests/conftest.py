@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from lbicasim import BALANCERS, EventLog, RunResult, load_config, run_simulation, write_run
+from lbicasim import BALANCERS, EventLog, Origin, RunResult, load_config, run_simulation, write_run
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -60,6 +60,12 @@ def scenario_runs(tmp_path_factory) -> dict[tuple[str, str], CachedRun]:
             out = root / f"{scenario}-{balancer}"
             runs[(scenario, balancer)] = execute_run(config_path, balancer, out)
     return runs
+
+
+def recount_origins(device) -> list[int]:
+    """Per-origin counts of ``device.pending()`` in ``Origin`` order, by a full walk."""
+    pending = device.pending()
+    return [sum(1 for r in pending if r.origin is origin) for origin in Origin]
 
 
 def read_events(path: Path) -> tuple[str, list[dict[str, str]]]:

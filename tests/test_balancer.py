@@ -129,11 +129,7 @@ class TestRatioVector:
         assert (v.r, v.w, v.p, v.e) == (0.0, 0.0, 0.0, 0.0)
 
     def test_from_snapshot_counts_cache_queue_only(self):
-        snap = QueueSnapshot(
-            taken_at=0,
-            ssd_inqueue=((1, Origin.R), (2, Origin.P), (3, Origin.P), (4, Origin.W)),
-            hdd_inqueue=((5, Origin.E),),
-        )
+        snap = QueueSnapshot(taken_at=0, ssd_inqueue=(1, 1, 2, 0), hdd_inqueue=(0, 0, 0, 1))
         v = RatioVector.from_snapshot(snap)
         assert (v.r, v.w, v.p, v.e) == (0.25, 0.25, 0.5, 0.0)
 

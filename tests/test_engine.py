@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from lbicasim import Device, DeviceRole, IoRequest, OpType, Origin, RoutingError, Simulator
 
+from conftest import recount_origins
+
 
 def make_request(req_id, arrival=0, op=OpType.READ, origin=Origin.R, target=DeviceRole.SSD, lba=0):
     return IoRequest(id=req_id, arrival=arrival, lba=lba, op=op, origin=origin, target=target)
@@ -208,3 +210,32 @@ def test_identical_schedules_replay_identically():
     trace_a = [(r.id, r.enqueued_at, r.service_start, r.completed_at) for r in first]
     trace_b = [(r.id, r.enqueued_at, r.service_start, r.completed_at) for r in second]
     assert trace_a == trace_b
+
+
+queue_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.sampled_from(list(Origin))),
+        st.tuples(st.just("complete"), st.booleans()),
+        st.tuples(st.just("remove_tail"), st.integers(min_value=0, max_value=6)),
+    ),
+    max_size=60,
+)
+
+
+@given(queue_ops)
+def test_per_origin_counts_match_a_recount_after_every_operation(ops):
+    dev = Device(DeviceRole.SSD, 100, 300)
+    now = 0
+    for i, (op, arg) in enumerate(ops):
+        if op == "submit":
+            kind = OpType.READ if arg is Origin.R else OpType.WRITE
+            dev.submit(make_request(i, arrival=now, op=kind, origin=arg), now)
+        elif op == "complete":
+            # arg: complete at the due time, or poll one tick early (a no-op)
+            due = dev.busy_until if dev.in_service is not None else now
+            now = max(now, due if arg else due - 1)
+            dev.complete_due(now)
+        else:
+            dev.remove_tail(arg)
+        assert dev.inqueue == recount_origins(dev)
+        assert sum(dev.inqueue) == dev.qsize

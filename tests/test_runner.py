@@ -1,10 +1,14 @@
 """Run orchestration: dispatch, deferred promotions, bypass, interval rows."""
 
 import csv
+import dataclasses
 import io
+
+import pytest
 
 from lbicasim import (
     BALANCERS,
+    Device,
     DeviceRole,
     EventLog,
     IoRequest,
@@ -16,10 +20,12 @@ from lbicasim import (
     Simulation,
     UniformRandom,
     WritePolicy,
+    build_requests,
+    load_config,
     run_simulation,
 )
 
-from conftest import read_events
+from conftest import SCENARIOS, read_events, recount_origins
 
 
 def small_config(**overrides):
@@ -213,6 +219,52 @@ class TestApplyDecision:
         assert sim.rows[-1].bypassed == 0
         assert sim.sim.ssd.qsize == 3
         assert [r["event"] for r in logged_rows(buffer)].count("remove") == 2
+
+
+class RecountingSimulation(Simulation):
+    """Checks every device's per-origin counts against a recount at each tick."""
+
+    ticks = 0
+
+    def _tick(self, boundary):
+        self.check_counts()
+        super()._tick(boundary)
+        self.check_counts()  # after the tick's tail bypass
+        self.ticks += 1
+
+    def check_counts(self):
+        for device in (self.sim.ssd, self.sim.hdd):
+            assert device.inqueue == recount_origins(device), (self.sim.clock, device.role)
+
+
+def scenario_config(scenario, balancer):
+    return dataclasses.replace(load_config(SCENARIOS[scenario]), balancer=balancer)
+
+
+class TestQueueCounts:
+    @pytest.mark.parametrize(
+        "scenario, balancer, exercised",
+        [
+            ("write_intensive", "lbica", "bypassed_total"),  # writes moved to disk
+            ("random_read", "sib", "dropped_promotions"),  # promotions dropped by bypass
+            ("mixed_rw", "lbica", "burst_intervals"),  # thousands deep, policy switches
+        ],
+    )
+    def test_counts_match_a_recount_at_every_tick(self, scenario, balancer, exercised):
+        config = scenario_config(scenario, balancer)
+        sim = RecountingSimulation(config, build_requests(config))
+        result = sim.run()
+        assert sim.ticks == len(result.rows) > 0
+        assert result.summary[exercised] > 0
+
+    def test_ticks_never_walk_the_queue(self, monkeypatch):
+        def refuse(device):
+            raise AssertionError(f"{device.role.name} queue walked by Device.pending()")
+
+        monkeypatch.setattr(Device, "pending", refuse)
+        result = run_simulation(scenario_config("mixed_rw", "none-wb"))
+        assert result.summary["app_completed"] == result.summary["app_requests"]
+        assert max(row.stats.ssd_qsize for row in result.rows) > 1000
 
 
 class TestPolicyLog:

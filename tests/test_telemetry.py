@@ -58,17 +58,18 @@ class TestSnapshot:
 
     def test_empty_queues_snapshot_empty(self):
         snap = take_snapshot(0, self.ssd, self.hdd)
-        assert snap.ssd_inqueue == ()
-        assert snap.hdd_inqueue == ()
+        assert snap.ssd_inqueue == (0, 0, 0, 0)
+        assert snap.hdd_inqueue == (0, 0, 0, 0)
 
-    def test_origin_tags_copied_in_queue_order(self):
+    def test_origin_counts_copied_per_device(self):
+        # counts are in Origin order (r, w, p, e), the in-service request included
         enqueue(self.ssd, 1, Origin.R)
         enqueue(self.ssd, 2, Origin.P)
         enqueue(self.ssd, 3, Origin.P)
         enqueue(self.hdd, 4, Origin.R)
         snap = take_snapshot(0, self.ssd, self.hdd)
-        assert [o for _, o in snap.ssd_inqueue] == [Origin.R, Origin.P, Origin.P]
-        assert [o for _, o in snap.hdd_inqueue] == [Origin.R]
+        assert snap.ssd_inqueue == (1, 0, 2, 0)
+        assert snap.hdd_inqueue == (1, 0, 0, 0)
 
     def test_snapshot_unaffected_by_later_completions(self):
         enqueue(self.ssd, 1, Origin.R)
