@@ -38,6 +38,13 @@ class WritePolicy(Enum):
     RO = "RO"
 
 
+# members bound once, so planning an access makes no enum class lookups
+_R, _W, _P, _E = Origin
+_READ, _WRITE = OpType
+_SSD, _HDD = DeviceRole
+_WB, _WT, _WO, _RO = WritePolicy
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     capacity_blocks: int
@@ -115,7 +122,7 @@ class CacheEngine:
 
     @property
     def admits_promotion(self) -> bool:
-        return self.policy is not WritePolicy.WO
+        return self.policy is not _WO
 
     # ------------------------------------------------------------------
     # operations
@@ -130,12 +137,12 @@ class CacheEngine:
 
     def access(self, req: IoRequest, now: int) -> RoutingPlan:
         """Plan the device traffic for one application access."""
-        if req.origin not in (Origin.R, Origin.W):
+        if req.origin is not _R and req.origin is not _W:
             raise ValueError(
                 f"cache access takes application traffic only, got origin {req.origin.name}"
             )
         plan = RoutingPlan(foreground=[req.id])
-        if req.op is OpType.READ:
+        if req.op is _READ:
             self._plan_read(req, now, plan)
         else:
             self._plan_write(req, now, plan)
@@ -161,13 +168,13 @@ class CacheEngine:
         if req.lba in self._entries:
             self.read_hits += 1
             self._touch(req.lba)
-            req.target = DeviceRole.SSD
+            req.target = _SSD
             plan.immediate.append(req)
             return
         self.read_misses += 1
-        req.target = DeviceRole.HDD
+        req.target = _HDD
         plan.immediate.append(req)
-        if self.policy is WritePolicy.WO:
+        if self.policy is _WO:
             return  # miss served by disk alone, nothing admitted
         writeback = self._admit(req.lba, dirty=False, now=now)
         if writeback is not None:
@@ -176,22 +183,22 @@ class CacheEngine:
             id=self._next_id(),
             arrival=now,
             lba=req.lba,
-            op=OpType.WRITE,
-            origin=Origin.P,
-            target=DeviceRole.SSD,
+            op=_WRITE,
+            origin=_P,
+            target=_SSD,
         )
 
     def _plan_write(self, req: IoRequest, now: int, plan: RoutingPlan) -> None:
-        if self.policy is WritePolicy.RO:
+        if self.policy is _RO:
             if self._entries.pop(req.lba, False):  # invalidate any cached copy
                 # the cached copy holds unwritten data: persist it before
                 # the new write lands on the same device queue
                 plan.immediate.append(self._writeback(req.lba, now))
-            req.target = DeviceRole.HDD
+            req.target = _HDD
             plan.immediate.append(req)
             return
 
-        if self.policy is WritePolicy.WT:
+        if self.policy is _WT:
             if req.lba in self._entries:
                 self._entries[req.lba] = False  # disk copy becomes current again
                 self._touch(req.lba)
@@ -199,15 +206,15 @@ class CacheEngine:
                 writeback = self._admit(req.lba, dirty=False, now=now)
                 if writeback is not None:
                     plan.immediate.append(writeback)
-            req.target = DeviceRole.SSD
+            req.target = _SSD
             plan.immediate.append(req)
             mirror = IoRequest(
                 id=self._next_id(),
                 arrival=req.arrival,
                 lba=req.lba,
-                op=OpType.WRITE,
-                origin=Origin.W,
-                target=DeviceRole.HDD,
+                op=_WRITE,
+                origin=_W,
+                target=_HDD,
                 app_id=req.app_id,
             )
             plan.immediate.append(mirror)
@@ -215,7 +222,7 @@ class CacheEngine:
             return
 
         # WB and WO both buffer the write and mark the block dirty
-        req.target = DeviceRole.SSD
+        req.target = _SSD
         plan.immediate.append(req)
         if req.lba in self._entries:
             self._entries[req.lba] = True
@@ -242,7 +249,7 @@ class CacheEngine:
             id=self._next_id(),
             arrival=now,
             lba=lba,
-            op=OpType.WRITE,
-            origin=Origin.E,
-            target=DeviceRole.HDD,
+            op=_WRITE,
+            origin=_E,
+            target=_HDD,
         )

@@ -35,8 +35,21 @@ class OpType(Enum):
 
 
 class DeviceRole(Enum):
+    """The device a request is routed to; ``index`` orders per-device counts."""
+
     SSD = "ssd"
     HDD = "hdd"
+
+    def __init__(self, value: str):
+        # declaration position: the index of this role in per-device counts
+        self.index = len(type(self).__members__)
+
+
+# Members bound once: reading one off its class costs a metaclass lookup,
+# which the per-request paths below would otherwise pay on every call.
+_R, _W, _P, _E = Origin
+_READ, _WRITE = OpType
+_SSD, _HDD = DeviceRole
 
 
 class RoutingError(ValueError):
@@ -79,7 +92,8 @@ class Device:
     ``Origin.index`` (``R, W, P, E``). ``submit``, ``complete_due`` and
     ``remove_tail`` keep it current, so reading the queue's origin mix
     costs the same at any depth; ``pending()`` is the O(n) view it
-    summarizes.
+    summarizes. ``submitted`` counts every request ever submitted here,
+    including those later moved off by ``remove_tail``.
     """
 
     def __init__(self, role: DeviceRole, read_latency: int, write_latency: int):
@@ -91,6 +105,7 @@ class Device:
         self.waiting: deque[IoRequest] = deque()
         self.in_service: IoRequest | None = None
         self.inqueue = [0] * len(Origin)
+        self.submitted = 0
         self.busy_until = 0
         self.busy_time = 0  # summed service time of completed requests
 
@@ -104,7 +119,7 @@ class Device:
         return (self.read_latency + self.write_latency) // 2
 
     def latency_for(self, op: OpType) -> int:
-        return self.read_latency if op is OpType.READ else self.write_latency
+        return self.read_latency if op is _READ else self.write_latency
 
     def submit(self, req: IoRequest, now: int) -> None:
         if req.target is not self.role:
@@ -115,7 +130,9 @@ class Device:
         req.enqueued_at = max(now, req.arrival)
         self.waiting.append(req)
         self.inqueue[req.origin.index] += 1
-        self._maybe_start(now)
+        self.submitted += 1
+        if self.in_service is None:
+            self._maybe_start(now)
 
     def _maybe_start(self, now: int) -> None:
         if self.in_service is None and self.waiting:
@@ -180,7 +197,7 @@ class Simulator:
 
     def submit(self, req: IoRequest) -> None:
         # an unrouted request fails the HDD's role check
-        device = self.ssd if req.target is DeviceRole.SSD else self.hdd
+        device = self.ssd if req.target is _SSD else self.hdd
         device.submit(req, self.clock)
 
     def next_event_time(self) -> int | None:
@@ -192,25 +209,30 @@ class Simulator:
             t = hdd.busy_until
         return t
 
-    def step(self) -> tuple[list[IoRequest], list[IoRequest]] | None:
+    def step(self, t: int | None = None) -> tuple[list[IoRequest], list[IoRequest]] | None:
         """Advance the clock to the next event and process it.
 
-        Returns ``(completed, arrived)`` for that instant, or ``None`` when
-        no event is pending, which signals the end of the simulation rather
-        than an error.
+        ``t``, when given, must be what :meth:`next_event_time` returns at
+        this point; a caller that has already looked up the next event
+        passes it in so the event is found once. Returns ``(completed,
+        arrived)`` for that instant, or ``None`` when no event is pending,
+        which signals the end of the simulation rather than an error.
         """
-        t = self.next_event_time()
         if t is None:
-            return None
+            t = self.next_event_time()
+            if t is None:
+                return None
         self.clock = t
         completed = []
-        for dev in (self.ssd, self.hdd):
-            done = dev.complete_due(t)
-            if done is not None:
-                completed.append(done)
+        ssd, hdd = self.ssd, self.hdd
+        if ssd.in_service is not None and ssd.busy_until == t:
+            completed.append(ssd.complete_due(t))
+        if hdd.in_service is not None and hdd.busy_until == t:
+            completed.append(hdd.complete_due(t))
         arrived = []
-        while self._arrivals and self._arrivals[0][0] == t:
-            arrived.append(heapq.heappop(self._arrivals)[2])
+        arrivals = self._arrivals
+        while arrivals and arrivals[0][0] == t:
+            arrived.append(heapq.heappop(arrivals)[2])
         return completed, arrived
 
     def advance_to(self, t: int) -> None:

@@ -35,6 +35,9 @@ from .engine import Device, DeviceRole, IoRequest, Origin, Simulator
 from .telemetry import IntervalStats, IntervalTracker, take_snapshot
 from .workload import generate, load_trace
 
+_P = Origin.P
+_HDD = DeviceRole.HDD
+
 EVENT_COLUMNS = ("time", "event", "req", "app", "origin", "op", "target", "lba", "arrival", "note")
 
 
@@ -47,15 +50,17 @@ class EventLog:
         self._writer.writerow(EVENT_COLUMNS)
 
     def request(self, time: int, event: str, req: IoRequest, note: str = "") -> None:
+        # ``_value_`` is the member's stored value; ``.value`` reaches the
+        # same string through a descriptor that costs several times more
         self._writer.writerow(
             (
                 time,
                 event,
                 req.id,
                 "" if req.app_id is None else req.app_id,
-                req.origin.value,
-                req.op.value,
-                "" if req.target is None else req.target.value,
+                req.origin._value_,
+                req.op._value_,
+                "" if req.target is None else req.target._value_,
                 req.lba,
                 req.arrival,
                 note,
@@ -106,11 +111,11 @@ class Simulation:
         self.tracker = IntervalTracker(ssd.latency_avg, hdd.latency_avg)
         self.balancer = make_balancer(config.balancer, config.theta_dom)
         self.rows: list[IntervalRow] = []
-        self.submitted = {DeviceRole.SSD: 0, DeviceRole.HDD: 0}
         self.bypassed_total = 0
         self.dropped_promotions = 0
         self._deferred: dict[int, IoRequest] = {}
-        self._outstanding: dict[int, set[int]] = {}
+        # app id -> foreground requests of that access still pending
+        self._outstanding: dict[int, int] = {}
         self._latencies: list[int] = []
         self._n_app = len(requests)
         for req in requests:
@@ -130,13 +135,13 @@ class Simulation:
         for req in removed:
             if self.events:
                 self.events.request(self.sim.clock, "remove", req)
-            if req.origin is Origin.P:
+            if req.origin is _P:
                 # a dropped promotion loses no data, the disk copy is current
                 self.dropped_promotions += 1
                 if self.events:
                     self.events.request(self.sim.clock, "drop", req, note="bypassed promotion")
                 continue
-            req.target = DeviceRole.HDD
+            req.target = _HDD
             self._submit(req)
         self.bypassed_total += len(removed)
         return len(removed)
@@ -146,7 +151,6 @@ class Simulation:
 
     def _submit(self, req: IoRequest) -> None:
         self.sim.submit(req)
-        self.submitted[req.target] += 1
         if self.events:
             self.events.request(self.sim.clock, "submit", req)
 
@@ -154,7 +158,7 @@ class Simulation:
         if self.events:
             self.events.request(self.sim.clock, "arrive", req)
         plan = self.cache.access(req, self.sim.clock)
-        self._outstanding[req.id] = set(plan.foreground)
+        self._outstanding[req.id] = len(plan.foreground)
         if plan.promotion is not None:
             self._deferred[req.id] = plan.promotion
         for sub in plan.immediate:
@@ -177,13 +181,15 @@ class Simulation:
             self._foreground_resolved(req)
 
     def _foreground_resolved(self, req: IoRequest) -> None:
-        # every foreground request carries its application's arrival: the
-        # WT mirror copies it and a bypassed request keeps it
+        # every request carrying an app id is foreground (cache traffic
+        # carries none), and every one carries its application's arrival:
+        # the WT mirror copies it and a bypassed request keeps it
         pending = self._outstanding.get(req.app_id)
         if pending is None:
             return
-        pending.discard(req.id)
-        if not pending:
+        if pending > 1:
+            self._outstanding[req.app_id] = pending - 1
+        else:
             del self._outstanding[req.app_id]
             self._latencies.append(req.completed_at - req.arrival)
 
@@ -211,22 +217,24 @@ class Simulation:
         self.set_policy(self.balancer.initial_policy)
         interval = self.config.interval_us
         boundary = interval
+        sim = self.sim
+        on_complete, dispatch = self._on_complete, self._dispatch
         while True:
-            nxt = self.sim.next_event_time()
+            nxt = sim.next_event_time()
             if nxt is None:
                 break
             if nxt > boundary:
                 # idle stretch crosses the boundary: close the interval first
-                self.sim.advance_to(boundary)
+                sim.advance_to(boundary)
                 self._tick(boundary)
                 boundary += interval
                 continue
-            completed, arrived = self.sim.step()
+            completed, arrived = sim.step(nxt)
             for req in completed:
-                self._on_complete(req)
+                on_complete(req)
             for req in arrived:
-                self._dispatch(req)
-            if self.sim.clock == boundary:
+                dispatch(req)
+            if nxt == boundary:
                 self._tick(boundary)
                 boundary += interval
         end_time = self.sim.clock
@@ -261,8 +269,8 @@ class Simulation:
             "max_latency_us": max_lat,
             "cache_read_hits": self.cache.read_hits,
             "cache_read_misses": self.cache.read_misses,
-            "ssd_submitted": self.submitted[DeviceRole.SSD],
-            "hdd_submitted": self.submitted[DeviceRole.HDD],
+            "ssd_submitted": self.sim.ssd.submitted,
+            "hdd_submitted": self.sim.hdd.submitted,
             "bypassed_total": self.bypassed_total,
             "dropped_promotions": self.dropped_promotions,
             "dirty_writebacks": self.cache.dirty_writebacks,

@@ -10,6 +10,11 @@ The balancers act on two views of the system, both produced here:
   carrying sampled queue depths and the queue-time products
   ``qsize * latency_avg`` that drive bottleneck detection.
 
+Completions are counted per request, so the open window keeps its counts
+in lists indexed by ``DeviceRole.index`` and ``Origin.index``; the
+enum-keyed dicts of :class:`IntervalStats` are built once, when the
+window closes.
+
 The latency term is the configured per-device average of read and write
 service latency, fixed for the whole run; queue times are exact integer
 products of that and the sampled depth.
@@ -78,27 +83,33 @@ class IntervalStats:
     max_latency: dict[DeviceRole, int]
 
 
-def _fresh_counts() -> dict[DeviceRole, dict[Origin, int]]:
-    return {role: {origin: 0 for origin in Origin} for role in DeviceRole}
-
-
 class IntervalTracker:
-    """Streams completions into non-overlapping interval windows."""
+    """Streams completions into non-overlapping interval windows.
+
+    The open window's counts are int-indexed: ``_served[role][origin]``
+    and ``_max_latency[role]`` by ``DeviceRole.index`` and
+    ``Origin.index``. :meth:`close_interval` turns them into the
+    role- and origin-keyed dicts of :class:`IntervalStats`.
+    """
 
     def __init__(self, ssd_latency_avg: int, hdd_latency_avg: int):
         self.ssd_latency_avg = ssd_latency_avg
         self.hdd_latency_avg = hdd_latency_avg
         self._window_start = 0
         self._index = 0
-        self._served = _fresh_counts()
-        self._max_latency = {role: 0 for role in DeviceRole}
+        self._reset_window()
+
+    def _reset_window(self) -> None:
+        self._served = [[0] * len(Origin) for _role in DeviceRole]
+        self._max_latency = [0] * len(DeviceRole)
 
     def record_completion(self, req: IoRequest) -> None:
         assert req.target is not None and req.completed_at is not None
-        self._served[req.target][req.origin] += 1
+        role = req.target.index
+        self._served[role][req.origin.index] += 1
         latency = req.completed_at - req.arrival
-        if latency > self._max_latency[req.target]:
-            self._max_latency[req.target] = latency
+        if latency > self._max_latency[role]:
+            self._max_latency[role] = latency
 
     def close_interval(self, end: int, ssd_qsize: int, hdd_qsize: int) -> IntervalStats:
         """Close the window ending at ``end`` and reset windowed counters."""
@@ -121,10 +132,11 @@ class IntervalTracker:
             hdd_latency_avg=self.hdd_latency_avg,
             cache_qtime=cache_qtime,
             disk_qtime=disk_qtime,
-            served=self._served,
-            max_latency=self._max_latency,
+            served={
+                role: dict(zip(Origin, self._served[role.index])) for role in DeviceRole
+            },
+            max_latency={role: self._max_latency[role.index] for role in DeviceRole},
         )
         self._window_start = end
-        self._served = _fresh_counts()
-        self._max_latency = {role: 0 for role in DeviceRole}
+        self._reset_window()
         return stats

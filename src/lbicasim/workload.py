@@ -26,6 +26,12 @@ from typing import Iterable, Sequence
 from .engine import IoRequest, OpType, Origin
 
 
+# (op, origin) of an application read and write, bound once for the
+# per-request loops below
+_READ_KIND = (OpType.READ, Origin.R)
+_WRITE_KIND = (OpType.WRITE, Origin.W)
+
+
 class TraceFormatError(ValueError):
     """A trace file violated the format contract; message names the line."""
 
@@ -85,35 +91,43 @@ class PhaseSpec:
 def generate(phases: Sequence[PhaseSpec], seed: int, start_id: int = 0) -> list[IoRequest]:
     """Expand a scenario into its request stream, deterministically."""
     rng = random.Random(seed)
+    draw, randrange = rng.random, rng.randrange
     requests: list[IoRequest] = []
+    add = requests.append
     next_id = start_id
     phase_start = 0
     for phase in phases:
         count = phase.request_count
         slot = 1_000_000 / phase.arrival_rate
+        jitter = phase.jitter
+        read_fraction = phase.read_fraction
+        model = phase.address_model
+        sequential = isinstance(model, Sequential)
+        working_set = phase.working_set_blocks
+        write_base = phase.write_base
         seq_step = 0
         for i in range(count):
             arrival = phase_start + int(i * slot)
-            if phase.jitter > 0.0:
-                arrival += int(rng.random() * phase.jitter * slot)
-            is_read = rng.random() < phase.read_fraction
-            model = phase.address_model
-            if isinstance(model, Sequential):
+            if jitter > 0.0:
+                arrival += int(draw() * jitter * slot)
+            is_read = draw() < read_fraction
+            if sequential:
                 lba = model.start + seq_step * model.stride
                 seq_step += 1
             else:
-                offset = rng.randrange(phase.working_set_blocks)
-                if not is_read and phase.write_base is not None:
-                    lba = phase.write_base + offset
+                offset = randrange(working_set)
+                if not is_read and write_base is not None:
+                    lba = write_base + offset
                 else:
                     lba = model.base + offset
-            requests.append(
+            op, origin = _READ_KIND if is_read else _WRITE_KIND
+            add(
                 IoRequest(
                     id=next_id,
                     arrival=arrival,
                     lba=lba,
-                    op=OpType.READ if is_read else OpType.WRITE,
-                    origin=Origin.R if is_read else Origin.W,
+                    op=op,
+                    origin=origin,
                     app_id=next_id,
                 )
             )
@@ -160,8 +174,7 @@ def load_trace(source: str | Path | Iterable[str], start_id: int = 0) -> list[Io
                 f"line {lineno}: arrivals not sorted ({arrival} after {last_arrival})"
             )
         last_arrival = arrival
-        op = OpType.READ if op_field == "R" else OpType.WRITE
-        origin = Origin.R if op_field == "R" else Origin.W
+        op, origin = _READ_KIND if op_field == "R" else _WRITE_KIND
         for offset in range(blocks):
             requests.append(
                 IoRequest(

@@ -204,6 +204,38 @@ def test_timestamp_ordering_invariant(seed):
         assert req.arrival <= req.enqueued_at <= req.service_start <= req.completed_at
 
 
+@given(st.integers(min_value=0, max_value=10_000))
+def test_step_at_the_next_event_time_matches_a_plain_step(seed):
+    # arrivals on a 100us grid coincide with SSD completions (100/300us),
+    # so many instants hold both completions and arrivals
+    def build():
+        sim = Simulator(Device(DeviceRole.SSD, 100, 300), Device(DeviceRole.HDD, 4000, 6000))
+        for req in random_schedule(seed):
+            req.arrival -= req.arrival % 100
+            sim.schedule_arrival(req)
+        return sim
+
+    plain, passed = build(), build()
+    while True:
+        expected = plain.step()
+        got = passed.step(passed.next_event_time())
+        if expected is None:
+            assert got is None
+            return
+        assert passed.clock == plain.clock
+        for (completed, arrived), sim in ((expected, plain), (got, passed)):
+            # one step returns every completion and arrival of its instant,
+            # so the caller can handle that instant's completions first
+            assert all(r.completed_at == sim.clock for r in completed)
+            assert all(r.arrival == sim.clock for r in arrived)
+            nxt = sim.next_event_time()
+            assert nxt is None or nxt > sim.clock
+            for req in arrived:
+                sim.submit(req)
+        assert [r.id for r in got[0]] == [r.id for r in expected[0]]
+        assert [r.id for r in got[1]] == [r.id for r in expected[1]]
+
+
 def test_identical_schedules_replay_identically():
     _, first = run_schedule(424242)
     _, second = run_schedule(424242)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+from enum import Enum
 
 import pytest
 
@@ -147,7 +148,7 @@ class TestDeferredPromotion:
             for req in step[0]:
                 sim._on_complete(req)
         assert sim.dropped_promotions == 1
-        assert sim.submitted[DeviceRole.SSD] == 0
+        assert sim.sim.ssd.submitted == 0
 
 
 class TestBypassTail:
@@ -265,6 +266,28 @@ class TestQueueCounts:
         result = run_simulation(scenario_config("mixed_rw", "none-wb"))
         assert result.summary["app_completed"] == result.summary["app_requests"]
         assert max(row.stats.ssd_qsize for row in result.rows) > 1000
+
+
+class TestEnumHashing:
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("balancer", BALANCERS)
+    def test_requests_hash_no_enum_members(self, monkeypatch, scenario, balancer):
+        # enum-keyed dicts are built per tick, never per request
+        config = scenario_config(scenario, balancer)
+        sim = Simulation(config, build_requests(config))
+        hashes = 0
+
+        def counting_hash(member):
+            nonlocal hashes
+            hashes += 1
+            return Enum.__hash__(member)
+
+        for enum in (Origin, DeviceRole, OpType, WritePolicy):
+            monkeypatch.setattr(enum, "__hash__", counting_hash)
+        result = sim.run()
+        monkeypatch.undo()
+        assert result.summary["app_completed"] == result.summary["app_requests"]
+        assert hashes <= 40 * len(result.rows), (hashes, len(result.rows))
 
 
 class TestPolicyLog:
