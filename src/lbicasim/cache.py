@@ -63,9 +63,10 @@ class RoutingPlan:
 
     ``immediate`` is ordered; same-device entries must be submitted in
     list order (e.g. the write-back of a stale dirty copy precedes the
-    invalidating disk write). ``foreground`` lists the request ids whose
-    completion completes the application access; other traffic in the
-    plan (promotions, eviction write-backs) is background.
+    invalidating disk write). ``foreground`` counts the requests whose
+    completion completes the application access: 1, or 2 for a
+    write-through write (the cache write and its disk mirror). Other
+    traffic in the plan (promotions, eviction write-backs) is background.
 
     ``promotion``, set by a read miss that admits its block, is held back
     until the access's own disk read completes: a promotion installs data
@@ -77,7 +78,7 @@ class RoutingPlan:
 
     immediate: list[IoRequest] = field(default_factory=list)
     promotion: IoRequest | None = None
-    foreground: list[int] = field(default_factory=list)
+    foreground: int = 1
 
 
 class CacheEngine:
@@ -141,7 +142,7 @@ class CacheEngine:
             raise ValueError(
                 f"cache access takes application traffic only, got origin {req.origin.name}"
             )
-        plan = RoutingPlan(foreground=[req.id])
+        plan = RoutingPlan()
         if req.op is _READ:
             self._plan_read(req, now, plan)
         else:
@@ -218,7 +219,7 @@ class CacheEngine:
                 app_id=req.app_id,
             )
             plan.immediate.append(mirror)
-            plan.foreground.append(mirror.id)
+            plan.foreground = 2
             return
 
         # WB and WO both buffer the write and mark the block dirty

@@ -3,17 +3,19 @@
 Each storage device is a single-server FIFO queue with fixed per-op
 service latencies. Time is integer microseconds and only moves forward,
 to the earliest pending event (a scheduled arrival or an in-service
-completion). Everything else in the package (cache engine, telemetry,
-balancers) runs on top of this substrate, so determinism here means
-determinism everywhere: equal inputs replay to bit-identical schedules.
+completion). Arrivals must be scheduled in non-decreasing time order,
+and the loop walks them with a cursor. Everything else in the package
+(cache engine, telemetry, balancers) runs on top of this substrate, so
+determinism here means determinism everywhere: equal inputs replay to
+bit-identical schedules.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 
 class Origin(Enum):
@@ -128,29 +130,34 @@ class Device:
                 f"submitted to {self.role.name}"
             )
         req.enqueued_at = max(now, req.arrival)
-        self.waiting.append(req)
         self.inqueue[req.origin.index] += 1
         self.submitted += 1
         if self.in_service is None:
-            self._maybe_start(now)
-
-    def _maybe_start(self, now: int) -> None:
-        if self.in_service is None and self.waiting:
-            req = self.waiting.popleft()
+            # an idle device has an empty waiting queue: start at once
             req.service_start = now
             self.in_service = req
-            self.busy_until = now + self.latency_for(req.op)
+            self.busy_until = now + (self.read_latency if req.op is _READ else self.write_latency)
+        else:
+            self.waiting.append(req)
 
     def complete_due(self, now: int) -> IoRequest | None:
-        """Finish the in-service request if its completion time is ``now``."""
+        """Finish the in-service request if its completion time is ``now``.
+
+        The next waiting request, if any, enters service at ``now``.
+        """
         req = self.in_service
         if req is None or self.busy_until != now:
             return None
         req.completed_at = now
         self.busy_time += now - req.service_start
         self.inqueue[req.origin.index] -= 1
-        self.in_service = None
-        self._maybe_start(now)
+        if self.waiting:
+            nxt = self.waiting.popleft()
+            nxt.service_start = now
+            self.in_service = nxt
+            self.busy_until = now + (self.read_latency if nxt.op is _READ else self.write_latency)
+        else:
+            self.in_service = None
         return req
 
     def remove_tail(self, count: int) -> list[IoRequest]:
@@ -179,21 +186,42 @@ class Device:
 class Simulator:
     """Deterministic event loop over two devices and a schedule of arrivals.
 
+    Arrivals are kept in one list in schedule order, which must be
+    non-decreasing in time; a cursor marks the next one to surface.
     Tie-breaking at an equal timestamp is fixed: service completions are
-    processed before arrivals, SSD before HDD, and arrivals in submission
-    order (a monotone sequence number breaks heap ties).
+    processed before arrivals, SSD before HDD, and arrivals in the order
+    they were scheduled.
     """
 
     def __init__(self, ssd: Device, hdd: Device):
         self.clock = 0
         self.ssd = ssd
         self.hdd = hdd
-        self._arrivals: list[tuple[int, int, IoRequest]] = []
-        self._seq = 0
+        self._arrivals: list[IoRequest] = []
+        self._cursor = 0  # index in _arrivals of the next arrival to surface
+        self._next_arrival: int | None = None  # its time, None when all surfaced
+
+    def schedule_arrivals(self, reqs: Sequence[IoRequest]) -> None:
+        """Append arrivals, which must not go back in time.
+
+        Raises ``ValueError`` naming the first request that arrives before
+        the one scheduled ahead of it; nothing is scheduled then.
+        """
+        arrivals = self._arrivals
+        last = arrivals[-1].arrival if arrivals else None
+        for req in reqs:
+            if last is not None and req.arrival < last:
+                raise ValueError(
+                    f"request {req.id} arrives at {req.arrival}, "
+                    f"before the preceding scheduled arrival at {last}"
+                )
+            last = req.arrival
+        arrivals.extend(reqs)
+        if self._next_arrival is None and self._cursor < len(arrivals):
+            self._next_arrival = arrivals[self._cursor].arrival
 
     def schedule_arrival(self, req: IoRequest) -> None:
-        heapq.heappush(self._arrivals, (req.arrival, self._seq, req))
-        self._seq += 1
+        self.schedule_arrivals((req,))
 
     def submit(self, req: IoRequest) -> None:
         # an unrouted request fails the HDD's role check
@@ -201,7 +229,7 @@ class Simulator:
         device.submit(req, self.clock)
 
     def next_event_time(self) -> int | None:
-        t = self._arrivals[0][0] if self._arrivals else None
+        t = self._next_arrival
         ssd, hdd = self.ssd, self.hdd
         if ssd.in_service is not None and (t is None or ssd.busy_until < t):
             t = ssd.busy_until
@@ -223,17 +251,24 @@ class Simulator:
             if t is None:
                 return None
         self.clock = t
-        completed = []
         ssd, hdd = self.ssd, self.hdd
-        if ssd.in_service is not None and ssd.busy_until == t:
-            completed.append(ssd.complete_due(t))
-        if hdd.in_service is not None and hdd.busy_until == t:
-            completed.append(hdd.complete_due(t))
-        arrived = []
-        arrivals = self._arrivals
-        while arrivals and arrivals[0][0] == t:
-            arrived.append(heapq.heappop(arrivals)[2])
-        return completed, arrived
+        hdd_due = hdd.busy_until == t and hdd.in_service is not None
+        if ssd.busy_until == t and ssd.in_service is not None:
+            done = ssd.complete_due(t)
+            completed = [done, hdd.complete_due(t)] if hdd_due else [done]
+        elif hdd_due:
+            completed = [hdd.complete_due(t)]
+        else:
+            completed = []
+        if self._next_arrival != t:
+            return completed, []
+        arrivals, first = self._arrivals, self._cursor
+        end, n = first + 1, len(arrivals)
+        while end < n and arrivals[end].arrival == t:
+            end += 1
+        self._cursor = end
+        self._next_arrival = arrivals[end].arrival if end < n else None
+        return completed, arrivals[first:end]
 
     def advance_to(self, t: int) -> None:
         """Move the clock to ``t``, which must not skip over pending events.

@@ -42,9 +42,17 @@ EVENT_COLUMNS = ("time", "event", "req", "app", "origin", "op", "target", "lba",
 
 
 class EventLog:
-    """CSV event stream: arrivals, submissions, completions, queue edits."""
+    """CSV event stream: arrivals, submissions, completions, queue edits.
+
+    Request rows are formatted directly rather than through ``csv.writer``
+    and go straight to ``fh``; the log holds nothing back. The format
+    matches ``csv.writer`` only for fields it would not quote, so every
+    ``event`` and ``note`` passed in must be CSV-safe: free of ``,``,
+    ``"``, ``\\r`` and ``\\n``.
+    """
 
     def __init__(self, fh: IO[str], scenario: str):
+        self._write = fh.write
         self._writer = csv.writer(fh, lineterminator="\n")
         fh.write(f"# scenario={scenario}\n")
         self._writer.writerow(EVENT_COLUMNS)
@@ -52,19 +60,11 @@ class EventLog:
     def request(self, time: int, event: str, req: IoRequest, note: str = "") -> None:
         # ``_value_`` is the member's stored value; ``.value`` reaches the
         # same string through a descriptor that costs several times more
-        self._writer.writerow(
-            (
-                time,
-                event,
-                req.id,
-                "" if req.app_id is None else req.app_id,
-                req.origin._value_,
-                req.op._value_,
-                "" if req.target is None else req.target._value_,
-                req.lba,
-                req.arrival,
-                note,
-            )
+        app_id, target = req.app_id, req.target
+        self._write(
+            f"{time},{event},{req.id},{'' if app_id is None else app_id},"
+            f"{req.origin._value_},{req.op._value_},{'' if target is None else target._value_},"
+            f"{req.lba},{req.arrival},{note}\n"
         )
 
     def policy(self, time: int, policy: WritePolicy) -> None:
@@ -118,8 +118,7 @@ class Simulation:
         self._outstanding: dict[int, int] = {}
         self._latencies: list[int] = []
         self._n_app = len(requests)
-        for req in requests:
-            self.sim.schedule_arrival(req)
+        self.sim.schedule_arrivals(requests)
 
     # ------------------------------------------------------------------
     # applying controller decisions
@@ -158,7 +157,7 @@ class Simulation:
         if self.events:
             self.events.request(self.sim.clock, "arrive", req)
         plan = self.cache.access(req, self.sim.clock)
-        self._outstanding[req.id] = len(plan.foreground)
+        self._outstanding[req.id] = plan.foreground
         if plan.promotion is not None:
             self._deferred[req.id] = plan.promotion
         for sub in plan.immediate:

@@ -81,7 +81,7 @@ class TestWritePaths:
         engine = make_engine(policy=WritePolicy.WT)
         plan = write(engine, 1, lba=3)
         assert shapes(plan) == [(Origin.W, DeviceRole.SSD), (Origin.W, DeviceRole.HDD)]
-        assert len(plan.foreground) == 2
+        assert plan.foreground == 2
         assert engine.dirty_lbas() == set()
 
     def test_wt_write_over_dirty_block_cleans_it(self):

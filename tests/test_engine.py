@@ -1,12 +1,23 @@
 """Event loop and device queue semantics."""
 
+import heapq
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbicasim import Device, DeviceRole, IoRequest, OpType, Origin, RoutingError, Simulator
+from lbicasim import (
+    Device,
+    DeviceRole,
+    IoRequest,
+    OpType,
+    Origin,
+    RoutingError,
+    RunConfig,
+    Simulation,
+    Simulator,
+)
 
 from conftest import recount_origins
 
@@ -107,6 +118,90 @@ class TestStep:
         assert sim.clock == 100
         assert [r.id for r in completed] == [1]
         assert [r.id for r in arrived] == [2]
+
+
+def make_sim():
+    return Simulator(Device(DeviceRole.SSD, 100, 300), Device(DeviceRole.HDD, 4000, 6000))
+
+
+class TestArrivalOrder:
+    def test_out_of_order_arrival_is_rejected_by_name(self):
+        sim = make_sim()
+        sim.schedule_arrival(make_request(1, arrival=500))
+        with pytest.raises(ValueError, match=r"request 2 arrives at 400"):
+            sim.schedule_arrival(make_request(2, arrival=400))
+
+    def test_batch_names_the_first_out_of_order_request_and_schedules_nothing(self):
+        sim = make_sim()
+        batch = [make_request(i, arrival=t) for i, t in enumerate((0, 10, 10, 5, 3))]
+        with pytest.raises(ValueError, match=r"request 3 arrives at 5"):
+            sim.schedule_arrivals(batch)
+        assert sim.next_event_time() is None
+
+    def test_batch_is_checked_against_what_is_already_scheduled(self):
+        sim = make_sim()
+        sim.schedule_arrivals([make_request(0, arrival=100)])
+        with pytest.raises(ValueError, match=r"request 1 arrives at 99"):
+            sim.schedule_arrivals([make_request(1, arrival=99)])
+        sim.schedule_arrivals([make_request(2, arrival=100)])
+        assert [r.id for r in sim.step()[1]] == [0, 2]
+
+    def test_scheduling_after_the_schedule_ran_dry_resumes_the_cursor(self):
+        sim = make_sim()
+        sim.schedule_arrival(make_request(0, arrival=10))
+        assert [r.id for r in sim.step()[1]] == [0]
+        assert sim.step() is None
+        sim.schedule_arrival(make_request(1, arrival=20))
+        assert sim.next_event_time() == 20
+        assert [r.id for r in sim.step()[1]] == [1]
+
+    def test_simulation_rejects_unsorted_requests(self):
+        requests = [
+            IoRequest(id=i, arrival=t, lba=i, op=OpType.READ, origin=Origin.R, app_id=i)
+            for i, t in enumerate((0, 200, 100))
+        ]
+        with pytest.raises(ValueError, match=r"request 2 arrives at 100"):
+            Simulation(RunConfig(cache_blocks=8), requests)
+
+
+# sorted arrival times drawn from few distinct values, so many coincide
+# with each other and, on the 100us grid, with SSD completions (100/300us)
+sorted_schedules = st.lists(st.integers(min_value=0, max_value=12), max_size=50).map(
+    lambda ticks: [100 * t for t in sorted(ticks)]
+)
+
+
+@given(sorted_schedules, st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
+def test_arrival_cursor_matches_a_heap_reference(times, chunk, rng):
+    reqs = [
+        make_request(i, arrival=t, target=rng.choice(list(DeviceRole))) for i, t in enumerate(times)
+    ]
+    # reference: the (arrival, seq) heap the cursor replaced
+    heap = [(req.arrival, seq, req.id) for seq, req in enumerate(reqs)]
+    heapq.heapify(heap)
+    expected = []
+    while heap:
+        t = heap[0][0]
+        ids = []
+        while heap and heap[0][0] == t:
+            ids.append(heapq.heappop(heap)[2])
+        expected.append((t, ids))
+
+    sim = make_sim()
+    for start in range(0, len(reqs), chunk):
+        batch = reqs[start : start + chunk]
+        if len(batch) == 1:
+            sim.schedule_arrival(batch[0])
+        else:
+            sim.schedule_arrivals(batch)
+    got = []
+    while (step := sim.step()) is not None:
+        completed, arrived = step
+        if arrived:
+            got.append((sim.clock, [r.id for r in arrived]))
+        for req in arrived:
+            sim.submit(req)
+    assert got == expected
 
 
 class TestRemoveTail:

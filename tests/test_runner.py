@@ -1,11 +1,15 @@
 """Run orchestration: dispatch, deferred promotions, bypass, interval rows."""
 
+import ast
 import csv
 import dataclasses
+import inspect
 import io
 from enum import Enum
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lbicasim import (
     BALANCERS,
@@ -24,6 +28,7 @@ from lbicasim import (
     build_requests,
     load_config,
     run_simulation,
+    runner,
 )
 
 from conftest import SCENARIOS, read_events, recount_origins
@@ -299,6 +304,80 @@ class TestPolicyLog:
         sim.set_policy(WritePolicy.WB)
         rows = [r for r in logged_rows(buffer) if r["event"] == "policy"]
         assert [r["note"] for r in rows] == ["WO", "WB"]
+
+
+
+def logged_event_fields():
+    """Every ``event`` and ``note`` literal the runner passes to ``EventLog.request``."""
+    events, notes = set(), set()
+    for node in ast.walk(ast.parse(inspect.getsource(runner))):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "request"):
+            continue
+        fields = [node.args[1]] + [kw.value for kw in node.keywords if kw.arg == "note"]
+        assert all(isinstance(f, ast.Constant) and isinstance(f.value, str) for f in fields)
+        events.add(fields[0].value)
+        notes.update(f.value for f in fields[1:])
+    return sorted(events), sorted(notes)
+
+
+LOGGED_EVENTS, LOGGED_NOTES = logged_event_fields()
+
+logged_requests = st.builds(
+    IoRequest,
+    id=st.integers(min_value=0, max_value=10**7),
+    arrival=st.integers(min_value=0, max_value=10**9),
+    lba=st.integers(min_value=0, max_value=10**6),
+    op=st.sampled_from(OpType),
+    origin=st.sampled_from(Origin),
+    target=st.none() | st.sampled_from(DeviceRole),
+    app_id=st.none() | st.integers(min_value=0, max_value=10**7),
+)
+
+
+class TestEventLogFormat:
+    def test_runner_passes_only_csv_safe_events_and_notes(self):
+        # EventLog.request formats rows without quoting, which csv.writer
+        # would apply to any field holding one of these characters
+        assert set(LOGGED_EVENTS) == {"arrive", "submit", "complete", "remove", "drop"}
+        assert set(LOGGED_NOTES) == {"bypassed promotion", "write-only policy"}
+        for text in LOGGED_EVENTS + LOGGED_NOTES:
+            assert not set(text) & set(',"\r\n'), text
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10**9),
+                st.sampled_from(LOGGED_EVENTS),
+                logged_requests,
+                st.sampled_from([""] + LOGGED_NOTES),
+            ),
+            max_size=20,
+        )
+    )
+    def test_rows_match_a_csv_writer_byte_for_byte(self, rows):
+        buffer = io.StringIO()
+        log = EventLog(buffer, "abc")
+        reference = io.StringIO()
+        reference.write("# scenario=abc\n")
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(runner.EVENT_COLUMNS)
+        for time, event, req, note in rows:
+            log.request(time, event, req, note)
+            writer.writerow(
+                (
+                    time,
+                    event,
+                    req.id,
+                    "" if req.app_id is None else req.app_id,
+                    req.origin.value,
+                    req.op.value,
+                    "" if req.target is None else req.target.value,
+                    req.lba,
+                    req.arrival,
+                    note,
+                )
+            )
+        assert buffer.getvalue() == reference.getvalue()
 
 
 class TestIntervalRows:
