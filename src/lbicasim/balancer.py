@@ -117,17 +117,16 @@ def classify(ratios: RatioVector, theta_dom: float = 0.8) -> WorkloadClass:
     return klass
 
 
-def assign_policy(klass: WorkloadClass, burst: bool) -> PolicyDecision:
+def assign_policy(klass: WorkloadClass) -> PolicyDecision:
     """Map a workload class to the write policy that unloads the cache.
 
-    Without a bottleneck the cache always reverts to write-back. During
-    one, read-heavy queues stop taking promotions (WO), mixed queues stop
-    taking writes (RO), and write-intensive or unrecognized queues keep
-    WB but shed their queue tail to the disk. A promotion-dominated queue
-    keeps WB: its load comes from misses the disk must serve anyway.
+    Only called during a bottleneck; outside one the cache reverts to
+    write-back without classifying. Read-heavy queues stop taking
+    promotions (WO), mixed queues stop taking writes (RO), and
+    write-intensive or unrecognized queues keep WB but shed their queue
+    tail to the disk. A promotion-dominated queue keeps WB: its load
+    comes from misses the disk must serve anyway.
     """
-    if not burst:
-        return PolicyDecision(WritePolicy.WB, klass=klass)
     if klass is WorkloadClass.RANDOM_READ:
         return PolicyDecision(WritePolicy.WO, klass=klass)
     if klass is WorkloadClass.MIXED_READ_WRITE:
@@ -181,7 +180,7 @@ class LbicaBalancer:
     def tick(self, stats: IntervalStats, ratios: RatioVector) -> PolicyDecision:
         if not detect_bottleneck(stats):
             return PolicyDecision(WritePolicy.WB)
-        decision = assign_policy(classify(ratios, self.theta_dom), burst=True)
+        decision = assign_policy(classify(ratios, self.theta_dom))
         if decision.tail_bypass:
             return replace(decision, bypass_depth=compute_bypass_depth(stats))
         return decision

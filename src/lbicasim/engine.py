@@ -220,9 +220,6 @@ class Simulator:
         if self._next_arrival is None and self._cursor < len(arrivals):
             self._next_arrival = arrivals[self._cursor].arrival
 
-    def schedule_arrival(self, req: IoRequest) -> None:
-        self.schedule_arrivals((req,))
-
     def submit(self, req: IoRequest) -> None:
         # an unrouted request fails the HDD's role check
         device = self.ssd if req.target is _SSD else self.hdd

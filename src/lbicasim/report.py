@@ -45,17 +45,9 @@ INTERVAL_COLUMNS = (
     "hdd_max_latency_us",
 )
 
-_ORIGIN_ORDER = "RWPE"
-
 
 def _interval_record(row: IntervalRow) -> tuple:
-    from .engine import DeviceRole, Origin
-
     stats = row.stats
-    served = []
-    for role in (DeviceRole.SSD, DeviceRole.HDD):
-        for key in _ORIGIN_ORDER:
-            served.append(stats.served[role][Origin(key)])
     return (
         stats.interval_index,
         stats.window_start,
@@ -72,9 +64,10 @@ def _interval_record(row: IntervalRow) -> tuple:
         row.klass,
         row.policy,
         row.bypassed,
-        *served,
-        stats.max_latency[DeviceRole.SSD],
-        stats.max_latency[DeviceRole.HDD],
+        *stats.ssd_served,
+        *stats.hdd_served,
+        stats.ssd_max_latency,
+        stats.hdd_max_latency,
     )
 
 
@@ -163,7 +156,7 @@ def _cache_ops(rows: list[dict[str, str]], indices: set[int]) -> int:
     total = 0
     for row in rows:
         if int(row["interval"]) in indices:
-            total += sum(int(row[f"ssd_done_{k.lower()}"]) for k in _ORIGIN_ORDER)
+            total += sum(int(row[f"ssd_done_{k}"]) for k in "rwpe")
     return total
 
 

@@ -22,7 +22,6 @@ metadata and re-derive interval statistics.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import statistics
 from dataclasses import dataclass
@@ -44,18 +43,16 @@ EVENT_COLUMNS = ("time", "event", "req", "app", "origin", "op", "target", "lba",
 class EventLog:
     """CSV event stream: arrivals, submissions, completions, queue edits.
 
-    Request rows are formatted directly rather than through ``csv.writer``
-    and go straight to ``fh``; the log holds nothing back. The format
-    matches ``csv.writer`` only for fields it would not quote, so every
-    ``event`` and ``note`` passed in must be CSV-safe: free of ``,``,
-    ``"``, ``\\r`` and ``\\n``.
+    Every row, the header included, is formatted directly rather than
+    through ``csv.writer`` and goes straight to ``fh``; the log holds
+    nothing back. The format matches ``csv.writer`` only for fields it
+    would not quote, so every ``event`` and ``note`` passed in must be
+    CSV-safe: free of ``,``, ``"``, ``\\r`` and ``\\n``.
     """
 
     def __init__(self, fh: IO[str], scenario: str):
         self._write = fh.write
-        self._writer = csv.writer(fh, lineterminator="\n")
-        fh.write(f"# scenario={scenario}\n")
-        self._writer.writerow(EVENT_COLUMNS)
+        fh.write(f"# scenario={scenario}\n{','.join(EVENT_COLUMNS)}\n")
 
     def request(self, time: int, event: str, req: IoRequest, note: str = "") -> None:
         # ``_value_`` is the member's stored value; ``.value`` reaches the
@@ -68,7 +65,7 @@ class EventLog:
         )
 
     def policy(self, time: int, policy: WritePolicy) -> None:
-        self._writer.writerow((time, "policy", "", "", "", "", "", "", "", policy.value))
+        self._write(f"{time},policy,,,,,,,,{policy._value_}\n")
 
 
 @dataclass
@@ -194,7 +191,7 @@ class Simulation:
 
     def _tick(self, boundary: int) -> None:
         ssd, hdd = self.sim.ssd, self.sim.hdd
-        ratios = RatioVector.from_snapshot(take_snapshot(boundary, ssd, hdd))
+        ratios = RatioVector.from_snapshot(take_snapshot(ssd, hdd))
         stats = self.tracker.close_interval(boundary, ssd.qsize, hdd.qsize)
         decision = self.balancer.tick(stats, ratios)
         moved = self.bypass_tail(decision.bypass_depth) if decision.bypass_depth else 0
@@ -282,10 +279,13 @@ class Simulation:
                 statistics.fmean(row.stats.hdd_qsize for row in self.rows) if self.rows else 0.0
             ),
         }
-        for role in DeviceRole:
+        for device, served in (
+            ("ssd", [row.stats.ssd_served for row in self.rows]),
+            ("hdd", [row.stats.hdd_served for row in self.rows]),
+        ):
             for origin in Origin:
-                summary[f"{role.value}_completed_{origin.value.lower()}"] = sum(
-                    row.stats.served[role][origin] for row in self.rows
+                summary[f"{device}_completed_{origin.value.lower()}"] = sum(
+                    counts[origin.index] for counts in served
                 )
         return summary
 

@@ -10,10 +10,10 @@ The balancers act on two views of the system, both produced here:
   carrying sampled queue depths and the queue-time products
   ``qsize * latency_avg`` that drive bottleneck detection.
 
-Completions are counted per request, so the open window keeps its counts
-in lists indexed by ``DeviceRole.index`` and ``Origin.index``; the
-enum-keyed dicts of :class:`IntervalStats` are built once, when the
-window closes.
+Per-origin counts are 4-tuples in ``Origin`` order ``(r, w, p, e)``,
+the format ``Device.inqueue`` keeps. The open window counts completions
+in one list per device, indexed by ``Origin.index``, and closing it
+copies each list into a tuple of :class:`IntervalStats`.
 
 The latency term is the configured per-device average of read and write
 service latency, fixed for the whole run; queue times are exact integer
@@ -47,27 +47,23 @@ class QueueSnapshot:
     Later simulation steps never mutate a snapshot.
     """
 
-    taken_at: int
     ssd_inqueue: tuple[int, int, int, int]
     hdd_inqueue: tuple[int, int, int, int]
 
 
-def take_snapshot(now: int, ssd: Device, hdd: Device) -> QueueSnapshot:
-    return QueueSnapshot(
-        taken_at=now,
-        ssd_inqueue=tuple(ssd.inqueue),
-        hdd_inqueue=tuple(hdd.inqueue),
-    )
+def take_snapshot(ssd: Device, hdd: Device) -> QueueSnapshot:
+    return QueueSnapshot(ssd_inqueue=tuple(ssd.inqueue), hdd_inqueue=tuple(hdd.inqueue))
 
 
 @dataclass
 class IntervalStats:
     """One closed reporting interval.
 
-    Queue depths are sampled at the window end; ``served`` counts
-    completions per device per origin inside the window; ``max_latency``
-    is the largest ``completed_at - arrival`` seen per device in the
-    window (zero when idle).
+    Queue depths are sampled at the window end. ``ssd_served`` and
+    ``hdd_served`` count each device's completions inside the window per
+    origin, in ``Origin`` order ``(r, w, p, e)``; ``ssd_max_latency`` and
+    ``hdd_max_latency`` are the largest ``completed_at - arrival`` each
+    device saw in the window (zero when idle).
     """
 
     interval_index: int
@@ -79,8 +75,10 @@ class IntervalStats:
     hdd_latency_avg: int
     cache_qtime: int
     disk_qtime: int
-    served: dict[DeviceRole, dict[Origin, int]]
-    max_latency: dict[DeviceRole, int]
+    ssd_served: tuple[int, int, int, int]
+    hdd_served: tuple[int, int, int, int]
+    ssd_max_latency: int
+    hdd_max_latency: int
 
 
 class IntervalTracker:
@@ -88,8 +86,7 @@ class IntervalTracker:
 
     The open window's counts are int-indexed: ``_served[role][origin]``
     and ``_max_latency[role]`` by ``DeviceRole.index`` and
-    ``Origin.index``. :meth:`close_interval` turns them into the
-    role- and origin-keyed dicts of :class:`IntervalStats`.
+    ``Origin.index``.
     """
 
     def __init__(self, ssd_latency_avg: int, hdd_latency_avg: int):
@@ -122,6 +119,8 @@ class IntervalTracker:
             ssd_qsize, self.ssd_latency_avg, hdd_qsize, self.hdd_latency_avg
         )
         self._index += 1
+        ssd_served, hdd_served = self._served  # DeviceRole order
+        ssd_max_latency, hdd_max_latency = self._max_latency
         stats = IntervalStats(
             interval_index=self._index,
             window_start=self._window_start,
@@ -132,10 +131,10 @@ class IntervalTracker:
             hdd_latency_avg=self.hdd_latency_avg,
             cache_qtime=cache_qtime,
             disk_qtime=disk_qtime,
-            served={
-                role: dict(zip(Origin, self._served[role.index])) for role in DeviceRole
-            },
-            max_latency={role: self._max_latency[role.index] for role in DeviceRole},
+            ssd_served=tuple(ssd_served),
+            hdd_served=tuple(hdd_served),
+            ssd_max_latency=ssd_max_latency,
+            hdd_max_latency=hdd_max_latency,
         )
         self._window_start = end
         self._reset_window()

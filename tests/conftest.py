@@ -17,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from lbicasim import BALANCERS, EventLog, Origin, RunResult, load_config, run_simulation, write_run
+from lbicasim import EventLog, RunResult, load_config, run_simulation, write_run
+from lbicasim.balancer import BALANCERS
+from lbicasim.engine import Origin
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 

@@ -12,22 +12,16 @@ import time
 from collections import Counter
 from statistics import fmean
 
-from lbicasim import (
-    CacheConfig,
-    CacheEngine,
-    IoRequest,
-    OpType,
-    Origin,
+from lbicasim.balancer import (
     RatioVector,
     WorkloadClass,
-    WritePolicy,
     assign_policy,
     classify,
     compute_bypass_depth,
-    compute_queue_times,
 )
-from lbicasim.balancer import IntervalStats
-from lbicasim.engine import DeviceRole
+from lbicasim.cache import CacheConfig, CacheEngine, WritePolicy
+from lbicasim.engine import DeviceRole, IoRequest, OpType, Origin
+from lbicasim.telemetry import IntervalStats, compute_queue_times
 
 from conftest import (
     SCENARIOS,
@@ -75,7 +69,7 @@ def test_criterion_02_reference_mixes_classify_exactly():
     for vector, expected_class, expected_policy, expected_bypass in CLASSIFICATION_FIXTURES:
         klass = classify(RatioVector(*vector), theta_dom=0.8)
         assert klass is expected_class, vector
-        decision = assign_policy(klass, burst=True)
+        decision = assign_policy(klass)
         assert decision.policy is expected_policy, vector
         assert decision.tail_bypass is expected_bypass, vector
     report(2, f"{len(CLASSIFICATION_FIXTURES)} reference mixes, zero tolerance")
@@ -279,8 +273,10 @@ def test_criterion_08_bypass_depth_minimality():
             hdd_latency_avg=lh,
             cache_qtime=s * ls,
             disk_qtime=h * lh,
-            served={},
-            max_latency={},
+            ssd_served=(0, 0, 0, 0),
+            hdd_served=(0, 0, 0, 0),
+            ssd_max_latency=0,
+            hdd_max_latency=0,
         )
         k = compute_bypass_depth(stats)
         assert k >= 0

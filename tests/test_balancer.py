@@ -4,24 +4,21 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lbicasim import (
-    DeviceRole,
-    IntervalStats,
+from lbicasim.balancer import (
     LbicaBalancer,
     PolicyDecision,
-    QueueSnapshot,
     RatioVector,
     SibBalancer,
     WorkloadClass,
     WriteBackBaseline,
-    WritePolicy,
     assign_policy,
     classify,
     compute_bypass_depth,
     detect_bottleneck,
     make_balancer,
 )
-from lbicasim.engine import Origin
+from lbicasim.cache import WritePolicy
+from lbicasim.telemetry import IntervalStats, QueueSnapshot
 
 
 def make_stats(ssd_qsize, ssd_lat, hdd_qsize, hdd_lat, index=1):
@@ -37,8 +34,10 @@ def make_stats(ssd_qsize, ssd_lat, hdd_qsize, hdd_lat, index=1):
         hdd_latency_avg=hdd_lat,
         cache_qtime=cache_qtime,
         disk_qtime=disk_qtime,
-        served={role: {origin: 0 for origin in Origin} for role in DeviceRole},
-        max_latency={DeviceRole.SSD: 0, DeviceRole.HDD: 0},
+        ssd_served=(0, 0, 0, 0),
+        hdd_served=(0, 0, 0, 0),
+        ssd_max_latency=0,
+        hdd_max_latency=0,
     )
 
 
@@ -129,7 +128,7 @@ class TestRatioVector:
         assert (v.r, v.w, v.p, v.e) == (0.0, 0.0, 0.0, 0.0)
 
     def test_from_snapshot_counts_cache_queue_only(self):
-        snap = QueueSnapshot(taken_at=0, ssd_inqueue=(1, 1, 2, 0), hdd_inqueue=(0, 0, 0, 1))
+        snap = QueueSnapshot(ssd_inqueue=(1, 1, 2, 0), hdd_inqueue=(0, 0, 0, 1))
         v = RatioVector.from_snapshot(snap)
         assert (v.r, v.w, v.p, v.e) == (0.25, 0.25, 0.5, 0.0)
 
@@ -151,18 +150,12 @@ class TestRatioVector:
 
 
 class TestAssignPolicy:
-    def test_no_burst_reverts_to_write_back(self):
-        for klass in WorkloadClass:
-            decision = assign_policy(klass, burst=False)
-            assert decision.policy is WritePolicy.WB
-            assert decision.tail_bypass is False
-
     def test_read_heavy_burst_blocks_promotions(self):
-        decision = assign_policy(WorkloadClass.RANDOM_READ, burst=True)
+        decision = assign_policy(WorkloadClass.RANDOM_READ)
         assert decision.policy is WritePolicy.WO
 
     def test_mixed_burst_blocks_cache_writes(self):
-        decision = assign_policy(WorkloadClass.MIXED_READ_WRITE, burst=True)
+        decision = assign_policy(WorkloadClass.MIXED_READ_WRITE)
         assert decision.policy is WritePolicy.RO
 
     @pytest.mark.parametrize(
@@ -170,21 +163,20 @@ class TestAssignPolicy:
         [WorkloadClass.RANDOM_WRITE, WorkloadClass.SEQUENTIAL_WRITE, WorkloadClass.UNCLASSIFIED],
     )
     def test_write_pressure_keeps_wb_and_sheds_the_tail(self, klass):
-        decision = assign_policy(klass, burst=True)
+        decision = assign_policy(klass)
         assert decision.policy is WritePolicy.WB
         assert decision.tail_bypass is True
 
     def test_sequential_read_burst_keeps_wb_without_bypass(self):
-        decision = assign_policy(WorkloadClass.SEQUENTIAL_READ, burst=True)
+        decision = assign_policy(WorkloadClass.SEQUENTIAL_READ)
         assert decision.policy is WritePolicy.WB
         assert decision.tail_bypass is False
 
     def test_tail_bypass_only_ever_pairs_with_wb(self):
         for klass in WorkloadClass:
-            for burst in (False, True):
-                decision = assign_policy(klass, burst)
-                if decision.tail_bypass:
-                    assert decision.policy is WritePolicy.WB
+            decision = assign_policy(klass)
+            if decision.tail_bypass:
+                assert decision.policy is WritePolicy.WB
 
 
 def scan_minimal_depth(s, ls, h, lh):
@@ -243,9 +235,21 @@ class TestControllers:
         assert decision == PolicyDecision(WritePolicy.WB)  # no bypass requested
 
     def test_lbica_reverts_outside_bursts(self):
+        # one cache-queue mix per workload class: without a bottleneck
+        # every one reverts to WB, unclassified and without a bypass
+        mixes = [
+            (30, 0, 30, 0),
+            (14, 70, 4, 12),
+            (0, 1, 0, 0),
+            (5, 30, 5, 60),
+            (10, 5, 80, 5),
+            (4, 2, 2, 2),
+        ]
+        assert {classify(RatioVector.from_counts(*mix)) for mix in mixes} == set(WorkloadClass)
         balancer = LbicaBalancer()
-        decision = balancer.tick(make_stats(1, 100, 1, 5000), RatioVector.from_counts(0, 1, 0, 0))
-        assert decision == PolicyDecision(WritePolicy.WB)
+        for mix in mixes:
+            decision = balancer.tick(make_stats(1, 100, 1, 5000), RatioVector.from_counts(*mix))
+            assert decision == PolicyDecision(WritePolicy.WB)
 
     def test_lbica_assigns_wo_on_read_heavy_burst(self):
         balancer = LbicaBalancer()

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbicasim import CacheConfig, CacheEngine, DeviceRole, IoRequest, OpType, Origin, WritePolicy
+from lbicasim.cache import CacheConfig, CacheEngine, WritePolicy
+from lbicasim.engine import DeviceRole, IoRequest, OpType, Origin
 
 
 def make_engine(capacity=4, policy=WritePolicy.WB):

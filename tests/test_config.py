@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from lbicasim import ConfigError, RunConfig, load_config, parse_config_text
+from lbicasim import ConfigError, RunConfig, load_config
+from lbicasim.config import parse_config_text
 from lbicasim.workload import PhaseSpec, Sequential, UniformRandom
 
 FULL_TEXT = """

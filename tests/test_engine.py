@@ -7,17 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbicasim import (
-    Device,
-    DeviceRole,
-    IoRequest,
-    OpType,
-    Origin,
-    RoutingError,
-    RunConfig,
-    Simulation,
-    Simulator,
-)
+from lbicasim import RunConfig, Simulation
+from lbicasim.engine import Device, DeviceRole, IoRequest, OpType, Origin, RoutingError, Simulator
 
 from conftest import recount_origins
 
@@ -104,7 +95,7 @@ class TestStep:
 
     def test_scheduled_arrivals_surface_at_their_instant(self):
         sim = Simulator(Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 5000, 5000))
-        sim.schedule_arrival(make_request(1, arrival=250))
+        sim.schedule_arrivals([make_request(1, arrival=250)])
         completed, arrived = sim.step()
         assert sim.clock == 250
         assert completed == []
@@ -113,7 +104,7 @@ class TestStep:
     def test_same_instant_completions_precede_arrivals(self):
         sim = Simulator(Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 5000, 5000))
         sim.submit(make_request(1))
-        sim.schedule_arrival(make_request(2, arrival=100))
+        sim.schedule_arrivals([make_request(2, arrival=100)])
         completed, arrived = sim.step()
         assert sim.clock == 100
         assert [r.id for r in completed] == [1]
@@ -127,9 +118,9 @@ def make_sim():
 class TestArrivalOrder:
     def test_out_of_order_arrival_is_rejected_by_name(self):
         sim = make_sim()
-        sim.schedule_arrival(make_request(1, arrival=500))
+        sim.schedule_arrivals([make_request(1, arrival=500)])
         with pytest.raises(ValueError, match=r"request 2 arrives at 400"):
-            sim.schedule_arrival(make_request(2, arrival=400))
+            sim.schedule_arrivals([make_request(2, arrival=400)])
 
     def test_batch_names_the_first_out_of_order_request_and_schedules_nothing(self):
         sim = make_sim()
@@ -148,10 +139,10 @@ class TestArrivalOrder:
 
     def test_scheduling_after_the_schedule_ran_dry_resumes_the_cursor(self):
         sim = make_sim()
-        sim.schedule_arrival(make_request(0, arrival=10))
+        sim.schedule_arrivals([make_request(0, arrival=10)])
         assert [r.id for r in sim.step()[1]] == [0]
         assert sim.step() is None
-        sim.schedule_arrival(make_request(1, arrival=20))
+        sim.schedule_arrivals([make_request(1, arrival=20)])
         assert sim.next_event_time() == 20
         assert [r.id for r in sim.step()[1]] == [1]
 
@@ -189,11 +180,7 @@ def test_arrival_cursor_matches_a_heap_reference(times, chunk, rng):
 
     sim = make_sim()
     for start in range(0, len(reqs), chunk):
-        batch = reqs[start : start + chunk]
-        if len(batch) == 1:
-            sim.schedule_arrival(batch[0])
-        else:
-            sim.schedule_arrivals(batch)
+        sim.schedule_arrivals(reqs[start : start + chunk])
     got = []
     while (step := sim.step()) is not None:
         completed, arrived = step
@@ -265,7 +252,7 @@ def random_schedule(seed, n=60):
 def run_schedule(seed):
     sim = Simulator(Device(DeviceRole.SSD, 100, 300), Device(DeviceRole.HDD, 4000, 6000))
     for req in random_schedule(seed):
-        sim.schedule_arrival(req)
+        sim.schedule_arrivals([req])
     done = drain(sim)
     return sim, done
 
@@ -307,7 +294,7 @@ def test_step_at_the_next_event_time_matches_a_plain_step(seed):
         sim = Simulator(Device(DeviceRole.SSD, 100, 300), Device(DeviceRole.HDD, 4000, 6000))
         for req in random_schedule(seed):
             req.arrival -= req.arrival % 100
-            sim.schedule_arrival(req)
+            sim.schedule_arrivals([req])
         return sim
 
     plain, passed = build(), build()

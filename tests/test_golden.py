@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from lbicasim import BALANCERS
+from lbicasim.balancer import BALANCERS
 
 from conftest import SCENARIOS
 

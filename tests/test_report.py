@@ -6,15 +6,14 @@ import pytest
 
 from lbicasim import (
     ConfigError,
-    PhaseSpec,
     RunConfig,
-    UniformRandom,
     compare_runs,
     format_comparison,
     run_simulation,
     write_run,
 )
 from lbicasim.report import INTERVAL_COLUMNS, read_intervals, read_summary
+from lbicasim.workload import PhaseSpec, UniformRandom
 
 
 def demo_config(**overrides):

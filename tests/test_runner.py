@@ -12,24 +12,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lbicasim import (
-    BALANCERS,
-    Device,
-    DeviceRole,
     EventLog,
-    IoRequest,
-    OpType,
-    Origin,
-    PhaseSpec,
-    PolicyDecision,
     RunConfig,
     Simulation,
-    UniformRandom,
-    WritePolicy,
     build_requests,
     load_config,
     run_simulation,
     runner,
 )
+from lbicasim.balancer import BALANCERS, PolicyDecision
+from lbicasim.cache import WritePolicy
+from lbicasim.engine import Device, DeviceRole, IoRequest, OpType, Origin
+from lbicasim.workload import PhaseSpec, UniformRandom
 
 from conftest import SCENARIOS, read_events, recount_origins
 
@@ -336,11 +330,12 @@ logged_requests = st.builds(
 
 class TestEventLogFormat:
     def test_runner_passes_only_csv_safe_events_and_notes(self):
-        # EventLog.request formats rows without quoting, which csv.writer
+        # EventLog formats every row without quoting, which csv.writer
         # would apply to any field holding one of these characters
         assert set(LOGGED_EVENTS) == {"arrive", "submit", "complete", "remove", "drop"}
         assert set(LOGGED_NOTES) == {"bypassed promotion", "write-only policy"}
-        for text in LOGGED_EVENTS + LOGGED_NOTES:
+        policies = [policy.value for policy in WritePolicy]
+        for text in LOGGED_EVENTS + LOGGED_NOTES + policies + list(runner.EVENT_COLUMNS):
             assert not set(text) & set(',"\r\n'), text
 
     @given(
@@ -350,6 +345,9 @@ class TestEventLogFormat:
                 st.sampled_from(LOGGED_EVENTS),
                 logged_requests,
                 st.sampled_from([""] + LOGGED_NOTES),
+            )
+            | st.tuples(
+                st.integers(min_value=0, max_value=10**9), st.sampled_from(WritePolicy)
             ),
             max_size=20,
         )
@@ -361,7 +359,13 @@ class TestEventLogFormat:
         reference.write("# scenario=abc\n")
         writer = csv.writer(reference, lineterminator="\n")
         writer.writerow(runner.EVENT_COLUMNS)
-        for time, event, req, note in rows:
+        for row in rows:
+            if len(row) == 2:
+                time, policy = row
+                log.policy(time, policy)
+                writer.writerow((time, "policy", "", "", "", "", "", "", "", policy.value))
+                continue
+            time, event, req, note = row
             log.request(time, event, req, note)
             writer.writerow(
                 (

@@ -4,16 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbicasim import (
-    Device,
-    DeviceRole,
-    IntervalTracker,
-    IoRequest,
-    OpType,
-    Origin,
-    compute_queue_times,
-    take_snapshot,
-)
+from lbicasim.engine import Device, DeviceRole, IoRequest, OpType, Origin
+from lbicasim.telemetry import IntervalTracker, compute_queue_times, take_snapshot
 
 qsizes = st.integers(min_value=0, max_value=1_000_000)
 latencies = st.integers(min_value=1, max_value=100_000)
@@ -57,7 +49,7 @@ class TestSnapshot:
         self.hdd = Device(DeviceRole.HDD, 5000, 5000)
 
     def test_empty_queues_snapshot_empty(self):
-        snap = take_snapshot(0, self.ssd, self.hdd)
+        snap = take_snapshot(self.ssd, self.hdd)
         assert snap.ssd_inqueue == (0, 0, 0, 0)
         assert snap.hdd_inqueue == (0, 0, 0, 0)
 
@@ -67,13 +59,13 @@ class TestSnapshot:
         enqueue(self.ssd, 2, Origin.P)
         enqueue(self.ssd, 3, Origin.P)
         enqueue(self.hdd, 4, Origin.R)
-        snap = take_snapshot(0, self.ssd, self.hdd)
+        snap = take_snapshot(self.ssd, self.hdd)
         assert snap.ssd_inqueue == (1, 0, 2, 0)
         assert snap.hdd_inqueue == (1, 0, 0, 0)
 
     def test_snapshot_unaffected_by_later_completions(self):
         enqueue(self.ssd, 1, Origin.R)
-        snap = take_snapshot(0, self.ssd, self.hdd)
+        snap = take_snapshot(self.ssd, self.hdd)
         before = snap.ssd_inqueue
         self.ssd.complete_due(self.ssd.busy_until)  # drain the device
         assert self.ssd.qsize == 0
@@ -95,8 +87,8 @@ class TestIntervalTracker:
         stats = self.tracker.close_interval(1000, ssd_qsize=0, hdd_qsize=0)
         assert stats.interval_index == 1
         assert stats.window_start == 0 and stats.window_end == 1000
-        assert all(count == 0 for per in stats.served.values() for count in per.values())
-        assert stats.max_latency == {DeviceRole.SSD: 0, DeviceRole.HDD: 0}
+        assert stats.ssd_served == stats.hdd_served == (0, 0, 0, 0)
+        assert stats.ssd_max_latency == stats.hdd_max_latency == 0
         assert (stats.cache_qtime, stats.disk_qtime) == (0, 0)
 
     def test_single_completion_sets_max_latency(self):
@@ -104,8 +96,8 @@ class TestIntervalTracker:
             completed_request(1, Origin.R, DeviceRole.SSD, arrival=0, completed_at=250)
         )
         stats = self.tracker.close_interval(1000, 0, 0)
-        assert stats.max_latency[DeviceRole.SSD] == 250
-        assert stats.served[DeviceRole.SSD][Origin.R] == 1
+        assert stats.ssd_max_latency == 250
+        assert stats.ssd_served == (1, 0, 0, 0)
 
     def test_windowed_counters_reset_between_windows(self):
         self.tracker.record_completion(
@@ -113,9 +105,9 @@ class TestIntervalTracker:
         )
         first = self.tracker.close_interval(1000, 0, 0)
         stats = self.tracker.close_interval(2000, 0, 0)
-        assert first.served[DeviceRole.HDD][Origin.W] == 1
-        assert stats.served[DeviceRole.HDD][Origin.W] == 0
-        assert stats.max_latency[DeviceRole.HDD] == 0
+        assert first.hdd_served == (0, 1, 0, 0)
+        assert stats.hdd_served == (0, 0, 0, 0)
+        assert stats.hdd_max_latency == 0
 
     def test_qtimes_use_sampled_depths(self):
         stats = self.tracker.close_interval(1000, ssd_qsize=60, hdd_qsize=1)
@@ -137,10 +129,7 @@ class TestIntervalTracker:
         for req in requests:
             self.tracker.record_completion(req)
         stats = self.tracker.close_interval(10_000, 0, 0)
-        total = sum(count for per in stats.served.values() for count in per.values())
-        assert total == len(requests)
-        assert stats.served[DeviceRole.SSD][Origin.R] == 1
-        assert stats.served[DeviceRole.SSD][Origin.P] == 1
-        assert stats.served[DeviceRole.SSD][Origin.W] == 1
-        assert stats.served[DeviceRole.HDD][Origin.R] == 1
-        assert stats.served[DeviceRole.HDD][Origin.E] == 1
+        assert sum(stats.ssd_served) + sum(stats.hdd_served) == len(requests)
+        # (r, w, p, e) per device
+        assert stats.ssd_served == (1, 1, 1, 0)
+        assert stats.hdd_served == (1, 0, 0, 1)

@@ -6,16 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbicasim import (
-    OpType,
-    PhaseSpec,
-    Sequential,
-    TraceFormatError,
-    UniformRandom,
-    dump_trace,
-    generate,
-    load_trace,
-)
+from lbicasim import TraceFormatError
+from lbicasim.engine import OpType
+from lbicasim.workload import PhaseSpec, Sequential, UniformRandom, dump_trace, generate, load_trace
 
 
 def uniform_phase(duration_ms=100, rate=1000, read_fraction=1.0, working_set=64, **kw):
