@@ -13,8 +13,6 @@ from .report import compare_runs, format_comparison, write_run
 from .runner import EventLog, RunResult, Simulation, build_requests, run_simulation
 from .workload import TraceFormatError
 
-__version__ = "0.1.0"
-
 __all__ = [
     "ConfigError",
     "EventLog",

@@ -87,7 +87,7 @@ def detect_bottleneck(stats: IntervalStats) -> bool:
     return stats.cache_qtime > stats.disk_qtime
 
 
-def classify(ratios: RatioVector, theta_dom: float = 0.8) -> WorkloadClass:
+def classify(ratios: RatioVector, theta_dom: float) -> WorkloadClass:
     """Name the workload from the origin mix of the cache queue.
 
     A promotion-dominated queue is a sequential read (a miss streak being
@@ -148,7 +148,7 @@ def compute_bypass_depth(stats: IntervalStats) -> int:
     Each bypassed request both shortens the cache queue and lengthens the
     disk queue, hence the combined divisor.
     """
-    excess = stats.ssd_qsize * stats.ssd_latency_avg - stats.hdd_qsize * stats.hdd_latency_avg
+    excess = stats.cache_qtime - stats.disk_qtime
     if excess <= 0:
         return 0
     step = stats.ssd_latency_avg + stats.hdd_latency_avg
@@ -161,7 +161,7 @@ class WriteBackBaseline:
     name = "none-wb"
     initial_policy = WritePolicy.WB
 
-    def __init__(self, theta_dom: float = 0.8):
+    def __init__(self, theta_dom: float):
         """The baseline never classifies, so ``theta_dom`` is unused."""
 
     def tick(self, stats: IntervalStats, ratios: RatioVector) -> PolicyDecision:
@@ -174,7 +174,7 @@ class LbicaBalancer:
     name = "lbica"
     initial_policy = WritePolicy.WB
 
-    def __init__(self, theta_dom: float = 0.8):
+    def __init__(self, theta_dom: float):
         self.theta_dom = theta_dom
 
     def tick(self, stats: IntervalStats, ratios: RatioVector) -> PolicyDecision:
@@ -197,7 +197,7 @@ class SibBalancer:
     name = "sib"
     initial_policy = WritePolicy.WT
 
-    def __init__(self, theta_dom: float = 0.8):
+    def __init__(self, theta_dom: float):
         """SIB never classifies, so ``theta_dom`` is unused."""
 
     def tick(self, stats: IntervalStats, ratios: RatioVector) -> PolicyDecision:
@@ -212,7 +212,7 @@ BALANCERS: dict[str, type] = {
 }
 
 
-def make_balancer(name: str, theta_dom: float = 0.8):
+def make_balancer(name: str, theta_dom: float):
     try:
         cls = BALANCERS[name]
     except KeyError:

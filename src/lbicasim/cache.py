@@ -45,18 +45,6 @@ _SSD, _HDD = DeviceRole
 _WB, _WT, _WO, _RO = WritePolicy
 
 
-@dataclass(frozen=True)
-class CacheConfig:
-    capacity_blocks: int
-    block_bytes: int = 4096
-
-    def __post_init__(self):
-        if self.capacity_blocks < 1:
-            raise ValueError("cache capacity must be at least one block")
-        if self.block_bytes < 1:
-            raise ValueError("block size must be positive")
-
-
 @dataclass
 class RoutingPlan:
     """Device submissions realizing one application access.
@@ -91,11 +79,13 @@ class CacheEngine:
 
     def __init__(
         self,
-        config: CacheConfig,
+        capacity_blocks: int,
         policy: WritePolicy = WritePolicy.WB,
         next_id: Callable[[], int] | None = None,
     ):
-        self.config = config
+        if capacity_blocks < 1:
+            raise ValueError("cache capacity must be at least one block")
+        self.capacity_blocks = capacity_blocks
         self.policy = policy
         # lba -> dirty; insertion order is recency order, first entry is the LRU victim
         self._entries: OrderedDict[int, bool] = OrderedDict()
@@ -155,7 +145,7 @@ class CacheEngine:
         Returns the victim lba and, when the victim was dirty, the HDD
         write-back request that persists it. Clean victims leave silently.
         """
-        if len(self._entries) < self.config.capacity_blocks:
+        if len(self._entries) < self.capacity_blocks:
             raise ValueError("evict_victim called on a cache that is not full")
         lba, dirty = self._entries.popitem(last=False)
         if dirty:
@@ -239,7 +229,7 @@ class CacheEngine:
     def _admit(self, lba: int, dirty: bool, now: int) -> IoRequest | None:
         """Insert a non-resident block as MRU, evicting first if full."""
         writeback = None
-        if len(self._entries) >= self.config.capacity_blocks:
+        if len(self._entries) >= self.capacity_blocks:
             _victim, writeback = self.evict_victim(now)
         self._entries[lba] = dirty
         return writeback

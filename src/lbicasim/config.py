@@ -13,6 +13,10 @@ Workload phases use a ``phaseN.`` prefix::
     phase1.address = uniform
     phase1.working_set = 512
 
+Each key sets one field of :class:`RunConfig`, of a phase's
+:class:`PhaseSpec` or of its address model; a key absent from the file
+leaves that field at its dataclass default.
+
 The scenario hash covers everything that defines the experiment except
 the balancer choice, so runs of different balancers over the same
 scenario and seed hash equal and stay comparable.
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 from .balancer import BALANCERS
@@ -33,34 +37,45 @@ class ConfigError(ValueError):
     pass
 
 
+# Every config key maps to (dataclass field, type, scale): its value is
+# parsed as ``type`` and multiplied by ``scale``. A key absent from the
+# file leaves its field at the dataclass default.
 _RUN_KEYS = {
-    "balancer",
-    "seed",
-    "interval_ms",
-    "theta_dom",
-    "ssd_read_us",
-    "ssd_write_us",
-    "hdd_read_us",
-    "hdd_write_us",
-    "cache_blocks",
-    "block_bytes",
-    "trace",
+    "balancer": ("balancer", str, 1),
+    "seed": ("seed", int, 1),
+    "interval_ms": ("interval_us", int, 1000),
+    "theta_dom": ("theta_dom", float, 1),
+    "ssd_read_us": ("ssd_read_us", int, 1),
+    "ssd_write_us": ("ssd_write_us", int, 1),
+    "hdd_read_us": ("hdd_read_us", int, 1),
+    "hdd_write_us": ("hdd_write_us", int, 1),
+    "cache_blocks": ("cache_blocks", int, 1),
+    "block_bytes": ("block_bytes", int, 1),
+    "trace": ("trace_path", str, 1),
 }
 
+# Phase keys set fields of PhaseSpec and of its address model, which
+# ``phaseN.address`` names; the keys of the other model are parsed and
+# ignored.
 _PHASE_KEYS = {
-    "duration_ms",
-    "rate",
-    "read_fraction",
-    "address",
-    "working_set",
-    "base",
-    "start",
-    "stride",
-    "jitter",
-    "write_base",
+    "duration_ms": ("duration_us", int, 1000),
+    "rate": ("arrival_rate", float, 1),
+    "read_fraction": ("read_fraction", float, 1),
+    "working_set": ("working_set_blocks", int, 1),
+    "jitter": ("jitter", float, 1),
+    "write_base": ("write_base", int, 1),
+    "base": ("base", int, 1),
+    "start": ("start", int, 1),
+    "stride": ("stride", int, 1),
 }
+
+_ADDRESS_MODELS = {"uniform": UniformRandom, "sequential": Sequential}
 
 _PHASE_RE = re.compile(r"^phase(\d+)\.(\w+)$")
+
+
+def _latency_avg(read_us: int, write_us: int) -> int:
+    return (read_us + write_us) // 2
 
 
 @dataclass
@@ -98,13 +113,21 @@ class RunConfig:
         if bool(self.phases) == bool(self.trace_path):
             raise ConfigError("exactly one of workload phases or trace must be configured")
         warnings = []
-        ssd_avg = (self.ssd_read_us + self.ssd_write_us) // 2
-        hdd_avg = (self.hdd_read_us + self.hdd_write_us) // 2
-        if hdd_avg < ssd_avg:
+        if self.hdd_latency_avg < self.ssd_latency_avg:
             warnings.append(
                 "hdd latency is below ssd latency; the balancers assume the cache tier is faster"
             )
         return warnings
+
+    @property
+    def ssd_latency_avg(self) -> int:
+        """The SSD's queue-time latency term: the mean of its read and write latency."""
+        return _latency_avg(self.ssd_read_us, self.ssd_write_us)
+
+    @property
+    def hdd_latency_avg(self) -> int:
+        """The HDD's queue-time latency term: the mean of its read and write latency."""
+        return _latency_avg(self.hdd_read_us, self.hdd_write_us)
 
     def scenario_hash(self) -> str:
         """Digest of the experiment definition, excluding the balancer."""
@@ -121,50 +144,45 @@ class RunConfig:
         return hashlib.sha256(";".join(parts).encode("utf-8")).hexdigest()[:16]
 
 
-def _convert(kind, key: str, value: str):
-    try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+def _parse_values(table: dict, given: dict[str, str], prefix: str = "") -> dict:
+    """Parse and scale each given value, keyed by the field its key sets."""
+    settings = {}
+    for key, value in given.items():
+        name, kind, scale = table[key]
+        try:
+            settings[name] = kind(value) * scale
+        except ValueError:
+            raise ConfigError(f"{prefix}{key}: expected {kind.__name__}, got {value!r}")
+    return settings
 
 
-def _build_phase(index: int, fields: dict[str, str]) -> PhaseSpec:
-    prefix = f"phase{index}"
-    for required in ("duration_ms", "rate"):
-        if required not in fields:
-            raise ConfigError(f"{prefix}.{required}: missing")
-    address = fields.get("address", "uniform")
-    if address == "uniform":
-        if "working_set" not in fields:
-            raise ConfigError(f"{prefix}.working_set: missing for uniform address model")
-        model = UniformRandom(base=_convert(int, f"{prefix}.base", fields.get("base", "0")))
-    elif address == "sequential":
-        model = Sequential(
-            start=_convert(int, f"{prefix}.start", fields.get("start", "0")),
-            stride=_convert(int, f"{prefix}.stride", fields.get("stride", "1")),
-        )
-    else:
-        raise ConfigError(f"{prefix}.address: expected uniform or sequential, got {address!r}")
+def _arguments(cls, table: dict, settings: dict, prefix: str = "") -> dict:
+    """The settings that set fields of ``cls``; each field without a default must be set."""
+    declared = cls.__dataclass_fields__
+    for key, (name, _kind, _scale) in table.items():
+        field = declared.get(name)
+        if field is None or name in settings:
+            continue
+        if field.default is MISSING and field.default_factory is MISSING:
+            raise ConfigError(f"{prefix}{key}: missing")
+    return {name: value for name, value in settings.items() if name in declared}
+
+
+def _build_phase(index: int, given: dict[str, str]) -> PhaseSpec:
+    prefix = f"phase{index}."
+    address = given.pop("address", None)
+    settings = _parse_values(_PHASE_KEYS, given, prefix)
+    arguments = _arguments(PhaseSpec, _PHASE_KEYS, settings, prefix)
+    model = type(PhaseSpec.address_model) if address is None else _ADDRESS_MODELS.get(address)
+    if model is None:
+        raise ConfigError(f"{prefix}address: expected uniform or sequential, got {address!r}")
+    if model is UniformRandom and "working_set" not in given:
+        raise ConfigError(f"{prefix}working_set: missing for uniform address model")
     try:
-        return PhaseSpec(
-            duration_us=_convert(int, f"{prefix}.duration_ms", fields["duration_ms"]) * 1000,
-            arrival_rate=_convert(float, f"{prefix}.rate", fields["rate"]),
-            read_fraction=_convert(
-                float, f"{prefix}.read_fraction", fields.get("read_fraction", "1.0")
-            ),
-            address_model=model,
-            working_set_blocks=_convert(
-                int, f"{prefix}.working_set", fields.get("working_set", "1")
-            ),
-            jitter=_convert(float, f"{prefix}.jitter", fields.get("jitter", "0.0")),
-            write_base=(
-                _convert(int, f"{prefix}.write_base", fields["write_base"])
-                if "write_base" in fields
-                else None
-            ),
-        )
+        address_model = model(**_arguments(model, _PHASE_KEYS, settings))
+        return PhaseSpec(address_model=address_model, **arguments)
     except ValueError as exc:
-        raise ConfigError(f"{prefix}: {exc}")
+        raise ConfigError(f"phase{index}: {exc}")
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
@@ -181,7 +199,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         match = _PHASE_RE.match(key)
         if match:
             index, phase_key = int(match.group(1)), match.group(2)
-            if phase_key not in _PHASE_KEYS:
+            if phase_key != "address" and phase_key not in _PHASE_KEYS:
                 raise ConfigError(f"{origin}:{lineno}: unknown phase key {key!r}")
             phase_fields.setdefault(index, {})[phase_key] = value
         elif key in _RUN_KEYS:
@@ -189,23 +207,9 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         else:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
 
-    if "cache_blocks" not in run_fields:
-        raise ConfigError("cache_blocks: missing")
+    arguments = _arguments(RunConfig, _RUN_KEYS, _parse_values(_RUN_KEYS, run_fields))
     phases = tuple(_build_phase(i, phase_fields[i]) for i in sorted(phase_fields))
-    config = RunConfig(
-        cache_blocks=_convert(int, "cache_blocks", run_fields["cache_blocks"]),
-        balancer=run_fields.get("balancer", "none-wb"),
-        seed=_convert(int, "seed", run_fields.get("seed", "0")),
-        interval_us=_convert(int, "interval_ms", run_fields.get("interval_ms", "100")) * 1000,
-        theta_dom=_convert(float, "theta_dom", run_fields.get("theta_dom", "0.8")),
-        ssd_read_us=_convert(int, "ssd_read_us", run_fields.get("ssd_read_us", "100")),
-        ssd_write_us=_convert(int, "ssd_write_us", run_fields.get("ssd_write_us", "100")),
-        hdd_read_us=_convert(int, "hdd_read_us", run_fields.get("hdd_read_us", "5000")),
-        hdd_write_us=_convert(int, "hdd_write_us", run_fields.get("hdd_write_us", "5000")),
-        block_bytes=_convert(int, "block_bytes", run_fields.get("block_bytes", "4096")),
-        phases=phases,
-        trace_path=run_fields.get("trace"),
-    )
+    config = RunConfig(phases=phases, **arguments)
     config.validate()
     return config
 

@@ -93,9 +93,9 @@ class Device:
     ``inqueue`` counts the same pending requests per origin, indexed by
     ``Origin.index`` (``R, W, P, E``). ``submit``, ``complete_due`` and
     ``remove_tail`` keep it current, so reading the queue's origin mix
-    costs the same at any depth; ``pending()`` is the O(n) view it
-    summarizes. ``submitted`` counts every request ever submitted here,
-    including those later moved off by ``remove_tail``.
+    costs the same at any depth and never walks ``waiting``. ``submitted``
+    counts every request ever submitted here, including those later
+    moved off by ``remove_tail``.
     """
 
     def __init__(self, role: DeviceRole, read_latency: int, write_latency: int):
@@ -114,11 +114,6 @@ class Device:
     @property
     def qsize(self) -> int:
         return len(self.waiting) + (1 if self.in_service is not None else 0)
-
-    @property
-    def latency_avg(self) -> int:
-        """Configured average service latency, the queue-time latency term."""
-        return (self.read_latency + self.write_latency) // 2
 
     def latency_for(self, op: OpType) -> int:
         return self.read_latency if op is _READ else self.write_latency
@@ -176,11 +171,6 @@ class Device:
         for req in removed:
             inqueue[req.origin.index] -= 1
         return removed
-
-    def pending(self) -> list[IoRequest]:
-        """Head-to-tail view of pending requests, in-service first."""
-        head = [self.in_service] if self.in_service is not None else []
-        return head + list(self.waiting)
 
 
 class Simulator:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .balancer import RatioVector, detect_bottleneck, make_balancer
-from .cache import CacheConfig, CacheEngine, WritePolicy
+from .cache import CacheEngine, WritePolicy
 from .config import RunConfig
 from .engine import Device, DeviceRole, IoRequest, Origin, Simulator
 from .telemetry import IntervalStats, IntervalTracker, take_snapshot
@@ -101,11 +101,8 @@ class Simulation:
         self.sim = Simulator(ssd, hdd)
         next_free = max((r.id for r in requests), default=-1) + 1
         self._ids = itertools.count(next_free)
-        self.cache = CacheEngine(
-            CacheConfig(config.cache_blocks, config.block_bytes),
-            next_id=self._ids.__next__,
-        )
-        self.tracker = IntervalTracker(ssd.latency_avg, hdd.latency_avg)
+        self.cache = CacheEngine(config.cache_blocks, next_id=self._ids.__next__)
+        self.tracker = IntervalTracker(config.ssd_latency_avg, config.hdd_latency_avg)
         self.balancer = make_balancer(config.balancer, config.theta_dom)
         self.rows: list[IntervalRow] = []
         self.bypassed_total = 0

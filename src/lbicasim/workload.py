@@ -59,9 +59,9 @@ class Sequential:
 class PhaseSpec:
     duration_us: int
     arrival_rate: float  # requests per second
-    read_fraction: float
-    address_model: UniformRandom | Sequential
-    working_set_blocks: int
+    read_fraction: float = 1.0
+    address_model: UniformRandom | Sequential = UniformRandom()
+    working_set_blocks: int = 1
     jitter: float = 0.0  # fraction of the arrival slot, 0 = exact spacing
     # when set, writes draw uniformly from their own region
     # [write_base, write_base + working_set_blocks) instead of sharing

@@ -65,9 +65,9 @@ def scenario_runs(tmp_path_factory) -> dict[tuple[str, str], CachedRun]:
 
 
 def recount_origins(device) -> list[int]:
-    """Per-origin counts of ``device.pending()`` in ``Origin`` order, by a full walk."""
-    pending = device.pending()
-    return [sum(1 for r in pending if r.origin is origin) for origin in Origin]
+    """Per-origin counts of the device's pending requests in ``Origin`` order, by a full walk."""
+    queued = [r for r in (device.in_service, *device.waiting) if r is not None]
+    return [sum(1 for r in queued if r.origin is origin) for origin in Origin]
 
 
 def read_events(path: Path) -> tuple[str, list[dict[str, str]]]:

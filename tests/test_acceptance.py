@@ -19,7 +19,7 @@ from lbicasim.balancer import (
     classify,
     compute_bypass_depth,
 )
-from lbicasim.cache import CacheConfig, CacheEngine, WritePolicy
+from lbicasim.cache import CacheEngine, WritePolicy
 from lbicasim.engine import DeviceRole, IoRequest, OpType, Origin
 from lbicasim.telemetry import IntervalStats, compute_queue_times
 
@@ -146,7 +146,7 @@ def test_criterion_04_lru_matches_brute_force():
     for _ in range(200):
         capacity = rng.randint(1, 16)
         length = rng.randint(1, 1000)
-        engine = CacheEngine(CacheConfig(capacity_blocks=capacity))
+        engine = CacheEngine(capacity)
         oracle = BruteForceLru(capacity)
         for step in range(length):
             lba = rng.randrange(3 * capacity)

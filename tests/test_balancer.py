@@ -20,6 +20,8 @@ from lbicasim.balancer import (
 from lbicasim.cache import WritePolicy
 from lbicasim.telemetry import IntervalStats, QueueSnapshot
 
+THETA_DOM = 0.8  # the dominance threshold every committed scenario runs at
+
 
 def make_stats(ssd_qsize, ssd_lat, hdd_qsize, hdd_lat, index=1):
     cache_qtime = ssd_qsize * ssd_lat
@@ -74,20 +76,22 @@ class TestClassify:
 
     @pytest.mark.parametrize("vector,expected", FIXTURES)
     def test_known_mixes(self, vector, expected):
-        assert classify(RatioVector(*vector), theta_dom=0.8) is expected
+        assert classify(RatioVector(*vector), THETA_DOM) is expected
 
     def test_promotion_dominated_queue_is_sequential_read(self):
-        assert classify(RatioVector(0.1, 0.05, 0.8, 0.05)) is WorkloadClass.SEQUENTIAL_READ
+        ratios = RatioVector(0.1, 0.05, 0.8, 0.05)
+        assert classify(ratios, THETA_DOM) is WorkloadClass.SEQUENTIAL_READ
 
     def test_eviction_heavy_write_queue_is_sequential_write(self):
-        assert classify(RatioVector(0.05, 0.30, 0.05, 0.60)) is WorkloadClass.SEQUENTIAL_WRITE
+        ratios = RatioVector(0.05, 0.30, 0.05, 0.60)
+        assert classify(ratios, THETA_DOM) is WorkloadClass.SEQUENTIAL_WRITE
 
     def test_no_dominant_pair_is_unclassified(self):
-        assert classify(RatioVector(0.4, 0.2, 0.2, 0.2)) is WorkloadClass.UNCLASSIFIED
+        assert classify(RatioVector(0.4, 0.2, 0.2, 0.2), THETA_DOM) is WorkloadClass.UNCLASSIFIED
 
     def test_pure_write_queue_is_random_write(self):
         # w+e and r+w tie at 1.0; the write signature is the more specific
-        assert classify(RatioVector(0.0, 1.0, 0.0, 0.0)) is WorkloadClass.RANDOM_WRITE
+        assert classify(RatioVector(0.0, 1.0, 0.0, 0.0), THETA_DOM) is WorkloadClass.RANDOM_WRITE
 
     def test_threshold_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -102,7 +106,7 @@ class TestClassify:
         st.integers(min_value=0, max_value=500),
     )
     def test_totality(self, r, w, p, e):
-        klass = classify(RatioVector.from_counts(r, w, p, e))
+        klass = classify(RatioVector.from_counts(r, w, p, e), THETA_DOM)
         assert isinstance(klass, WorkloadClass)
 
     @given(
@@ -113,8 +117,8 @@ class TestClassify:
         st.integers(min_value=2, max_value=9),
     )
     def test_ratio_invariance_under_scaling(self, r, w, p, e, k):
-        base = classify(RatioVector.from_counts(r, w, p, e))
-        scaled = classify(RatioVector.from_counts(k * r, k * w, k * p, k * e))
+        base = classify(RatioVector.from_counts(r, w, p, e), THETA_DOM)
+        scaled = classify(RatioVector.from_counts(k * r, k * w, k * p, k * e), THETA_DOM)
         assert scaled is base
 
 
@@ -229,7 +233,7 @@ def sib_scan_oracle(s, ls, h, lh):
 
 class TestControllers:
     def test_baseline_never_balances(self):
-        balancer = WriteBackBaseline()
+        balancer = WriteBackBaseline(THETA_DOM)
         decision = balancer.tick(make_stats(60, 100, 1, 5000), RatioVector.from_counts(1, 0, 0, 0))
         assert balancer.initial_policy is WritePolicy.WB
         assert decision == PolicyDecision(WritePolicy.WB)  # no bypass requested
@@ -245,14 +249,15 @@ class TestControllers:
             (10, 5, 80, 5),
             (4, 2, 2, 2),
         ]
-        assert {classify(RatioVector.from_counts(*mix)) for mix in mixes} == set(WorkloadClass)
-        balancer = LbicaBalancer()
+        classes = {classify(RatioVector.from_counts(*mix), THETA_DOM) for mix in mixes}
+        assert classes == set(WorkloadClass)
+        balancer = LbicaBalancer(THETA_DOM)
         for mix in mixes:
             decision = balancer.tick(make_stats(1, 100, 1, 5000), RatioVector.from_counts(*mix))
             assert decision == PolicyDecision(WritePolicy.WB)
 
     def test_lbica_assigns_wo_on_read_heavy_burst(self):
-        balancer = LbicaBalancer()
+        balancer = LbicaBalancer(THETA_DOM)
         ratios = RatioVector.from_counts(30, 0, 30, 0)
         decision = balancer.tick(make_stats(60, 100, 1, 5000), ratios)
         assert decision.policy is WritePolicy.WO
@@ -260,7 +265,7 @@ class TestControllers:
         assert decision.bypass_depth == 0
 
     def test_lbica_bypasses_write_heavy_burst(self):
-        balancer = LbicaBalancer()
+        balancer = LbicaBalancer(THETA_DOM)
         ratios = RatioVector.from_counts(0, 60, 0, 0)
         decision = balancer.tick(make_stats(60, 100, 1, 5000), ratios)
         assert decision.policy is WritePolicy.WB
@@ -269,7 +274,7 @@ class TestControllers:
         assert decision.bypass_depth == 1  # requested depth for this state
 
     def test_lbica_emits_only_its_three_policies(self):
-        balancer = LbicaBalancer()
+        balancer = LbicaBalancer(THETA_DOM)
         mixes = [
             RatioVector.from_counts(*counts)
             for counts in (
@@ -287,7 +292,7 @@ class TestControllers:
                 assert decision.policy is WritePolicy.WB
 
     def test_sib_locks_write_through_and_never_changes_it(self):
-        balancer = SibBalancer()
+        balancer = SibBalancer(THETA_DOM)
         decision = balancer.tick(make_stats(60, 100, 1, 5000), RatioVector.from_counts(0, 1, 0, 0))
         assert balancer.initial_policy is WritePolicy.WT
         assert decision.policy is WritePolicy.WT
@@ -295,7 +300,7 @@ class TestControllers:
         assert decision.bypass_depth == 1
 
     def test_sib_idle_tick_skips_queue_surgery(self):
-        balancer = SibBalancer()
+        balancer = SibBalancer(THETA_DOM)
         decision = balancer.tick(make_stats(1, 100, 1, 5000), RatioVector.from_counts(0, 1, 0, 0))
         assert decision.bypass_depth == 0
 
@@ -320,7 +325,7 @@ class TestControllers:
 def sib_requested_depth(s, ls, h, lh):
     """The bypass depth ``SibBalancer.tick`` requests for this queue state."""
     stats = make_stats(s, ls, h, lh)
-    return SibBalancer().tick(stats, RatioVector.from_counts(0, 0, 0, 0)).bypass_depth
+    return SibBalancer(THETA_DOM).tick(stats, RatioVector.from_counts(0, 0, 0, 0)).bypass_depth
 
 
 class TestSibScanDepth:
@@ -341,10 +346,10 @@ class TestSibScanDepth:
 
 class TestFactory:
     def test_known_names(self):
-        assert isinstance(make_balancer("none-wb"), WriteBackBaseline)
-        assert isinstance(make_balancer("lbica"), LbicaBalancer)
-        assert isinstance(make_balancer("sib"), SibBalancer)
+        assert isinstance(make_balancer("none-wb", THETA_DOM), WriteBackBaseline)
+        assert isinstance(make_balancer("lbica", THETA_DOM), LbicaBalancer)
+        assert isinstance(make_balancer("sib", THETA_DOM), SibBalancer)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            make_balancer("round-robin")
+            make_balancer("round-robin", THETA_DOM)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbicasim.cache import CacheConfig, CacheEngine, WritePolicy
+from lbicasim.cache import CacheEngine, WritePolicy
 from lbicasim.engine import DeviceRole, IoRequest, OpType, Origin
 
 
 def make_engine(capacity=4, policy=WritePolicy.WB):
-    return CacheEngine(CacheConfig(capacity_blocks=capacity), policy=policy)
+    return CacheEngine(capacity, policy=policy)
 
 
 def app_request(req_id, lba, op, arrival=0):
@@ -190,7 +190,7 @@ class TestContracts:
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            CacheConfig(capacity_blocks=0)
+            CacheEngine(0)
 
     def test_occupancy_never_exceeds_capacity(self):
         engine = make_engine(capacity=3)

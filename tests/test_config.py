@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from lbicasim import ConfigError, RunConfig, load_config
-from lbicasim.config import parse_config_text
+from lbicasim.config import _PHASE_KEYS, _RUN_KEYS, parse_config_text
 from lbicasim.workload import PhaseSpec, Sequential, UniformRandom
 
 FULL_TEXT = """
@@ -112,6 +112,55 @@ class TestParsing:
         with pytest.raises(ConfigError, match="read fraction"):
             parse_config_text(text)
 
+    def test_invalid_address_model_value_wrapped_as_config_error(self):
+        text = (
+            "cache_blocks = 8\nphase1.duration_ms = 10\nphase1.rate = 100\n"
+            "phase1.address = sequential\nphase1.stride = 0\n"
+        )
+        with pytest.raises(ConfigError, match="phase1: sequential stride"):
+            parse_config_text(text)
+
+    def test_key_of_the_other_address_model_is_still_parsed(self):
+        text = (
+            "cache_blocks = 8\nphase1.duration_ms = 10\nphase1.rate = 100\n"
+            "phase1.address = sequential\nphase1.base = panda\n"
+        )
+        with pytest.raises(ConfigError, match="phase1.base: expected int"):
+            parse_config_text(text)
+
+
+class TestKeyTables:
+    def test_every_run_field_is_set_by_exactly_one_key(self):
+        fields = [name for name, _kind, _scale in _RUN_KEYS.values()]
+        expected = [f.name for f in dataclasses.fields(RunConfig) if f.name != "phases"]
+        assert sorted(fields) == sorted(expected)
+
+    def test_every_phase_field_is_set_by_exactly_one_key(self):
+        fields = [name for name, _kind, _scale in _PHASE_KEYS.values()]
+        expected = [
+            f.name
+            for cls in (PhaseSpec, UniformRandom, Sequential)
+            for f in dataclasses.fields(cls)
+            if f.name != "address_model"
+        ]
+        assert sorted(fields) == sorted(expected)
+
+    def test_minimal_config_takes_the_dataclass_defaults(self):
+        config = parse_config_text(
+            "cache_blocks = 64\nphase1.duration_ms = 10\nphase1.rate = 100\n"
+            "phase1.working_set = 8\n"
+        )
+        phase = PhaseSpec(duration_us=10_000, arrival_rate=100.0, working_set_blocks=8)
+        assert config == RunConfig(cache_blocks=64, phases=(phase,))
+
+    def test_sequential_phase_defaults_its_model_and_working_set(self):
+        config = parse_config_text(
+            "cache_blocks = 64\nphase1.duration_ms = 10\nphase1.rate = 100\n"
+            "phase1.address = sequential\n"
+        )
+        phase = PhaseSpec(duration_us=10_000, arrival_rate=100.0, address_model=Sequential())
+        assert config.phases == (phase,)
+
 
 def base_config(**overrides):
     fields = dict(
@@ -155,6 +204,10 @@ class TestValidation:
             base_config(phases=()).validate()
         with pytest.raises(ConfigError, match="exactly one"):
             base_config(trace_path="t.txt").validate()
+
+    def test_average_latency_is_the_floored_mean(self):
+        config = base_config(ssd_read_us=100, ssd_write_us=201, hdd_read_us=4000, hdd_write_us=6001)
+        assert (config.ssd_latency_avg, config.hdd_latency_avg) == (150, 5000)
 
     def test_inverted_tiers_warn_but_pass(self):
         config = base_config(ssd_read_us=500, ssd_write_us=500, hdd_read_us=50, hdd_write_us=25)

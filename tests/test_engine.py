@@ -41,7 +41,7 @@ class TestSubmit:
         for i in range(5):
             dev.submit(make_request(i), now=0)
         assert dev.qsize == 5
-        assert [r.id for r in dev.pending()] == [0, 1, 2, 3, 4]
+        assert [r.id for r in (dev.in_service, *dev.waiting)] == [0, 1, 2, 3, 4]
 
     def test_target_mismatch_is_a_routing_error(self):
         hdd = Device(DeviceRole.HDD, 5000, 5000)

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import inspect
 import io
+from collections import deque
 from enum import Enum
 
 import pytest
@@ -22,7 +23,7 @@ from lbicasim import (
 )
 from lbicasim.balancer import BALANCERS, PolicyDecision
 from lbicasim.cache import WritePolicy
-from lbicasim.engine import Device, DeviceRole, IoRequest, OpType, Origin
+from lbicasim.engine import DeviceRole, IoRequest, OpType, Origin
 from lbicasim.workload import PhaseSpec, UniformRandom
 
 from conftest import SCENARIOS, read_events, recount_origins
@@ -169,7 +170,8 @@ class TestBypassTail:
         assert sim.dropped_promotions == 1
         assert sim.bypassed_total == 3
         # the application writes now sit in the disk queue, origin intact
-        hdd_pending = sim.sim.hdd.pending()
+        hdd = sim.sim.hdd
+        hdd_pending = [hdd.in_service, *hdd.waiting]
         assert [r.id for r in hdd_pending] == [91, 92]
         assert all(r.origin is Origin.W for r in hdd_pending)
         # arrivals were preserved on resubmission
@@ -257,14 +259,27 @@ class TestQueueCounts:
         assert sim.ticks == len(result.rows) > 0
         assert result.summary[exercised] > 0
 
-    def test_ticks_never_walk_the_queue(self, monkeypatch):
-        def refuse(device):
-            raise AssertionError(f"{device.role.name} queue walked by Device.pending()")
-
-        monkeypatch.setattr(Device, "pending", refuse)
-        result = run_simulation(scenario_config("mixed_rw", "none-wb"))
+    def test_ticks_never_walk_the_queue(self):
+        config = scenario_config("mixed_rw", "none-wb")
+        sim = Simulation(config, build_requests(config))
+        for device in (sim.sim.ssd, sim.sim.hdd):
+            device.waiting = UnwalkableQueue(device.role)
+        result = sim.run()
         assert result.summary["app_completed"] == result.summary["app_requests"]
         assert max(row.stats.ssd_qsize for row in result.rows) > 1000
+
+
+class UnwalkableQueue(deque):
+    """A waiting queue that serves its FIFO operations but refuses to be walked."""
+
+    def __init__(self, role):
+        super().__init__()
+        self.role = role
+
+    def refuse(self, *args):
+        raise AssertionError(f"{self.role.name} waiting queue walked")
+
+    __iter__ = __reversed__ = __contains__ = __getitem__ = count = index = copy = refuse
 
 
 class TestEnumHashing:
