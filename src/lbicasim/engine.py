@@ -4,8 +4,14 @@ Each storage device is a single-server FIFO queue with fixed per-op
 service latencies. Time is integer microseconds and only moves forward,
 to the earliest pending event (a scheduled arrival or an in-service
 completion). Arrivals must be scheduled in non-decreasing time order,
-and the loop walks them with a cursor. Everything else in the package
-(cache engine, telemetry, balancers) runs on top of this substrate, so
+and the loop walks them with a cursor.
+
+The engine owns the event loop: :meth:`Simulator.step` processes every
+event up to a given time and hands each completion and each arrival to
+a handler that its owner supplied at construction. The run loop above it
+(:class:`lbicasim.runner.Simulation`) calls ``step`` once per interval
+and only acts between calls. Everything else in the package (cache
+engine, telemetry, balancers) runs on top of this substrate, so
 determinism here means determinism everywhere: equal inputs replay to
 bit-identical schedules.
 """
@@ -15,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 class Origin(Enum):
@@ -124,7 +130,8 @@ class Device:
                 f"request {req.id} targets {req.target and req.target.name}, "
                 f"submitted to {self.role.name}"
             )
-        req.enqueued_at = max(now, req.arrival)
+        arrival = req.arrival
+        req.enqueued_at = now if now >= arrival else arrival
         self.inqueue[req.origin.index] += 1
         self.submitted += 1
         if self.in_service is None:
@@ -178,15 +185,26 @@ class Simulator:
 
     Arrivals are kept in one list in schedule order, which must be
     non-decreasing in time; a cursor marks the next one to surface.
+    ``on_complete`` receives every request a device finishes and
+    ``on_arrive`` every scheduled arrival, each at its own instant; both
+    run with :attr:`clock` at that instant and may submit requests.
     Tie-breaking at an equal timestamp is fixed: service completions are
-    processed before arrivals, SSD before HDD, and arrivals in the order
+    handled before arrivals, SSD before HDD, and arrivals in the order
     they were scheduled.
     """
 
-    def __init__(self, ssd: Device, hdd: Device):
+    def __init__(
+        self,
+        ssd: Device,
+        hdd: Device,
+        on_complete: Callable[[IoRequest], None],
+        on_arrive: Callable[[IoRequest], None],
+    ):
         self.clock = 0
         self.ssd = ssd
         self.hdd = hdd
+        self._on_complete = on_complete
+        self._on_arrive = on_arrive
         self._arrivals: list[IoRequest] = []
         self._cursor = 0  # index in _arrivals of the next arrival to surface
         self._next_arrival: int | None = None  # its time, None when all surfaced
@@ -224,38 +242,50 @@ class Simulator:
             t = hdd.busy_until
         return t
 
-    def step(self, t: int | None = None) -> tuple[list[IoRequest], list[IoRequest]] | None:
-        """Advance the clock to the next event and process it.
+    def step(self, until: int) -> bool:
+        """Process every event due at or before ``until``, instant by instant.
 
-        ``t``, when given, must be what :meth:`next_event_time` returns at
-        this point; a caller that has already looked up the next event
-        passes it in so the event is found once. Returns ``(completed,
-        arrived)`` for that instant, or ``None`` when no event is pending,
-        which signals the end of the simulation rather than an error.
+        At each instant the clock moves to it, the due completions leave
+        their devices (SSD, then HDD) before either is handed to
+        ``on_complete``, and then that instant's arrivals go to
+        ``on_arrive`` in schedule order. The clock stays at the last
+        instant processed. Returns True while events remain after
+        ``until``, False once nothing is pending, which signals the end of
+        the simulation rather than an error.
         """
-        if t is None:
-            t = self.next_event_time()
-            if t is None:
-                return None
-        self.clock = t
         ssd, hdd = self.ssd, self.hdd
-        hdd_due = hdd.busy_until == t and hdd.in_service is not None
-        if ssd.busy_until == t and ssd.in_service is not None:
-            done = ssd.complete_due(t)
-            completed = [done, hdd.complete_due(t)] if hdd_due else [done]
-        elif hdd_due:
-            completed = [hdd.complete_due(t)]
-        else:
-            completed = []
-        if self._next_arrival != t:
-            return completed, []
-        arrivals, first = self._arrivals, self._cursor
-        end, n = first + 1, len(arrivals)
-        while end < n and arrivals[end].arrival == t:
-            end += 1
-        self._cursor = end
-        self._next_arrival = arrivals[end].arrival if end < n else None
-        return completed, arrivals[first:end]
+        on_complete, on_arrive = self._on_complete, self._on_arrive
+        arrivals = self._arrivals
+        next_event_time = self.next_event_time
+        while True:
+            t = next_event_time()
+            if t is None:
+                return False
+            if t > until:
+                return True
+            self.clock = t
+            hdd_due = hdd.busy_until == t and hdd.in_service is not None
+            if ssd.busy_until == t and ssd.in_service is not None:
+                done = ssd.complete_due(t)
+                if hdd_due:
+                    hdd_done = hdd.complete_due(t)
+                    on_complete(done)
+                    on_complete(hdd_done)
+                else:
+                    on_complete(done)
+            elif hdd_due:
+                on_complete(hdd.complete_due(t))
+            if self._next_arrival == t:
+                # move the cursor past this instant's arrivals before the
+                # handler sees any of them, so next_event_time stays exact
+                first = self._cursor
+                end, n = first + 1, len(arrivals)
+                while end < n and arrivals[end].arrival == t:
+                    end += 1
+                self._cursor = end
+                self._next_arrival = arrivals[end].arrival if end < n else None
+                for i in range(first, end):
+                    on_arrive(arrivals[i])
 
     def advance_to(self, t: int) -> None:
         """Move the clock to ``t``, which must not skip over pending events.

@@ -1,10 +1,13 @@
 """Run orchestration: workload -> cache engine -> event loop -> telemetry -> balancer.
 
-The :class:`Simulation` drives the event loop, dispatches application
-arrivals through the cache engine, materializes deferred promotions when
-their backing disk reads complete, ticks the balancer at every interval
-boundary, and keeps the per-application bookkeeping that defines request
-latency (a write-through write completes when both halves finish).
+The engine owns the event loop; the :class:`Simulation` supplies its two
+handlers and calls ``Simulator.step`` once per interval. Its arrival
+handler dispatches application arrivals through the cache engine; its
+completion handler materializes deferred promotions when their backing
+disk reads complete and keeps the per-application bookkeeping that
+defines request latency (a write-through write completes when both
+halves finish). Between two ``step`` calls it ticks the balancer at the
+interval boundary.
 
 Balancer ticks only return a decision; the simulation applies it through
 two methods, so every policy change and queue edit flows through one
@@ -98,7 +101,7 @@ class Simulation:
         self.events = events
         ssd = Device(DeviceRole.SSD, config.ssd_read_us, config.ssd_write_us)
         hdd = Device(DeviceRole.HDD, config.hdd_read_us, config.hdd_write_us)
-        self.sim = Simulator(ssd, hdd)
+        self.sim = Simulator(ssd, hdd, self._on_complete, self._dispatch)
         next_free = max((r.id for r in requests), default=-1) + 1
         self._ids = itertools.count(next_free)
         self.cache = CacheEngine(config.cache_blocks, next_id=self._ids.__next__)
@@ -108,8 +111,8 @@ class Simulation:
         self.bypassed_total = 0
         self.dropped_promotions = 0
         self._deferred: dict[int, IoRequest] = {}
-        # app id -> foreground requests of that access still pending
-        self._outstanding: dict[int, int] = {}
+        # app ids of write-through writes whose two halves are both pending
+        self._both_halves_pending: set[int] = set()
         self._latencies: list[int] = []
         self._n_app = len(requests)
         self.sim.schedule_arrivals(requests)
@@ -148,43 +151,44 @@ class Simulation:
             self.events.request(self.sim.clock, "submit", req)
 
     def _dispatch(self, req: IoRequest) -> None:
-        if self.events:
-            self.events.request(self.sim.clock, "arrive", req)
-        plan = self.cache.access(req, self.sim.clock)
-        self._outstanding[req.id] = plan.foreground
+        events, clock = self.events, self.sim.clock
+        if events:
+            events.request(clock, "arrive", req)
+        plan = self.cache.access(req, clock)
+        if plan.foreground == 2:
+            self._both_halves_pending.add(req.id)
         if plan.promotion is not None:
             self._deferred[req.id] = plan.promotion
+        submit = self.sim.submit
         for sub in plan.immediate:
-            self._submit(sub)
+            submit(sub)
+            if events:
+                events.request(clock, "submit", sub)
 
     def _on_complete(self, req: IoRequest) -> None:
         self.tracker.record_completion(req)
-        if self.events:
-            self.events.request(self.sim.clock, "complete", req)
-        promotion = self._deferred.pop(req.id, None)
-        if promotion is not None:
-            if self.cache.admits_promotion:
-                promotion.arrival = self.sim.clock
-                self._submit(promotion)
-            else:
-                self.dropped_promotions += 1
-                if self.events:
-                    self.events.request(self.sim.clock, "drop", promotion, note="write-only policy")
-        if req.app_id is not None:
-            self._foreground_resolved(req)
-
-    def _foreground_resolved(self, req: IoRequest) -> None:
+        events, clock = self.events, req.completed_at
+        if events:
+            events.request(clock, "complete", req)
+        if self._deferred:
+            promotion = self._deferred.pop(req.id, None)
+            if promotion is not None:
+                if self.cache.admits_promotion:
+                    promotion.arrival = clock
+                    self._submit(promotion)
+                else:
+                    self.dropped_promotions += 1
+                    if events:
+                        events.request(clock, "drop", promotion, note="write-only policy")
         # every request carrying an app id is foreground (cache traffic
         # carries none), and every one carries its application's arrival:
         # the WT mirror copies it and a bypassed request keeps it
-        pending = self._outstanding.get(req.app_id)
-        if pending is None:
-            return
-        if pending > 1:
-            self._outstanding[req.app_id] = pending - 1
-        else:
-            del self._outstanding[req.app_id]
-            self._latencies.append(req.completed_at - req.arrival)
+        app_id = req.app_id
+        if app_id is not None:
+            if app_id in self._both_halves_pending:
+                self._both_halves_pending.remove(app_id)
+            else:
+                self._latencies.append(clock - req.arrival)
 
     def _tick(self, boundary: int) -> None:
         ssd, hdd = self.sim.ssd, self.sim.hdd
@@ -211,29 +215,15 @@ class Simulation:
         interval = self.config.interval_us
         boundary = interval
         sim = self.sim
-        on_complete, dispatch = self._on_complete, self._dispatch
-        while True:
-            nxt = sim.next_event_time()
-            if nxt is None:
-                break
-            if nxt > boundary:
-                # idle stretch crosses the boundary: close the interval first
-                sim.advance_to(boundary)
-                self._tick(boundary)
-                boundary += interval
-                continue
-            completed, arrived = sim.step(nxt)
-            for req in completed:
-                on_complete(req)
-            for req in arrived:
-                dispatch(req)
-            if nxt == boundary:
-                self._tick(boundary)
-                boundary += interval
-        end_time = self.sim.clock
+        while sim.step(boundary):
+            # events remain past the boundary: close this interval first
+            sim.advance_to(boundary)
+            self._tick(boundary)
+            boundary += interval
+        end_time = sim.clock
         if end_time > boundary - interval:
             # final partial interval: queues are empty, the tick just closes it
-            self.sim.advance_to(boundary)
+            sim.advance_to(boundary)
             self._tick(boundary)
         return RunResult(self.config, self.rows, self._summary(end_time), end_time)
 

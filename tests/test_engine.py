@@ -2,6 +2,7 @@
 
 import heapq
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -17,17 +18,53 @@ def make_request(req_id, arrival=0, op=OpType.READ, origin=Origin.R, target=Devi
     return IoRequest(id=req_id, arrival=arrival, lba=lba, op=op, origin=origin, target=target)
 
 
-def drain(sim):
+# a step bound past every event a test schedules
+FOREVER = sys.maxsize
+
+
+class Recorder:
+    """Recording handlers: every call as ``(clock, kind, request id)``.
+
+    With ``submit`` set, the arrival handler submits each arrival to its
+    target device, the way the runner's dispatch does once it has planned
+    the access.
+    """
+
+    def __init__(self, submit=True):
+        self.sim = None
+        self.submit = submit
+        self.calls = []
+        self.completed = []
+
+    def on_complete(self, req):
+        self.calls.append((self.sim.clock, "complete", req.id))
+        self.completed.append(req)
+
+    def on_arrive(self, req):
+        self.calls.append((self.sim.clock, "arrive", req.id))
+        if self.submit:
+            self.sim.submit(req)
+
+    def arrived(self):
+        return [req_id for _, kind, req_id in self.calls if kind == "arrive"]
+
+
+def new_sim(ssd=(100, 100), hdd=(5000, 5000), submit=True, recorder=None):
+    """A simulator over devices with the given (read, write) latencies, and its recorder."""
+    rec = recorder or Recorder(submit)
+    ssd_dev, hdd_dev = Device(DeviceRole.SSD, *ssd), Device(DeviceRole.HDD, *hdd)
+    rec.sim = Simulator(ssd_dev, hdd_dev, rec.on_complete, rec.on_arrive)
+    return rec.sim, rec
+
+
+def make_sim(submit=True):
+    return new_sim(ssd=(100, 300), hdd=(4000, 6000), submit=submit)
+
+
+def drain(sim, rec):
     """Run the loop dry, returning completions in completion order."""
-    done = []
-    while True:
-        step = sim.step()
-        if step is None:
-            return done
-        completed, arrived = step
-        done.extend(completed)
-        for req in arrived:
-            sim.submit(req)
+    assert sim.step(FOREVER) is False
+    return rec.completed
 
 
 class TestSubmit:
@@ -49,7 +86,7 @@ class TestSubmit:
             hdd.submit(make_request(1, target=DeviceRole.SSD), now=0)
 
     def test_unrouted_request_is_a_routing_error(self):
-        sim = Simulator(Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 5000, 5000))
+        sim, _ = new_sim()
         with pytest.raises(RoutingError):
             sim.submit(make_request(1, target=None))
 
@@ -69,82 +106,110 @@ class TestSubmit:
 
 class TestStep:
     def test_single_read_completes_after_service_latency(self):
-        sim = Simulator(Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 5000, 5000))
+        sim, rec = new_sim()
         sim.submit(make_request(1))
-        done = drain(sim)
+        done = drain(sim, rec)
         assert [(r.id, r.completed_at) for r in done] == [(1, 100)]
 
     def test_two_reads_serialize_fifo(self):
-        sim = Simulator(Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 5000, 5000))
+        sim, rec = new_sim()
         sim.submit(make_request(1))
         sim.submit(make_request(2))
-        done = drain(sim)
+        done = drain(sim, rec)
         assert [(r.id, r.completed_at) for r in done] == [(1, 100), (2, 200)]
 
     def test_mixed_read_then_write_schedule(self):
         # read 100us then write 200us, both queued at t=0 -> 100 and 300
-        sim = Simulator(Device(DeviceRole.SSD, 100, 200), Device(DeviceRole.HDD, 5000, 5000))
+        sim, rec = new_sim(ssd=(100, 200))
         sim.submit(make_request(1, op=OpType.READ))
         sim.submit(make_request(2, op=OpType.WRITE, origin=Origin.W))
-        done = drain(sim)
+        done = drain(sim, rec)
         assert [(r.id, r.completed_at) for r in done] == [(1, 100), (2, 300)]
 
     def test_no_pending_events_signals_end(self):
-        sim = Simulator(Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 5000, 5000))
-        assert sim.step() is None
+        sim, rec = new_sim()
+        assert sim.step(FOREVER) is False
+        assert rec.calls == []
+        assert sim.clock == 0
 
     def test_scheduled_arrivals_surface_at_their_instant(self):
-        sim = Simulator(Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 5000, 5000))
+        sim, rec = new_sim(submit=False)
         sim.schedule_arrivals([make_request(1, arrival=250)])
-        completed, arrived = sim.step()
+        assert sim.step(249) is True
+        assert rec.calls == []
+        assert sim.step(250) is False
         assert sim.clock == 250
-        assert completed == []
-        assert [r.id for r in arrived] == [1]
+        assert rec.calls == [(250, "arrive", 1)]
 
     def test_same_instant_completions_precede_arrivals(self):
-        sim = Simulator(Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 5000, 5000))
+        sim, rec = new_sim(submit=False)
         sim.submit(make_request(1))
         sim.schedule_arrivals([make_request(2, arrival=100)])
-        completed, arrived = sim.step()
+        assert sim.step(100) is False
         assert sim.clock == 100
-        assert [r.id for r in completed] == [1]
-        assert [r.id for r in arrived] == [2]
+        assert rec.calls == [(100, "complete", 1), (100, "arrive", 2)]
 
+    def test_both_due_completions_leave_their_devices_before_either_handler(self):
+        seen = []
 
-def make_sim():
-    return Simulator(Device(DeviceRole.SSD, 100, 300), Device(DeviceRole.HDD, 4000, 6000))
+        def on_complete(req):
+            seen.append((req.id, sim.ssd.in_service, sim.hdd.in_service))
+
+        ssd, hdd = Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 100, 100)
+        sim = Simulator(ssd, hdd, on_complete, seen.append)
+        sim.submit(make_request(1))
+        sim.submit(make_request(2, target=DeviceRole.HDD))
+        assert sim.step(100) is False
+        # SSD first; when its handler runs the HDD is already idle
+        assert seen == [(1, None, None), (2, None, None)]
+
+    def test_step_stops_at_until_and_resumes_there(self):
+        sim, rec = new_sim()
+        for i in range(3):
+            sim.submit(make_request(i))
+        assert sim.step(150) is True
+        assert sim.clock == 100
+        assert rec.calls == [(100, "complete", 0)]
+        assert sim.step(200) is True  # the event at exactly ``until`` is handled
+        assert rec.calls[-1] == (200, "complete", 1)
+        assert sim.step(FOREVER) is False
+        assert rec.calls[-1] == (300, "complete", 2)
 
 
 class TestArrivalOrder:
     def test_out_of_order_arrival_is_rejected_by_name(self):
-        sim = make_sim()
+        sim, _ = make_sim()
         sim.schedule_arrivals([make_request(1, arrival=500)])
         with pytest.raises(ValueError, match=r"request 2 arrives at 400"):
             sim.schedule_arrivals([make_request(2, arrival=400)])
 
     def test_batch_names_the_first_out_of_order_request_and_schedules_nothing(self):
-        sim = make_sim()
+        sim, _ = make_sim()
         batch = [make_request(i, arrival=t) for i, t in enumerate((0, 10, 10, 5, 3))]
         with pytest.raises(ValueError, match=r"request 3 arrives at 5"):
             sim.schedule_arrivals(batch)
         assert sim.next_event_time() is None
 
     def test_batch_is_checked_against_what_is_already_scheduled(self):
-        sim = make_sim()
+        sim, rec = make_sim(submit=False)
         sim.schedule_arrivals([make_request(0, arrival=100)])
         with pytest.raises(ValueError, match=r"request 1 arrives at 99"):
             sim.schedule_arrivals([make_request(1, arrival=99)])
         sim.schedule_arrivals([make_request(2, arrival=100)])
-        assert [r.id for r in sim.step()[1]] == [0, 2]
+        assert sim.step(FOREVER) is False
+        assert rec.calls == [(100, "arrive", 0), (100, "arrive", 2)]
 
     def test_scheduling_after_the_schedule_ran_dry_resumes_the_cursor(self):
-        sim = make_sim()
+        sim, rec = make_sim(submit=False)
         sim.schedule_arrivals([make_request(0, arrival=10)])
-        assert [r.id for r in sim.step()[1]] == [0]
-        assert sim.step() is None
+        assert sim.step(FOREVER) is False
+        assert rec.arrived() == [0]
+        assert sim.step(FOREVER) is False
+        assert rec.arrived() == [0]
         sim.schedule_arrivals([make_request(1, arrival=20)])
         assert sim.next_event_time() == 20
-        assert [r.id for r in sim.step()[1]] == [1]
+        assert sim.step(FOREVER) is False
+        assert rec.calls[-1] == (20, "arrive", 1)
 
     def test_simulation_rejects_unsorted_requests(self):
         requests = [
@@ -178,16 +243,18 @@ def test_arrival_cursor_matches_a_heap_reference(times, chunk, rng):
             ids.append(heapq.heappop(heap)[2])
         expected.append((t, ids))
 
-    sim = make_sim()
+    sim, rec = make_sim()
     for start in range(0, len(reqs), chunk):
         sim.schedule_arrivals(reqs[start : start + chunk])
+    assert sim.step(FOREVER) is False
     got = []
-    while (step := sim.step()) is not None:
-        completed, arrived = step
-        if arrived:
-            got.append((sim.clock, [r.id for r in arrived]))
-        for req in arrived:
-            sim.submit(req)
+    for clock, kind, req_id in rec.calls:
+        if kind != "arrive":
+            continue
+        if got and got[-1][0] == clock:
+            got[-1][1].append(req_id)
+        else:
+            got.append((clock, [req_id]))
     assert got == expected
 
 
@@ -219,18 +286,18 @@ class TestRemoveTail:
 
 class TestAdvance:
     def test_advance_through_idle_time(self):
-        sim = Simulator(Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 5000, 5000))
+        sim, _ = new_sim()
         sim.advance_to(1_000)
         assert sim.clock == 1_000
 
     def test_advance_may_not_skip_pending_events(self):
-        sim = Simulator(Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 5000, 5000))
+        sim, _ = new_sim()
         sim.submit(make_request(1))
         with pytest.raises(ValueError):
             sim.advance_to(500)
 
     def test_advance_backwards_rejected(self):
-        sim = Simulator(Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 5000, 5000))
+        sim, _ = new_sim()
         sim.advance_to(100)
         with pytest.raises(ValueError):
             sim.advance_to(50)
@@ -250,10 +317,10 @@ def random_schedule(seed, n=60):
 
 
 def run_schedule(seed):
-    sim = Simulator(Device(DeviceRole.SSD, 100, 300), Device(DeviceRole.HDD, 4000, 6000))
+    sim, rec = make_sim()
     for req in random_schedule(seed):
         sim.schedule_arrivals([req])
-    done = drain(sim)
+    done = drain(sim, rec)
     return sim, done
 
 
@@ -286,36 +353,90 @@ def test_timestamp_ordering_invariant(seed):
         assert req.arrival <= req.enqueued_at <= req.service_start <= req.completed_at
 
 
-@given(st.integers(min_value=0, max_value=10_000))
-def test_step_at_the_next_event_time_matches_a_plain_step(seed):
-    # arrivals on a 100us grid coincide with SSD completions (100/300us),
-    # so many instants hold both completions and arrivals
-    def build():
-        sim = Simulator(Device(DeviceRole.SSD, 100, 300), Device(DeviceRole.HDD, 4000, 6000))
-        for req in random_schedule(seed):
-            req.arrival -= req.arrival % 100
-            sim.schedule_arrivals([req])
-        return sim
+class PromotingRecorder(Recorder):
+    """Recording handlers that also submit work from inside the loop.
 
-    plain, passed = build(), build()
-    while True:
-        expected = plain.step()
-        got = passed.step(passed.next_event_time())
-        if expected is None:
-            assert got is None
-            return
-        assert passed.clock == plain.clock
-        for (completed, arrived), sim in ((expected, plain), (got, passed)):
-            # one step returns every completion and arrival of its instant,
-            # so the caller can handle that instant's completions first
-            assert all(r.completed_at == sim.clock for r in completed)
-            assert all(r.arrival == sim.clock for r in arrived)
-            nxt = sim.next_event_time()
-            assert nxt is None or nxt > sim.clock
-            for req in arrived:
-                sim.submit(req)
-        assert [r.id for r in got[0]] == [r.id for r in expected[0]]
-        assert [r.id for r in got[1]] == [r.id for r in expected[1]]
+    Each completed HDD read of a scheduled request is followed, at its
+    completion instant, by a cache write with id ``FOLLOW_UP + id``, the
+    way the runner submits a deferred promotion.
+    """
+
+    FOLLOW_UP = 1_000
+
+    def on_complete(self, req):
+        super().on_complete(req)
+        if req.target is DeviceRole.HDD and req.op is OpType.READ and req.id < self.FOLLOW_UP:
+            self.sim.submit(
+                make_request(
+                    self.FOLLOW_UP + req.id,
+                    arrival=self.sim.clock,
+                    op=OpType.WRITE,
+                    origin=Origin.P,
+                    lba=req.lba,
+                )
+            )
+
+
+# (arrival on a 100us grid, target, op): arrivals coincide with each other
+# and with completions (SSD 100/300us, HDD 400/600us), so many instants
+# hold completions on both devices and arrivals at once
+grid_requests = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=40),
+        st.sampled_from(list(DeviceRole)),
+        st.sampled_from(list(OpType)),
+    ),
+    max_size=40,
+)
+
+
+@given(grid_requests, st.lists(st.integers(min_value=-100, max_value=6_000), max_size=12))
+def test_every_way_of_driving_the_loop_hands_over_the_same_calls(requests, cuts):
+    def build():
+        sim, rec = new_sim(ssd=(100, 300), hdd=(400, 600), recorder=PromotingRecorder())
+        sim.schedule_arrivals(
+            [
+                make_request(
+                    i,
+                    arrival=100 * tick,
+                    op=op,
+                    origin=Origin.R if op is OpType.READ else Origin.W,
+                    target=target,
+                    lba=i,
+                )
+                for i, (tick, target, op) in enumerate(sorted(requests, key=lambda r: r[0]))
+            ]
+        )
+        return sim, rec
+
+    def checked_step(sim, rec, until):
+        handled = len(rec.calls)
+        more = sim.step(until)
+        # nothing after ``until`` was handled, and whatever is left lies past it
+        assert all(clock <= until for clock, _, _ in rec.calls[handled:])
+        nxt = sim.next_event_time()
+        assert more is (nxt is not None)
+        assert nxt is None or nxt > until
+        return more
+
+    # one call
+    sim, whole = build()
+    assert checked_step(sim, whole, FOREVER) is False
+    # one call per instant
+    sim, per_instant = build()
+    while (t := sim.next_event_time()) is not None:
+        checked_step(sim, per_instant, t)
+    # calls at random cut points, then one to the end
+    sim, cut = build()
+    for until in sorted(cuts):
+        checked_step(sim, cut, until)
+    assert checked_step(sim, cut, FOREVER) is False
+
+    assert per_instant.calls == whole.calls
+    assert cut.calls == whole.calls
+    assert len(whole.completed) == len(requests) + sum(
+        1 for _, target, op in requests if target is DeviceRole.HDD and op is OpType.READ
+    )
 
 
 def test_identical_schedules_replay_identically():

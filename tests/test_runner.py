@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import inspect
 import io
+import sys
 from collections import deque
 from enum import Enum
 
@@ -23,7 +24,7 @@ from lbicasim import (
 )
 from lbicasim.balancer import BALANCERS, PolicyDecision
 from lbicasim.cache import WritePolicy
-from lbicasim.engine import DeviceRole, IoRequest, OpType, Origin
+from lbicasim.engine import DeviceRole, IoRequest, OpType, Origin, Simulator
 from lbicasim.workload import PhaseSpec, UniformRandom
 
 from conftest import SCENARIOS, read_events, recount_origins
@@ -137,16 +138,10 @@ class TestDeferredPromotion:
     def test_promotion_dropped_when_policy_turned_write_only(self):
         sim = Simulation(small_config(phases=()), [app_read(0, lba=5)])
         sim.set_policy(sim.balancer.initial_policy)
-        completed, arrived = sim.sim.step()
-        for req in arrived:
-            sim._dispatch(req)
+        assert sim.sim.step(0) is True  # the arrival is dispatched, its disk read pending
+        assert sim.sim.hdd.in_service.id == 0
         sim.set_policy(WritePolicy.WO)  # flips while the disk read is in flight
-        while True:
-            step = sim.sim.step()
-            if step is None:
-                break
-            for req in step[0]:
-                sim._on_complete(req)
+        assert sim.sim.step(sys.maxsize) is False
         assert sim.dropped_promotions == 1
         assert sim.sim.ssd.submitted == 0
 
@@ -192,6 +187,7 @@ class FixedDecision:
 
     def __init__(self, decision):
         self.decision = decision
+        self.initial_policy = decision.policy
 
     def tick(self, stats, ratios):
         return self.decision
@@ -302,6 +298,31 @@ class TestEnumHashing:
         monkeypatch.undo()
         assert result.summary["app_completed"] == result.summary["app_requests"]
         assert hashes <= 40 * len(result.rows), (hashes, len(result.rows))
+
+
+class TestLoopCalls:
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("balancer", BALANCERS)
+    def test_one_step_call_per_interval(self, monkeypatch, scenario, balancer):
+        # the engine walks a whole interval per call, never one event per call
+        config = scenario_config(scenario, balancer)
+        sim = Simulation(config, build_requests(config))
+        calls = 0
+        step = Simulator.step
+
+        def counting_step(*args):
+            nonlocal calls
+            calls += 1
+            return step(*args)
+
+        monkeypatch.setattr(Simulator, "step", counting_step)
+        result = sim.run()
+        monkeypatch.undo()
+        assert result.summary["app_completed"] == result.summary["app_requests"]
+        intervals = len(result.rows)
+        assert calls <= intervals + 1, (calls, intervals)
+        # every write-through write saw both of its halves complete
+        assert not sim._both_halves_pending
 
 
 class TestPolicyLog:
@@ -425,7 +446,31 @@ class TestWriteThroughRun:
         sim = Simulation(config, [app_write(0, lba=1)])
         result = sim.run()
         # disk half is the slower one: 5000us write service
+        assert sim._latencies == [5000]
         assert result.summary["mean_latency_us"] == 5000.0
+
+    def test_write_through_latency_waits_for_a_slower_cache_half(self):
+        # inverted latencies: the disk mirror completes first, at 5000us
+        config = small_config(balancer="sib", phases=(), ssd_write_us=8000)
+        sim = Simulation(config, [app_write(0, lba=1)])
+        result = sim.run()
+        assert sim._latencies == [8000]
+        assert result.summary["app_completed"] == 1
+
+    def test_write_through_latency_waits_for_a_bypassed_cache_half(self):
+        # a slow cache-queue blocker keeps the WT cache half waiting until the
+        # first tick (10ms) moves it behind the mirror, which finished at 5ms
+        config = small_config(phases=(), ssd_write_us=20_000)
+        sim = Simulation(config, [app_write(0, lba=1)])
+        sim.balancer = FixedDecision(PolicyDecision(WritePolicy.WT, bypass_depth=1))
+        blocker = IoRequest(
+            id=99, arrival=0, lba=9, op=OpType.WRITE, origin=Origin.P, target=DeviceRole.SSD
+        )
+        sim._submit(blocker)
+        result = sim.run()
+        assert result.rows[0].bypassed == 1
+        assert result.summary["hdd_completed_w"] == 2
+        assert sim._latencies == [15_000]
 
 
 def test_events_log_replays_cleanly(tmp_path):
