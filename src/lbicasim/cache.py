@@ -2,10 +2,10 @@
 
 The cache engine owns the block map (residency, dirty bits, LRU recency)
 and decides, per application access, which device requests realize it.
-Metadata updates synchronously when the access is planned; the returned
-:class:`RoutingPlan` models the device traffic the access costs. Hit and
-miss behaviour therefore matches a pure LRU run over the access sequence,
-independent of device timing.
+Metadata updates synchronously when the access is planned; the tuple
+:meth:`CacheEngine.access` returns models the device traffic the access
+costs. Hit and miss behaviour therefore matches a pure LRU run over the
+access sequence, independent of device timing.
 
 Four write policies steer where writes and promotions go:
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -43,30 +42,6 @@ _R, _W, _P, _E = Origin
 _READ, _WRITE = OpType
 _SSD, _HDD = DeviceRole
 _WB, _WT, _WO, _RO = WritePolicy
-
-
-@dataclass
-class RoutingPlan:
-    """Device submissions realizing one application access.
-
-    ``immediate`` is ordered; same-device entries must be submitted in
-    list order (e.g. the write-back of a stale dirty copy precedes the
-    invalidating disk write). ``foreground`` counts the requests whose
-    completion completes the application access: 1, or 2 for a
-    write-through write (the cache write and its disk mirror). Other
-    traffic in the plan (promotions, eviction write-backs) is background.
-
-    ``promotion``, set by a read miss that admits its block, is held back
-    until the access's own disk read completes: a promotion installs data
-    fetched from disk, so it cannot enter the cache queue earlier. When it
-    is submitted the active policy is checked again; if the cache switched
-    to WO while the read was in flight, the promotion is dropped. The
-    runner refreshes its ``arrival`` to the submission instant.
-    """
-
-    immediate: list[IoRequest] = field(default_factory=list)
-    promotion: IoRequest | None = None
-    foreground: int = 1
 
 
 class CacheEngine:
@@ -126,18 +101,80 @@ class CacheEngine:
         """
         self.policy = policy
 
-    def access(self, req: IoRequest, now: int) -> RoutingPlan:
-        """Plan the device traffic for one application access."""
+    def access(
+        self, req: IoRequest, now: int
+    ) -> tuple[tuple[IoRequest, ...], IoRequest | None, int]:
+        """Plan the device traffic for one application access.
+
+        Returns ``(immediate, promotion, foreground)``. ``immediate`` is
+        ordered, and same-device entries must be submitted in that order.
+        Under WT and RO a write-back comes first: under RO it persists a
+        stale dirty copy before the invalidating disk write, and under WT
+        the evicted victim's write-back precedes the cache write and its
+        mirror. Under WB, WO and on a read miss it follows the access
+        itself. ``foreground`` counts the requests whose completion
+        completes the application access: 1, or 2 for a write-through
+        write (the cache write and its disk mirror). Other traffic
+        (promotions, eviction write-backs) is background.
+
+        ``promotion``, set by a read miss that admits its block, is held
+        back until the access's own disk read completes: a promotion
+        installs data fetched from disk, so it cannot enter the cache queue
+        earlier. When it is submitted the active policy is checked again;
+        if the cache switched to WO while the read was in flight, the
+        promotion is dropped. The runner refreshes its ``arrival`` to the
+        submission instant.
+        """
         if req.origin is not _R and req.origin is not _W:
             raise ValueError(
                 f"cache access takes application traffic only, got origin {req.origin.name}"
             )
-        plan = RoutingPlan()
-        if req.op is _READ:
-            self._plan_read(req, now, plan)
+        entries = self._entries
+        lba = req.lba
+        policy = self.policy
+        is_read = req.op is _READ
+        if is_read:
+            if lba in entries:
+                self.read_hits += 1
+                entries.move_to_end(lba)
+                req.target = _SSD
+                return (req,), None, 1
+            self.read_misses += 1
+            req.target = _HDD
+            if policy is _WO:
+                return (req,), None, 1  # miss served by disk alone, nothing admitted
+            dirty = False
+        elif policy is _RO:
+            req.target = _HDD
+            if entries.pop(lba, False):  # invalidate any cached copy
+                # the cached copy holds unwritten data: persist it before
+                # the new write lands on the same device queue
+                return (self._writeback(lba, now), req), None, 1
+            return (req,), None, 1
         else:
-            self._plan_write(req, now, plan)
-        return plan
+            # WB and WO buffer the write and mark the block dirty; under WT
+            # the disk copy becomes current again
+            req.target = _SSD
+            dirty = policy is not _WT
+
+        # the block becomes MRU; a non-resident one evicts first if full
+        writeback = None
+        if lba in entries:  # only a write reaches here with its block resident
+            entries.move_to_end(lba)
+        elif len(entries) >= self.capacity_blocks:
+            writeback = self.evict_victim(now)[1]
+        entries[lba] = dirty
+
+        # positional fields (id, arrival, lba, op, origin, target, app_id):
+        # the dataclass __init__ takes them at half the cost of keywords
+        if is_read:
+            promotion = IoRequest(self._next_id(), now, lba, _WRITE, _P, _SSD)
+        elif policy is _WT:
+            mirror = IoRequest(self._next_id(), req.arrival, lba, _WRITE, _W, _HDD, req.app_id)
+            return ((req, mirror) if writeback is None else (writeback, req, mirror)), None, 2
+        else:
+            promotion = None
+        return ((req,) if writeback is None else (req, writeback)), promotion, 1
 
     def evict_victim(self, now: int) -> tuple[int, IoRequest | None]:
         """Evict the LRU block from a full cache.
@@ -152,95 +189,6 @@ class CacheEngine:
             return lba, self._writeback(lba, now)
         return lba, None
 
-    # ------------------------------------------------------------------
-    # internals
-
-    def _plan_read(self, req: IoRequest, now: int, plan: RoutingPlan) -> None:
-        if req.lba in self._entries:
-            self.read_hits += 1
-            self._touch(req.lba)
-            req.target = _SSD
-            plan.immediate.append(req)
-            return
-        self.read_misses += 1
-        req.target = _HDD
-        plan.immediate.append(req)
-        if self.policy is _WO:
-            return  # miss served by disk alone, nothing admitted
-        writeback = self._admit(req.lba, dirty=False, now=now)
-        if writeback is not None:
-            plan.immediate.append(writeback)
-        plan.promotion = IoRequest(
-            id=self._next_id(),
-            arrival=now,
-            lba=req.lba,
-            op=_WRITE,
-            origin=_P,
-            target=_SSD,
-        )
-
-    def _plan_write(self, req: IoRequest, now: int, plan: RoutingPlan) -> None:
-        if self.policy is _RO:
-            if self._entries.pop(req.lba, False):  # invalidate any cached copy
-                # the cached copy holds unwritten data: persist it before
-                # the new write lands on the same device queue
-                plan.immediate.append(self._writeback(req.lba, now))
-            req.target = _HDD
-            plan.immediate.append(req)
-            return
-
-        if self.policy is _WT:
-            if req.lba in self._entries:
-                self._entries[req.lba] = False  # disk copy becomes current again
-                self._touch(req.lba)
-            else:
-                writeback = self._admit(req.lba, dirty=False, now=now)
-                if writeback is not None:
-                    plan.immediate.append(writeback)
-            req.target = _SSD
-            plan.immediate.append(req)
-            mirror = IoRequest(
-                id=self._next_id(),
-                arrival=req.arrival,
-                lba=req.lba,
-                op=_WRITE,
-                origin=_W,
-                target=_HDD,
-                app_id=req.app_id,
-            )
-            plan.immediate.append(mirror)
-            plan.foreground = 2
-            return
-
-        # WB and WO both buffer the write and mark the block dirty
-        req.target = _SSD
-        plan.immediate.append(req)
-        if req.lba in self._entries:
-            self._entries[req.lba] = True
-            self._touch(req.lba)
-        else:
-            writeback = self._admit(req.lba, dirty=True, now=now)
-            if writeback is not None:
-                plan.immediate.append(writeback)
-
-    def _touch(self, lba: int) -> None:
-        self._entries.move_to_end(lba)
-
-    def _admit(self, lba: int, dirty: bool, now: int) -> IoRequest | None:
-        """Insert a non-resident block as MRU, evicting first if full."""
-        writeback = None
-        if len(self._entries) >= self.capacity_blocks:
-            _victim, writeback = self.evict_victim(now)
-        self._entries[lba] = dirty
-        return writeback
-
     def _writeback(self, lba: int, now: int) -> IoRequest:
         self.dirty_writebacks += 1
-        return IoRequest(
-            id=self._next_id(),
-            arrival=now,
-            lba=lba,
-            op=_WRITE,
-            origin=_E,
-            target=_HDD,
-        )
+        return IoRequest(self._next_id(), now, lba, _WRITE, _E, _HDD)

@@ -8,7 +8,9 @@ and the loop walks them with a cursor.
 
 The engine owns the event loop: :meth:`Simulator.step` processes every
 event up to a given time and hands each completion and each arrival to
-a handler that its owner supplied at construction. The run loop above it
+a handler that its owner supplied at construction. It finds each instant
+inline, reading each device once, and finishes every due request through
+:meth:`Device.finish`, the one completion body. The run loop above it
 (:class:`lbicasim.runner.Simulation`) calls ``step`` once per interval
 and only acts between calls. Everything else in the package (cache
 engine, telemetry, balancers) runs on top of this substrate, so
@@ -97,11 +99,11 @@ class Device:
     tail bypassing only reaches the waiting portion of the queue.
 
     ``inqueue`` counts the same pending requests per origin, indexed by
-    ``Origin.index`` (``R, W, P, E``). ``submit``, ``complete_due`` and
-    ``remove_tail`` keep it current, so reading the queue's origin mix
-    costs the same at any depth and never walks ``waiting``. ``submitted``
-    counts every request ever submitted here, including those later
-    moved off by ``remove_tail``.
+    ``Origin.index`` (``R, W, P, E``). ``submit``, ``finish`` (which
+    ``complete_due`` calls) and ``remove_tail`` keep it current, so
+    reading the queue's origin mix costs the same at any depth and never
+    walks ``waiting``. ``submitted`` counts every request ever submitted
+    here, including those later moved off by ``remove_tail``.
     """
 
     def __init__(self, role: DeviceRole, read_latency: int, write_latency: int):
@@ -143,13 +145,17 @@ class Device:
             self.waiting.append(req)
 
     def complete_due(self, now: int) -> IoRequest | None:
-        """Finish the in-service request if its completion time is ``now``.
+        """Finish the in-service request if its completion time is ``now``."""
+        if self.in_service is None or self.busy_until != now:
+            return None
+        return self.finish(now)
+
+    def finish(self, now: int) -> IoRequest:
+        """Finish the in-service request, which the caller knows is due at ``now``.
 
         The next waiting request, if any, enters service at ``now``.
         """
         req = self.in_service
-        if req is None or self.busy_until != now:
-            return None
         req.completed_at = now
         self.busy_time += now - req.service_start
         self.inqueue[req.origin.index] -= 1
@@ -187,7 +193,8 @@ class Simulator:
     non-decreasing in time; a cursor marks the next one to surface.
     ``on_complete`` receives every request a device finishes and
     ``on_arrive`` every scheduled arrival, each at its own instant; both
-    run with :attr:`clock` at that instant and may submit requests.
+    run with :attr:`clock` at that instant and may submit requests, and
+    an owner may set both to None once it is done stepping.
     Tie-breaking at an equal timestamp is fixed: service completions are
     handled before arrivals, SSD before HDD, and arrivals in the order
     they were scheduled.
@@ -203,8 +210,8 @@ class Simulator:
         self.clock = 0
         self.ssd = ssd
         self.hdd = hdd
-        self._on_complete = on_complete
-        self._on_arrive = on_arrive
+        self.on_complete = on_complete
+        self.on_arrive = on_arrive
         self._arrivals: list[IoRequest] = []
         self._cursor = 0  # index in _arrivals of the next arrival to surface
         self._next_arrival: int | None = None  # its time, None when all surfaced
@@ -229,9 +236,13 @@ class Simulator:
             self._next_arrival = arrivals[self._cursor].arrival
 
     def submit(self, req: IoRequest) -> None:
-        # an unrouted request fails the HDD's role check
-        device = self.ssd if req.target is _SSD else self.hdd
-        device.submit(req, self.clock)
+        target = req.target
+        if target is _SSD:
+            self.ssd.submit(req, self.clock)
+        elif target is None:
+            raise RoutingError(f"request {req.id} is unrouted: it has no target device")
+        else:
+            self.hdd.submit(req, self.clock)
 
     def next_event_time(self) -> int | None:
         t = self._next_arrival
@@ -254,38 +265,41 @@ class Simulator:
         the simulation rather than an error.
         """
         ssd, hdd = self.ssd, self.hdd
-        on_complete, on_arrive = self._on_complete, self._on_arrive
+        on_complete, on_arrive = self.on_complete, self.on_arrive
         arrivals = self._arrivals
-        next_event_time = self.next_event_time
         while True:
-            t = next_event_time()
+            # the next instant, found as next_event_time() finds it but
+            # reading each device once; a device due at it is then finished
+            t = self._next_arrival
+            ssd_due = ssd.busy_until if ssd.in_service is not None else None
+            hdd_due = hdd.busy_until if hdd.in_service is not None else None
+            if ssd_due is not None and (t is None or ssd_due < t):
+                t = ssd_due
+            if hdd_due is not None and (t is None or hdd_due < t):
+                t = hdd_due
             if t is None:
                 return False
             if t > until:
                 return True
             self.clock = t
-            hdd_due = hdd.busy_until == t and hdd.in_service is not None
-            if ssd.busy_until == t and ssd.in_service is not None:
-                done = ssd.complete_due(t)
-                if hdd_due:
-                    hdd_done = hdd.complete_due(t)
+            if ssd_due == t:
+                done = ssd.finish(t)
+                if hdd_due == t:
+                    hdd_done = hdd.finish(t)
                     on_complete(done)
                     on_complete(hdd_done)
                 else:
                     on_complete(done)
-            elif hdd_due:
-                on_complete(hdd.complete_due(t))
+            elif hdd_due == t:
+                on_complete(hdd.finish(t))
             if self._next_arrival == t:
-                # move the cursor past this instant's arrivals before the
-                # handler sees any of them, so next_event_time stays exact
-                first = self._cursor
-                end, n = first + 1, len(arrivals)
-                while end < n and arrivals[end].arrival == t:
-                    end += 1
-                self._cursor = end
-                self._next_arrival = arrivals[end].arrival if end < n else None
-                for i in range(first, end):
-                    on_arrive(arrivals[i])
+                # one arrival per pass: the next pass finds this instant
+                # again while arrivals remain at it, and no completion can
+                # fall due at it in between, since every service takes time
+                i = self._cursor + 1
+                self._cursor = i
+                self._next_arrival = arrivals[i].arrival if i < len(arrivals) else None
+                on_arrive(arrivals[i - 1])
 
     def advance_to(self, t: int) -> None:
         """Move the clock to ``t``, which must not skip over pending events.

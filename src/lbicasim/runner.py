@@ -154,13 +154,13 @@ class Simulation:
         events, clock = self.events, self.sim.clock
         if events:
             events.request(clock, "arrive", req)
-        plan = self.cache.access(req, clock)
-        if plan.foreground == 2:
+        immediate, promotion, foreground = self.cache.access(req, clock)
+        if foreground == 2:
             self._both_halves_pending.add(req.id)
-        if plan.promotion is not None:
-            self._deferred[req.id] = plan.promotion
+        if promotion is not None:
+            self._deferred[req.id] = promotion
         submit = self.sim.submit
-        for sub in plan.immediate:
+        for sub in immediate:
             submit(sub)
             if events:
                 events.request(clock, "submit", sub)
@@ -225,6 +225,9 @@ class Simulation:
             # final partial interval: queues are empty, the tick just closes it
             sim.advance_to(boundary)
             self._tick(boundary)
+        # the handlers are bound methods of this Simulation: dropping them
+        # breaks the cycle, so a finished run is freed by reference counting
+        sim.on_complete = sim.on_arrive = None
         return RunResult(self.config, self.rows, self._summary(end_time), end_time)
 
     def _summary(self, end_time: int) -> dict:

@@ -64,6 +64,60 @@ def scenario_runs(tmp_path_factory) -> dict[tuple[str, str], CachedRun]:
     return runs
 
 
+class CacheReplica:
+    """Independent metadata replay from arrive/policy rows alone."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.order = []  # LRU first
+        self.dirty = set()
+        self.policy = "WB"
+        self.evict_writes = 0
+        self.read_hits = 0
+
+    def _touch(self, lba):
+        self.order.remove(lba)
+        self.order.append(lba)
+
+    def _admit(self, lba, dirty):
+        if len(self.order) == self.capacity:
+            victim = self.order.pop(0)
+            if victim in self.dirty:
+                self.dirty.discard(victim)
+                self.evict_writes += 1
+        self.order.append(lba)
+        if dirty:
+            self.dirty.add(lba)
+
+    def read(self, lba):
+        if lba in self.order:
+            self.read_hits += 1
+            self._touch(lba)
+        elif self.policy != "WO":
+            self._admit(lba, dirty=False)
+
+    def write(self, lba):
+        if self.policy == "RO":
+            if lba in self.order:
+                self.order.remove(lba)
+                if lba in self.dirty:
+                    self.dirty.discard(lba)
+                    self.evict_writes += 1
+            return
+        if self.policy == "WT":
+            if lba in self.order:
+                self._touch(lba)
+                self.dirty.discard(lba)
+            else:
+                self._admit(lba, dirty=False)
+            return
+        if lba in self.order:  # WB and WO buffer the write
+            self._touch(lba)
+            self.dirty.add(lba)
+        else:
+            self._admit(lba, dirty=True)
+
+
 def recount_origins(device) -> list[int]:
     """Per-origin counts of the device's pending requests in ``Origin`` order, by a full walk."""
     queued = [r for r in (device.in_service, *device.waiting) if r is not None]

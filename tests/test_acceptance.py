@@ -25,6 +25,7 @@ from lbicasim.telemetry import IntervalStats, compute_queue_times
 
 from conftest import (
     SCENARIOS,
+    CacheReplica,
     burst_window_indices,
     execute_run,
     read_events,
@@ -155,12 +156,12 @@ def test_criterion_04_lru_matches_brute_force():
             assert engine.resident(lba) == expect_hit  # hit/miss identical
             op = OpType.READ if is_read else OpType.WRITE
             origin = Origin.R if is_read else Origin.W
-            plan = engine.access(
+            immediate, _, _ = engine.access(
                 IoRequest(id=step, arrival=step, lba=lba, op=op, origin=origin, app_id=step),
                 now=step,
             )
             if is_read:  # routed to the cache exactly on a hit
-                assert (plan.immediate[0].target is DeviceRole.SSD) == expect_hit
+                assert (immediate[0].target is DeviceRole.SSD) == expect_hit
         assert engine.resident_lbas() == oracle.order  # same blocks, same order
         sequences += 1
     elapsed = time.monotonic() - started
@@ -312,60 +313,6 @@ def test_criterion_09_repeat_runs_byte_identical(scenario_runs, tmp_path):
 
 # ----------------------------------------------------------------------
 # criterion 10: event-log conservation and dirty-block accounting
-
-
-class CacheReplica:
-    """Independent metadata replay from arrive/policy rows alone."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.order = []  # LRU first
-        self.dirty = set()
-        self.policy = "WB"
-        self.evict_writes = 0
-        self.read_hits = 0
-
-    def _touch(self, lba):
-        self.order.remove(lba)
-        self.order.append(lba)
-
-    def _admit(self, lba, dirty):
-        if len(self.order) == self.capacity:
-            victim = self.order.pop(0)
-            if victim in self.dirty:
-                self.dirty.discard(victim)
-                self.evict_writes += 1
-        self.order.append(lba)
-        if dirty:
-            self.dirty.add(lba)
-
-    def read(self, lba):
-        if lba in self.order:
-            self.read_hits += 1
-            self._touch(lba)
-        elif self.policy != "WO":
-            self._admit(lba, dirty=False)
-
-    def write(self, lba):
-        if self.policy == "RO":
-            if lba in self.order:
-                self.order.remove(lba)
-                if lba in self.dirty:
-                    self.dirty.discard(lba)
-                    self.evict_writes += 1
-            return
-        if self.policy == "WT":
-            if lba in self.order:
-                self._touch(lba)
-                self.dirty.discard(lba)
-            else:
-                self._admit(lba, dirty=False)
-            return
-        if lba in self.order:  # WB and WO buffer the write
-            self._touch(lba)
-            self.dirty.add(lba)
-        else:
-            self._admit(lba, dirty=True)
 
 
 def replay_run(run):

@@ -1,13 +1,16 @@
 """Cache policy semantics and LRU equivalence against a brute-force oracle."""
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbicasim.cache import CacheEngine, WritePolicy
 from lbicasim.engine import DeviceRole, IoRequest, OpType, Origin
+
+from conftest import CacheReplica
 
 
 def make_engine(capacity=4, policy=WritePolicy.WB):
@@ -27,24 +30,23 @@ def write(engine, req_id, lba, now=0):
     return engine.access(app_request(req_id, lba, OpType.WRITE, arrival=now), now)
 
 
-def shapes(plan):
-    """(origin, target) of every immediate submission, in plan order."""
-    return [(r.origin, r.target) for r in plan.immediate]
+def shapes(immediate):
+    """(origin, target) of every immediate submission, in submit order."""
+    return [(r.origin, r.target) for r in immediate]
 
 
 class TestReadPaths:
     def test_hit_is_one_cache_read(self):
         engine = make_engine()
         read(engine, 1, lba=7)
-        plan = read(engine, 2, lba=7)
-        assert shapes(plan) == [(Origin.R, DeviceRole.SSD)]
-        assert plan.promotion is None
+        immediate, promotion, _ = read(engine, 2, lba=7)
+        assert shapes(immediate) == [(Origin.R, DeviceRole.SSD)]
+        assert promotion is None
 
     def test_miss_fetches_from_disk_and_defers_promotion(self):
         engine = make_engine()
-        plan = read(engine, 1, lba=7)
-        assert shapes(plan) == [(Origin.R, DeviceRole.HDD)]
-        promote = plan.promotion
+        immediate, promote, _ = read(engine, 1, lba=7)
+        assert shapes(immediate) == [(Origin.R, DeviceRole.HDD)]
         assert promote is not None
         assert promote.origin is Origin.P
         assert promote.op is OpType.WRITE
@@ -53,36 +55,36 @@ class TestReadPaths:
     def test_miss_on_full_cache_evicts_dirty_victim_first(self):
         engine = make_engine(capacity=1)
         write(engine, 1, lba=5)  # resident and dirty under WB
-        plan = read(engine, 2, lba=9)
-        assert shapes(plan) == [(Origin.R, DeviceRole.HDD), (Origin.E, DeviceRole.HDD)]
-        assert plan.promotion.origin is Origin.P
+        immediate, promotion, _ = read(engine, 2, lba=9)
+        assert shapes(immediate) == [(Origin.R, DeviceRole.HDD), (Origin.E, DeviceRole.HDD)]
+        assert promotion.origin is Origin.P
 
     def test_wo_miss_is_disk_only(self):
         engine = make_engine(policy=WritePolicy.WO)
-        plan = read(engine, 1, lba=7)
-        assert shapes(plan) == [(Origin.R, DeviceRole.HDD)]
-        assert plan.promotion is None
+        immediate, promotion, _ = read(engine, 1, lba=7)
+        assert shapes(immediate) == [(Origin.R, DeviceRole.HDD)]
+        assert promotion is None
         assert engine.occupancy == 0
 
 
 class TestWritePaths:
     def test_wb_write_buffers_and_dirties(self):
         engine = make_engine()
-        plan = write(engine, 1, lba=3)
-        assert shapes(plan) == [(Origin.W, DeviceRole.SSD)]
+        immediate, _, _ = write(engine, 1, lba=3)
+        assert shapes(immediate) == [(Origin.W, DeviceRole.SSD)]
         assert engine.dirty_lbas() == {3}
 
     def test_wo_write_buffers_like_wb(self):
         engine = make_engine(policy=WritePolicy.WO)
-        plan = write(engine, 1, lba=3)
-        assert shapes(plan) == [(Origin.W, DeviceRole.SSD)]
+        immediate, _, _ = write(engine, 1, lba=3)
+        assert shapes(immediate) == [(Origin.W, DeviceRole.SSD)]
         assert engine.dirty_lbas() == {3}
 
     def test_wt_write_mirrors_to_disk_with_dual_foreground(self):
         engine = make_engine(policy=WritePolicy.WT)
-        plan = write(engine, 1, lba=3)
-        assert shapes(plan) == [(Origin.W, DeviceRole.SSD), (Origin.W, DeviceRole.HDD)]
-        assert plan.foreground == 2
+        immediate, _, foreground = write(engine, 1, lba=3)
+        assert shapes(immediate) == [(Origin.W, DeviceRole.SSD), (Origin.W, DeviceRole.HDD)]
+        assert foreground == 2
         assert engine.dirty_lbas() == set()
 
     def test_wt_write_over_dirty_block_cleans_it(self):
@@ -95,24 +97,24 @@ class TestWritePaths:
 
     def test_ro_write_bypasses_to_disk(self):
         engine = make_engine(policy=WritePolicy.RO)
-        plan = write(engine, 1, lba=3)
-        assert shapes(plan) == [(Origin.W, DeviceRole.HDD)]
+        immediate, _, _ = write(engine, 1, lba=3)
+        assert shapes(immediate) == [(Origin.W, DeviceRole.HDD)]
         assert engine.occupancy == 0
 
     def test_ro_write_invalidates_clean_copy_silently(self):
         engine = make_engine()
         read(engine, 1, lba=3)
         engine.set_policy(WritePolicy.RO)
-        plan = write(engine, 2, lba=3)
-        assert shapes(plan) == [(Origin.W, DeviceRole.HDD)]
+        immediate, _, _ = write(engine, 2, lba=3)
+        assert shapes(immediate) == [(Origin.W, DeviceRole.HDD)]
         assert not engine.resident(3)
 
     def test_ro_write_over_dirty_copy_writes_back_first(self):
         engine = make_engine()
         write(engine, 1, lba=3)  # dirty under WB
         engine.set_policy(WritePolicy.RO)
-        plan = write(engine, 2, lba=3)
-        assert shapes(plan) == [(Origin.E, DeviceRole.HDD), (Origin.W, DeviceRole.HDD)]
+        immediate, _, _ = write(engine, 2, lba=3)
+        assert shapes(immediate) == [(Origin.E, DeviceRole.HDD), (Origin.W, DeviceRole.HDD)]
         assert not engine.resident(3)
 
 
@@ -167,11 +169,11 @@ class TestSetPolicy:
 
     def test_switch_back_resumes_promotion(self):
         engine = make_engine(policy=WritePolicy.WO)
-        plan = read(engine, 1, lba=7)
-        assert plan.promotion is None
+        _, promotion, _ = read(engine, 1, lba=7)
+        assert promotion is None
         engine.set_policy(WritePolicy.WB)
-        plan = read(engine, 2, lba=8)
-        assert plan.promotion.origin is Origin.P
+        _, promotion, _ = read(engine, 2, lba=8)
+        assert promotion.origin is Origin.P
 
     def test_idempotent_switch(self):
         engine = make_engine()
@@ -261,10 +263,86 @@ def test_dirty_episode_accounting_small_scale():
     for step in range(400):
         lba = rng.randrange(12)
         if rng.random() < 0.5:
-            plan = write(engine, step, lba, now=step)
+            immediate, _, _ = write(engine, step, lba, now=step)
         else:
-            plan = read(engine, step, lba, now=step)
-        evictions.extend(r for r in plan.immediate if r.origin is Origin.E)
+            immediate, _, _ = read(engine, step, lba, now=step)
+        evictions.extend(r for r in immediate if r.origin is Origin.E)
     assert engine.dirty_writebacks == len(evictions)
     # engine-reported writebacks all target the disk
     assert all(r.target is DeviceRole.HDD for r in evictions)
+
+
+SSD, HDD = DeviceRole.SSD, DeviceRole.HDD
+
+
+def documented_plan(policy, is_read, lba, hit, writeback_lba):
+    """What ``access`` documents for one access: shapes, promotion, foreground.
+
+    ``writeback_lba`` is the block an eviction or RO invalidation writes
+    back, or None. Under WT and RO the write-back precedes the cache
+    write; under WB, WO and on a read miss it follows the access itself.
+    """
+    writeback = [(Origin.E, HDD, writeback_lba)] if writeback_lba is not None else []
+    if is_read:
+        if hit:
+            return [(Origin.R, SSD, lba)], False, 1
+        return [(Origin.R, HDD, lba), *writeback], policy is not WritePolicy.WO, 1
+    if policy is WritePolicy.RO:
+        return [*writeback, (Origin.W, HDD, lba)], False, 1
+    if policy is WritePolicy.WT:
+        return [*writeback, (Origin.W, SSD, lba), (Origin.W, HDD, lba)], False, 2
+    return [(Origin.W, SSD, lba), *writeback], False, 1
+
+
+cache_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("read"), st.integers(min_value=0, max_value=7)),
+        st.tuples(st.just("write"), st.integers(min_value=0, max_value=7)),
+        st.tuples(st.just("policy"), st.sampled_from(list(WritePolicy))),
+    ),
+    max_size=80,
+)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.integers(min_value=1, max_value=4), cache_ops)
+def test_access_matches_the_replica_and_its_documented_submit_order(capacity, ops):
+    engine = CacheEngine(capacity, next_id=itertools.count(1000).__next__)
+    replica = CacheReplica(capacity)
+    for step, (kind, arg) in enumerate(ops):
+        if kind == "policy":
+            engine.set_policy(arg)
+            replica.policy = arg.value
+            continue
+        lba, is_read = arg, kind == "read"
+        hit = lba in replica.order
+        victim = replica.order[0] if replica.order else None
+        writebacks = replica.evict_writes
+        (replica.read if is_read else replica.write)(lba)
+        writeback_lba = None
+        if replica.evict_writes > writebacks:
+            # an RO write invalidates its own block; anything else evicts the LRU
+            ro_write = not is_read and engine.policy is WritePolicy.RO
+            writeback_lba = lba if ro_write else victim
+
+        op = OpType.READ if is_read else OpType.WRITE
+        req = app_request(step, lba, op, arrival=step)
+        immediate, promotion, foreground = engine.access(req, now=step)
+
+        shapes, promotes, expected_foreground = documented_plan(
+            engine.policy, is_read, lba, hit, writeback_lba
+        )
+        assert [(r.origin, r.target, r.lba) for r in immediate] == shapes
+        assert any(r is req for r in immediate)  # the access itself, not a copy
+        assert foreground == expected_foreground
+        assert (promotion is not None) == promotes
+        if promotion is not None:
+            assert (promotion.origin, promotion.target, promotion.lba) == (Origin.P, SSD, lba)
+        # auxiliary ids are drawn in submit order, the deferred promotion last
+        aux_ids = [r.id for r in (*immediate, promotion) if r is not None and r is not req]
+        assert aux_ids == sorted(aux_ids) and all(i >= 1000 for i in aux_ids)
+
+        assert engine.resident_lbas() == replica.order
+        assert engine.dirty_lbas() == replica.dirty
+        assert engine.read_hits == replica.read_hits
+        assert engine.dirty_writebacks == replica.evict_writes

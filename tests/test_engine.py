@@ -87,7 +87,7 @@ class TestSubmit:
 
     def test_unrouted_request_is_a_routing_error(self):
         sim, _ = new_sim()
-        with pytest.raises(RoutingError):
+        with pytest.raises(RoutingError, match="request 1 is unrouted"):
             sim.submit(make_request(1, target=None))
 
     def test_enqueued_at_is_max_of_clock_and_arrival(self):

@@ -3,9 +3,11 @@
 import ast
 import csv
 import dataclasses
+import gc
 import inspect
 import io
 import sys
+import weakref
 from collections import deque
 from enum import Enum
 
@@ -323,6 +325,40 @@ class TestLoopCalls:
         assert calls <= intervals + 1, (calls, intervals)
         # every write-through write saw both of its halves complete
         assert not sim._both_halves_pending
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("balancer", BALANCERS)
+    def test_every_submission_goes_through_simulator_submit(self, monkeypatch, scenario, balancer):
+        # the benchmark samples the SSD queue peak after each Simulator.submit
+        config = scenario_config(scenario, balancer)
+        sim = Simulation(config, build_requests(config))
+        calls = 0
+        submit = Simulator.submit
+
+        def counting_submit(*args):
+            nonlocal calls
+            calls += 1
+            return submit(*args)
+
+        monkeypatch.setattr(Simulator, "submit", counting_submit)
+        sim.run()
+        monkeypatch.undo()
+        assert calls == sim.sim.ssd.submitted + sim.sim.hdd.submitted > 0
+
+
+class TestRunLifetime:
+    def test_finished_run_is_freed_without_the_cyclic_gc(self):
+        config = scenario_config("mixed_rw", "none-wb")
+        sim = Simulation(config, build_requests(config))
+        gc.disable()
+        try:
+            result = sim.run()
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert result.summary["app_completed"] == result.summary["app_requests"]
 
 
 class TestPolicyLog:
