@@ -99,11 +99,11 @@ class Device:
     tail bypassing only reaches the waiting portion of the queue.
 
     ``inqueue`` counts the same pending requests per origin, indexed by
-    ``Origin.index`` (``R, W, P, E``). ``submit``, ``finish`` (which
-    ``complete_due`` calls) and ``remove_tail`` keep it current, so
-    reading the queue's origin mix costs the same at any depth and never
-    walks ``waiting``. ``submitted`` counts every request ever submitted
-    here, including those later moved off by ``remove_tail``.
+    ``Origin.index`` (``R, W, P, E``). ``submit``, ``finish`` and
+    ``remove_tail`` keep it current, so reading the queue's origin mix
+    costs the same at any depth and never walks ``waiting``.
+    ``submitted`` counts every request ever submitted here, including
+    those later moved off by ``remove_tail``.
     """
 
     def __init__(self, role: DeviceRole, read_latency: int, write_latency: int):
@@ -123,9 +123,6 @@ class Device:
     def qsize(self) -> int:
         return len(self.waiting) + (1 if self.in_service is not None else 0)
 
-    def latency_for(self, op: OpType) -> int:
-        return self.read_latency if op is _READ else self.write_latency
-
     def submit(self, req: IoRequest, now: int) -> None:
         if req.target is not self.role:
             raise RoutingError(
@@ -143,12 +140,6 @@ class Device:
             self.busy_until = now + (self.read_latency if req.op is _READ else self.write_latency)
         else:
             self.waiting.append(req)
-
-    def complete_due(self, now: int) -> IoRequest | None:
-        """Finish the in-service request if its completion time is ``now``."""
-        if self.in_service is None or self.busy_until != now:
-            return None
-        return self.finish(now)
 
     def finish(self, now: int) -> IoRequest:
         """Finish the in-service request, which the caller knows is due at ``now``.

@@ -342,7 +342,11 @@ def test_fifo_completion_order_per_device(seed):
 def test_busy_time_equals_sum_of_service_latencies(seed):
     sim, done = run_schedule(seed)
     for dev in (sim.ssd, sim.hdd):
-        expected = sum(dev.latency_for(r.op) for r in done if r.target is dev.role)
+        expected = sum(
+            dev.read_latency if r.op is OpType.READ else dev.write_latency
+            for r in done
+            if r.target is dev.role
+        )
         assert dev.busy_time == expected
 
 
@@ -450,7 +454,7 @@ def test_identical_schedules_replay_identically():
 queue_ops = st.lists(
     st.one_of(
         st.tuples(st.just("submit"), st.sampled_from(list(Origin))),
-        st.tuples(st.just("complete"), st.booleans()),
+        st.tuples(st.just("complete"), st.none()),
         st.tuples(st.just("remove_tail"), st.integers(min_value=0, max_value=6)),
     ),
     max_size=60,
@@ -466,10 +470,9 @@ def test_per_origin_counts_match_a_recount_after_every_operation(ops):
             kind = OpType.READ if arg is Origin.R else OpType.WRITE
             dev.submit(make_request(i, arrival=now, op=kind, origin=arg), now)
         elif op == "complete":
-            # arg: complete at the due time, or poll one tick early (a no-op)
-            due = dev.busy_until if dev.in_service is not None else now
-            now = max(now, due if arg else due - 1)
-            dev.complete_due(now)
+            if dev.in_service is not None:
+                now = dev.busy_until
+                dev.finish(now)
         else:
             dev.remove_tail(arg)
         assert dev.inqueue == recount_origins(dev)

@@ -67,7 +67,7 @@ class TestSnapshot:
         enqueue(self.ssd, 1, Origin.R)
         snap = take_snapshot(self.ssd, self.hdd)
         before = snap.ssd_inqueue
-        self.ssd.complete_due(self.ssd.busy_until)  # drain the device
+        self.ssd.finish(self.ssd.busy_until)  # drain the device
         assert self.ssd.qsize == 0
         assert snap.ssd_inqueue == before
 
