@@ -1,0 +1,78 @@
+"""Event-log cost probe: perfbench's replay pairs with and without ``events.log``.
+
+Usage, from the root of a checkout::
+
+    python3 scripts/eventlog_cost.py [--repeats 8]
+
+The pairs are those of perfbench's replay workload
+(``harness.WORKLOADS["replay"]``): random_read and write_intensive
+under none-wb, lbica and sib, each with its committed seed. Each pair
+runs through ``harness.run_pair``, the benchmark's own timed region:
+construct and run the simulation, write the reports and, on the side
+with the log, stream ``events.log`` to a temporary directory. Request
+lists are built before that region starts, since a run consumes its
+list. Each round runs both sides once, and the side that goes first
+alternates from round to round, so a drift in host speed does not
+favour one side. A side's time for a round is the sum over its pairs.
+
+The probe prints each side's median, minimum and maximum over the
+rounds and the ratio of the medians, with the log to without it: the
+log's cost as a multiple of the run. It exits 1 if a pair's summary
+differs between the two sides, since the log must not change what is
+simulated.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import harness  # noqa: E402
+
+SIDES = ("without log", "with log")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=8, help="rounds of both sides")
+    args = parser.parse_args(argv)
+
+    lb = harness.import_lbicasim()
+    pairs = harness.WORKLOADS["replay"]
+    walls: dict[str, list[float]] = {side: [] for side in SIDES}
+    summaries: dict[str, list[dict]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = harness.load_pairs(lb, pairs, Path(tmp), None)
+        for repeat in range(args.repeats):
+            for side in SIDES if repeat % 2 == 0 else SIDES[::-1]:
+                total = 0.0
+                summaries[side] = []
+                for config in configs:
+                    requests = lb.runner.build_requests(config)
+                    run = harness.run_pair(lb, config, requests, Path(tmp), side == "with log")
+                    total += run.wall_s
+                    summaries[side].append(run.summary)
+                walls[side].append(total)
+            if summaries["with log"] != summaries["without log"]:
+                print("error: the event log changed a simulated summary", file=sys.stderr)
+                return 1
+    print(f"{len(pairs)} pairs, {args.repeats} rounds, timed as perfbench's replay:")
+    for side in SIDES:
+        runs = walls[side]
+        print(
+            f"  {side:<12} median {statistics.median(runs):.3f} s"
+            f" (min {min(runs):.3f}, max {max(runs):.3f})"
+        )
+    ratio = statistics.median(walls["with log"]) / statistics.median(walls["without log"])
+    print(f"  with / without log: {ratio:.2f}x")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

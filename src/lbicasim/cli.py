@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .report import compare_runs, format_comparison, write_run
-from .runner import EventLog, run_simulation
+from .runner import EventLog, Simulation, build_requests
 from .workload import TraceFormatError
 
 
@@ -56,13 +56,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     warnings = config.validate()
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    # a malformed trace fails here, before the output directory or log exists
+    requests = build_requests(config)
     args.out.mkdir(parents=True, exist_ok=True)
     if args.events:
         with open(args.out / "events.log", "w", newline="") as fh:
             events = EventLog(fh, config.scenario_hash())
-            result = run_simulation(config, events=events)
+            result = Simulation(config, requests, events).run()
     else:
-        result = run_simulation(config)
+        result = Simulation(config, requests).run()
     write_run(result, args.out)
     if not args.quiet:
         summary = result.summary

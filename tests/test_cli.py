@@ -56,6 +56,16 @@ class TestRun:
         assert code == 1
         assert "balancer" in capsys.readouterr().err
 
+    def test_malformed_trace_exits_one_and_leaves_no_log(self, tmp_path, capsys):
+        (tmp_path / "bad.trace").write_text("0,1,1,R\n5,2,1,X\n")
+        config = tmp_path / "trace.cfg"
+        config.write_text("cache_blocks = 8\ninterval_ms = 10\ntrace = bad.trace\n")
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out), "--events"]) == 1
+        assert "line 2" in capsys.readouterr().err
+        assert not (out / "events.log").exists()
+        assert not out.exists()
+
     def test_unwritable_output_exits_two(self, config_file, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
