@@ -72,13 +72,6 @@ class CacheEngine:
     # ------------------------------------------------------------------
     # state inspection
 
-    @property
-    def occupancy(self) -> int:
-        return len(self._entries)
-
-    def resident(self, lba: int) -> bool:
-        return lba in self._entries
-
     def resident_lbas(self) -> list[int]:
         """Resident blocks in recency order, LRU first."""
         return list(self._entries)

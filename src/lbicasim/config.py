@@ -188,6 +188,8 @@ def _build_phase(index: int, given: dict[str, str]) -> PhaseSpec:
 def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
     run_fields: dict[str, str] = {}
     phase_fields: dict[int, dict[str, str]] = {}
+    # (phase index or None, key) -> the line that set it
+    set_on: dict[tuple[int | None, str], int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -198,14 +200,18 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         key, value = key.strip(), value.strip()
         match = _PHASE_RE.match(key)
         if match:
-            index, phase_key = int(match.group(1)), match.group(2)
-            if phase_key != "address" and phase_key not in _PHASE_KEYS:
+            index, name = int(match.group(1)), match.group(2)
+            if name != "address" and name not in _PHASE_KEYS:
                 raise ConfigError(f"{origin}:{lineno}: unknown phase key {key!r}")
-            phase_fields.setdefault(index, {})[phase_key] = value
+            fields = phase_fields.setdefault(index, {})
         elif key in _RUN_KEYS:
-            run_fields[key] = value
+            index, name, fields = None, key, run_fields
         else:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
+        first = set_on.setdefault((index, name), lineno)
+        if first != lineno:
+            raise ConfigError(f"{origin}:{lineno}: key {key!r} repeats line {first}")
+        fields[name] = value
 
     arguments = _arguments(RunConfig, _RUN_KEYS, _parse_values(_RUN_KEYS, run_fields))
     phases = tuple(_build_phase(i, phase_fields[i]) for i in sorted(phase_fields))

@@ -43,82 +43,43 @@ _HDD = DeviceRole.HDD
 EVENT_COLUMNS = ("time", "event", "req", "app", "origin", "op", "target", "lba", "arrival", "note")
 
 
-def _row(time: int, event: str, req: IoRequest, note: str = "") -> str:
-    """One request row: ``event`` for ``req`` at ``time``, ending in ``note``."""
-    # ``_value_`` is the member's stored value; ``.value`` reaches the
-    # same string through a descriptor that costs several times more
-    rid, app_id, target = req.id, req.app_id, req.target
-    i = f"{rid}"
-    return (
-        f"{time},{event},{i},{i if app_id == rid else '' if app_id is None else app_id},"
-        f"{req.origin._value_},{req.op._value_},{'' if target is None else target._value_},"
-        f"{req.lba},{req.arrival},{note}\n"
-    )
-
-
 class EventLog:
-    """CSV event stream: arrivals, submissions, completions, queue edits.
+    """CSV event stream: submissions, completions, queue edits, policy changes.
 
-    Three writers cover every row:
+    Two writers cover every row:
 
-    * ``access`` writes one application access: its ``arrive`` row and
-      the ``submit`` row of every request the cache engine planned for
-      it, in submission order, with one ``write``;
-    * ``request`` writes any other request row (``complete``, ``remove``,
-      ``drop``, the ``submit`` of a promotion or a bypassed request);
+    * ``request`` writes one request row: ``submit``, ``complete``,
+      ``remove`` or ``drop``;
     * ``policy`` writes a policy change.
+
+    An application request's arrival has no row of its own. Its access
+    is its first ``submit`` row, which carries its arrival as the row's
+    time; a later ``submit`` of the same id follows a ``remove`` of it
+    (a bypass). Each submit row is written right after its request
+    enters a device queue, so if ``Simulator.submit`` raises, the log
+    holds every row before that request's.
 
     Every row, the header included, is formatted directly rather than
     through ``csv.writer`` and goes straight to ``fh``; the log holds
-    nothing back between calls. Within one call, a number that two
-    fields share (a request id and its app id, the time and the arrival
-    of an access, the application request's fields in its arrive and
-    submit rows) is formatted once. The format matches ``csv.writer``
-    only for fields it would not quote, so every ``event`` and ``note``
+    nothing back between calls. The format matches ``csv.writer`` only
+    for fields it would not quote, so every ``event`` and ``note``
     passed in must be CSV-safe: free of ``,``, ``"``, ``\\r`` and ``\\n``.
-
-    An access is logged after all of its requests are submitted. If
-    ``CacheEngine.access`` or ``Simulator.submit`` raises, the log holds
-    none of that access's rows, its arrive row included.
     """
 
     def __init__(self, fh: IO[str], scenario: str):
         self._write = fh.write
         fh.write(f"# scenario={scenario}\n{','.join(EVENT_COLUMNS)}\n")
 
-    def access(
-        self,
-        time: int,
-        req: IoRequest,
-        immediate: Sequence[IoRequest],
-        arrive_target: DeviceRole | None,
-    ) -> None:
-        """Log ``req`` arriving at ``time`` and the submission of ``immediate``.
-
-        ``arrive_target`` is the target ``req`` held before the cache
-        engine routed it; the arrive row shows it.
-        """
-        t = f"{time}"
-        rid, app_id, arrival = req.id, req.app_id, req.arrival
-        i = f"{rid}"
-        # the application request's fields around its target, shared by
-        # its arrive row and its own submit row
-        fields = (
-            f"{i},{i if app_id == rid else '' if app_id is None else app_id},"
-            f"{req.origin._value_},{req.op._value_},"
-        )
-        tail = f",{req.lba},{t if arrival == time else arrival},\n"
-        rows = f"{t},arrive,{fields}{'' if arrive_target is None else arrive_target._value_}{tail}"
-        for sub in immediate:
-            if sub is req:
-                target = sub.target
-                rows += f"{t},submit,{fields}{'' if target is None else target._value_}{tail}"
-            else:
-                rows += _row(time, "submit", sub)
-        self._write(rows)
-
     def request(self, time: int, event: str, req: IoRequest, note: str = "") -> None:
-        self._write(_row(time, event, req, note))
+        # ``_value_`` is the member's stored value; ``.value`` reaches the
+        # same string through a descriptor that costs several times more
+        rid, app_id, target = req.id, req.app_id, req.target
+        i = f"{rid}"
+        self._write(
+            f"{time},{event},{i},{i if app_id == rid else '' if app_id is None else app_id},"
+            f"{req.origin._value_},{req.op._value_},{'' if target is None else target._value_},"
+            f"{req.lba},{req.arrival},{note}\n"
+        )
 
     def policy(self, time: int, policy: WritePolicy) -> None:
         self._write(f"{time},policy,,,,,,,,{policy._value_}\n")
@@ -204,18 +165,13 @@ class Simulation:
             self.events.request(self.sim.clock, "submit", req)
 
     def _dispatch(self, req: IoRequest) -> None:
-        clock = self.sim.clock
-        arrive_target = req.target
-        immediate, promotion, foreground = self.cache.access(req, clock)
+        immediate, promotion, foreground = self.cache.access(req, self.sim.clock)
         if foreground == 2:
             self._both_halves_pending.add(req.id)
         if promotion is not None:
             self._deferred[req.id] = promotion
-        submit = self.sim.submit
         for sub in immediate:
-            submit(sub)
-        if self.events:
-            self.events.access(clock, req, immediate, arrive_target)
+            self._submit(sub)
 
     def _on_complete(self, req: IoRequest) -> None:
         self.tracker.record_completion(req)

@@ -18,6 +18,7 @@ the arrival time.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,8 +73,8 @@ class PhaseSpec:
     def __post_init__(self):
         if self.duration_us <= 0:
             raise ValueError("phase duration must be positive")
-        if self.arrival_rate <= 0:
-            raise ValueError("phase arrival rate must be positive")
+        if not 0 < self.arrival_rate < math.inf:
+            raise ValueError("phase arrival rate must be positive and finite")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError("read fraction must be in [0, 1]")
         if self.working_set_blocks < 1:

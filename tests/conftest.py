@@ -65,7 +65,11 @@ def scenario_runs(tmp_path_factory) -> dict[tuple[str, str], CachedRun]:
 
 
 class CacheReplica:
-    """Independent metadata replay from arrive/policy rows alone."""
+    """Independent metadata replay from access and policy rows alone.
+
+    An access is an application request's first ``submit`` row
+    (``req == app``); its ``op`` and ``lba`` drive ``read`` or ``write``.
+    """
 
     def __init__(self, capacity):
         self.capacity = capacity

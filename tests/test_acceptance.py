@@ -12,6 +12,9 @@ import time
 from collections import Counter
 from statistics import fmean
 
+import pytest
+
+from lbicasim import EventLog, Simulation, build_requests, load_config
 from lbicasim.balancer import (
     RatioVector,
     WorkloadClass,
@@ -153,7 +156,7 @@ def test_criterion_04_lru_matches_brute_force():
             lba = rng.randrange(3 * capacity)
             is_read = rng.random() < 0.6
             expect_hit = oracle.touch(lba)
-            assert engine.resident(lba) == expect_hit  # hit/miss identical
+            assert (lba in engine.resident_lbas()) == expect_hit  # hit/miss identical
             op = OpType.READ if is_read else OpType.WRITE
             origin = Origin.R if is_read else Origin.W
             immediate, _, _ = engine.access(
@@ -315,38 +318,58 @@ def test_criterion_09_repeat_runs_byte_identical(scenario_runs, tmp_path):
 # criterion 10: event-log conservation and dirty-block accounting
 
 
-def replay_run(run):
-    _, rows = read_events(run.out_dir / "events.log")
-    replica = CacheReplica(run.result.config.cache_blocks)
-    arrive_ids = []
+def replay_events(rows, cache_blocks):
+    """Replay an event log's rows through a ``CacheReplica``.
+
+    An access is the first ``submit`` row of an application request
+    (``req == app``), and its time is the request's arrival. A later
+    ``submit`` of that id must follow a ``remove`` of it: a bypass moves
+    the request to the disk. Any other repeat is a second dispatch.
+    """
+    replica = CacheReplica(cache_blocks)
+    access_ids = []
+    last_edit = {}  # application request id -> "submit" or "remove"
     completions = Counter()
     evict_submits = 0
     for row in rows:
-        event = row["event"]
+        event, req = row["event"], row["req"]
         if event == "policy":
             replica.policy = row["note"]
-        elif event == "arrive":
-            arrive_ids.append(row["req"])
-            if row["op"] == "read":
-                replica.read(int(row["lba"]))
+        elif event == "submit":
+            if row["origin"] == "E":
+                evict_submits += 1
+            if req != row["app"]:
+                continue
+            if req in last_edit:
+                again = f"request {req} dispatched again at {row['time']}"
+                assert last_edit[req] == "remove", again
             else:
-                replica.write(int(row["lba"]))
+                assert row["time"] == row["arrival"], row
+                access_ids.append(req)
+                if row["op"] == "read":
+                    replica.read(int(row["lba"]))
+                else:
+                    replica.write(int(row["lba"]))
+            last_edit[req] = "submit"
+        elif event == "remove" and req in last_edit:
+            last_edit[req] = "remove"
         elif event == "complete":
-            completions[row["req"]] += 1
-        elif event == "submit" and row["origin"] == "E":
-            evict_submits += 1
-    return replica, arrive_ids, completions, evict_submits
+            completions[req] += 1
+    return replica, access_ids, completions, evict_submits
 
 
 def test_criterion_10_event_log_conservation(scenario_runs):
     checked = 0
     for (scenario, balancer), run in scenario_runs.items():
-        replica, arrive_ids, completions, evict_submits = replay_run(run)
+        _, rows = read_events(run.out_dir / "events.log")
+        replica, access_ids, completions, evict_submits = replay_events(
+            rows, run.result.config.cache_blocks
+        )
         summary = run.summary
 
-        # each application request arrives once and completes exactly once
-        assert len(arrive_ids) == len(set(arrive_ids)) == summary["app_requests"]
-        for req_id in arrive_ids:
+        # each application request is accessed exactly once and completes exactly once
+        assert len(access_ids) == len(set(access_ids)) == summary["app_requests"]
+        for req_id in access_ids:
             assert completions[req_id] == 1, (scenario, balancer, req_id)
         # nothing in the system ever completes twice
         assert all(count == 1 for count in completions.values())
@@ -360,3 +383,26 @@ def test_criterion_10_event_log_conservation(scenario_runs):
         assert replica.read_hits == summary["cache_read_hits"]
         checked += 1
     report(10, f"{checked} runs replayed: single completion per request, dirty blocks accounted")
+
+
+def test_event_log_replay_rejects_a_double_dispatch(tmp_path):
+    # criterion 10 reads each access off its first submit row, so a
+    # request dispatched twice must still fail the replay
+    config = load_config(SCENARIOS["write_intensive"])
+    requests = build_requests(config)
+    first = requests[0].id
+    path = tmp_path / "events.log"
+    with open(path, "w", newline="") as fh:
+        sim = Simulation(config, requests, events=EventLog(fh, config.scenario_hash()))
+        dispatch = sim._dispatch
+
+        def dispatch_first_twice(req):
+            dispatch(req)
+            if req.id == first:
+                dispatch(req)
+
+        sim.sim.on_arrive = dispatch_first_twice
+        sim.run()
+    _, rows = read_events(path)
+    with pytest.raises(AssertionError, match=f"request {first} dispatched again"):
+        replay_events(rows, config.cache_blocks)

@@ -20,7 +20,7 @@ from lbicasim import EventLog, Simulation, build_requests, load_config, write_ru
 SCENARIO = Path(__file__).with_name("scenarios") / "read_then_write.cfg"
 OUTPUT_FILES = ("intervals.csv", "summary.csv", "events.log")
 DIGESTS = {
-    "events.log": "3264c3071deab9c699dc9d14bee57893bc1eb9c1a4b61612a63e88321484e904",
+    "events.log": "288d1b72851ffa566bfd5ba34d9782b216a45d2cb33a914624a737c32c9a85fc",
     "intervals.csv": "fe694ae0289a4c49d405f804435652198de98d966ece34b84b934f3f4bb2e1dc",
     "summary.csv": "f322980f80152e3ffdb3d568204619d0efc2cfdb38d8ae224ab5668c1fdb3b07",
 }

@@ -64,7 +64,7 @@ class TestReadPaths:
         immediate, promotion, _ = read(engine, 1, lba=7)
         assert shapes(immediate) == [(Origin.R, DeviceRole.HDD)]
         assert promotion is None
-        assert engine.occupancy == 0
+        assert engine.resident_lbas() == []
 
 
 class TestWritePaths:
@@ -92,14 +92,14 @@ class TestWritePaths:
         write(engine, 1, lba=3)
         engine.set_policy(WritePolicy.WT)
         write(engine, 2, lba=3)
-        assert engine.resident(3)
+        assert 3 in engine.resident_lbas()
         assert engine.dirty_lbas() == set()
 
     def test_ro_write_bypasses_to_disk(self):
         engine = make_engine(policy=WritePolicy.RO)
         immediate, _, _ = write(engine, 1, lba=3)
         assert shapes(immediate) == [(Origin.W, DeviceRole.HDD)]
-        assert engine.occupancy == 0
+        assert engine.resident_lbas() == []
 
     def test_ro_write_invalidates_clean_copy_silently(self):
         engine = make_engine()
@@ -107,7 +107,7 @@ class TestWritePaths:
         engine.set_policy(WritePolicy.RO)
         immediate, _, _ = write(engine, 2, lba=3)
         assert shapes(immediate) == [(Origin.W, DeviceRole.HDD)]
-        assert not engine.resident(3)
+        assert 3 not in engine.resident_lbas()
 
     def test_ro_write_over_dirty_copy_writes_back_first(self):
         engine = make_engine()
@@ -115,7 +115,7 @@ class TestWritePaths:
         engine.set_policy(WritePolicy.RO)
         immediate, _, _ = write(engine, 2, lba=3)
         assert shapes(immediate) == [(Origin.E, DeviceRole.HDD), (Origin.W, DeviceRole.HDD)]
-        assert not engine.resident(3)
+        assert 3 not in engine.resident_lbas()
 
 
 class TestEviction:
@@ -148,8 +148,7 @@ class TestEviction:
         read(engine, 2, lba=2, now=2)
         read(engine, 3, lba=1, now=3)
         read(engine, 4, lba=3, now=4)
-        assert engine.resident(1) and engine.resident(3)
-        assert not engine.resident(2)
+        assert engine.resident_lbas() == [1, 3]
 
     def test_eviction_requires_a_full_cache(self):
         engine = make_engine(capacity=2)
@@ -198,7 +197,7 @@ class TestContracts:
         engine = make_engine(capacity=3)
         for i in range(20):
             read(engine, i, lba=i, now=i)
-            assert engine.occupancy <= 3
+            assert len(engine.resident_lbas()) <= 3
 
 
 class LruOracle:
@@ -227,7 +226,7 @@ def replay_against_oracle(capacity, accesses):
     engine_hits = []
     oracle_hits = []
     for step, (lba, is_read) in enumerate(accesses):
-        engine_hits.append(engine.resident(lba))
+        engine_hits.append(lba in engine.resident_lbas())
         oracle_hits.append(oracle.touch(lba))
         op = OpType.READ if is_read else OpType.WRITE
         engine.access(app_request(step, lba, op, arrival=step), now=step)

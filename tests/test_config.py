@@ -120,6 +120,28 @@ class TestParsing:
         with pytest.raises(ConfigError, match="phase1: sequential stride"):
             parse_config_text(text)
 
+    def test_repeated_run_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match=r"<config>:3: key 'cache_blocks' repeats line 1"):
+            parse_config_text("cache_blocks = 4\nseed = 1\ncache_blocks = 8\n")
+
+    def test_repeated_phase_key_names_both_lines(self):
+        text = (
+            "cache_blocks = 8\nphase1.duration_ms = 10\nphase1.rate = 100\n"
+            "phase1.working_set = 8\nphase2.working_set = 8\nphase01.working_set = 16\n"
+        )
+        repeat = r"<config>:6: key 'phase01.working_set' repeats line 4"
+        with pytest.raises(ConfigError, match=repeat):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_phase_rate_rejected(self, rate):
+        text = (
+            "cache_blocks = 8\nphase1.duration_ms = 10\nphase1.working_set = 8\n"
+            f"phase1.rate = {rate}\n"
+        )
+        with pytest.raises(ConfigError, match="phase1: .* must be positive and finite"):
+            parse_config_text(text)
+
     def test_key_of_the_other_address_model_is_still_parsed(self):
         text = (
             "cache_blocks = 8\nphase1.duration_ms = 10\nphase1.rate = 100\n"

@@ -376,44 +376,24 @@ class TestPolicyLog:
 def logged_event_fields():
     """Every ``event`` and ``note`` literal the runner writes to a request row.
 
-    Events come from the ``EventLog.request`` and ``_row`` calls, which
-    both take ``(time, event, req, note)``, and from the literal event
-    field of each f-string row that a request-row writer (a method of
-    ``EventLog`` taking a ``req``) formats itself.
+    Every request row is written by an ``EventLog.request`` call, which
+    takes ``(time, event, req, note)``.
     """
     events, notes = set(), set()
-    tree = ast.parse(inspect.getsource(runner))
-    (log_class,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "EventLog")
-    # ``EventLog.request`` passes its own arguments on to ``_row``
-    (forward,) = (m for m in log_class.body if getattr(m, "name", None) == "request")
-    forwarded = set(ast.walk(forward))
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or node in forwarded:
-            continue
-        if getattr(node.func, "attr", None) != "request" and getattr(node.func, "id", None) != "_row":
+    for node in ast.walk(ast.parse(inspect.getsource(runner))):
+        if not isinstance(node, ast.Call) or getattr(node.func, "attr", None) != "request":
             continue
         fields = [node.args[1]] + [kw.value for kw in node.keywords if kw.arg == "note"]
         assert all(isinstance(f, ast.Constant) and isinstance(f.value, str) for f in fields)
         events.add(fields[0].value)
         notes.update(f.value for f in fields[1:])
-    for method in log_class.body:
-        if not (isinstance(method, ast.FunctionDef) and "req" in [a.arg for a in method.args.args]):
-            continue
-        for node in ast.walk(method):
-            # a row opens "{time},<event>,": a time field, then a literal
-            if isinstance(node, ast.JoinedStr) and len(node.values) > 1:
-                first, second = node.values[:2]
-                if isinstance(first, ast.FormattedValue) and isinstance(second, ast.Constant):
-                    event = second.value.split(",")[1]
-                    if event:
-                        events.add(event)
     return sorted(events), sorted(notes)
 
 
 LOGGED_EVENTS, LOGGED_NOTES = logged_event_fields()
 
-# small values collide often, so rows where the time equals an arrival
-# or an app id equals its request id are drawn as often as the rest
+# small values collide often, so rows where an app id equals its
+# request id are drawn as often as the rest
 numbers = st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=10**9)
 
 logged_requests = st.builds(
@@ -426,16 +406,6 @@ logged_requests = st.builds(
     target=st.none() | st.sampled_from(DeviceRole),
     app_id=st.none() | numbers,
 )
-
-
-@st.composite
-def logged_accesses(draw):
-    """``(time, req, immediate, arrive_target)``, ``req`` anywhere in ``immediate`` or not in it."""
-    req = draw(logged_requests)
-    others = draw(st.lists(logged_requests, max_size=3))
-    position = draw(st.none() | st.integers(min_value=0, max_value=len(others)))
-    immediate = others if position is None else others[:position] + [req] + others[position:]
-    return draw(numbers), req, tuple(immediate), draw(st.none() | st.sampled_from(DeviceRole))
 
 
 def reference_row(time, event, req, note=""):
@@ -454,19 +424,11 @@ def reference_row(time, event, req, note=""):
     )
 
 
-class ChunkLog:
-    """A text sink that keeps each ``write`` call's string apart."""
-
-    def __init__(self):
-        self.chunks = []
-        self.write = self.chunks.append
-
-
 class TestEventLogFormat:
     def test_runner_passes_only_csv_safe_events_and_notes(self):
         # EventLog formats every row without quoting, which csv.writer
         # would apply to any field holding one of these characters
-        assert set(LOGGED_EVENTS) == {"arrive", "submit", "complete", "remove", "drop"}
+        assert set(LOGGED_EVENTS) == {"submit", "complete", "remove", "drop"}
         assert set(LOGGED_NOTES) == {"bypassed promotion", "write-only policy"}
         policies = [policy.value for policy in WritePolicy]
         for text in LOGGED_EVENTS + LOGGED_NOTES + policies + list(runner.EVENT_COLUMNS):
@@ -501,32 +463,6 @@ class TestEventLogFormat:
             log.request(time, event, req, note)
             writer.writerow(reference_row(time, event, req, note))
         assert buffer.getvalue() == reference.getvalue()
-
-    @given(st.lists(logged_accesses(), max_size=10))
-    def test_access_rows_match_a_csv_writer_byte_for_byte(self, calls):
-        sink = ChunkLog()
-        log = EventLog(sink, "abc")
-        del sink.chunks[:]
-        reference = io.StringIO()
-        writer = csv.writer(reference, lineterminator="\n")
-        for time, req, immediate, arrive_target in calls:
-            log.access(time, req, immediate, arrive_target)
-            arrived = dataclasses.replace(req, target=arrive_target)
-            writer.writerow(reference_row(time, "arrive", arrived))
-            for sub in immediate:
-                writer.writerow(reference_row(time, "submit", sub))
-        # one write per access, whatever the number of rows it holds
-        assert len(sink.chunks) == len(calls)
-        assert "".join(sink.chunks) == reference.getvalue()
-
-    def test_arrive_row_shows_the_target_before_routing(self):
-        # a read miss is routed to the disk; the arrive row keeps the
-        # target the request arrived with
-        req = dataclasses.replace(app_read(0, lba=5), target=DeviceRole.SSD)
-        sim, buffer = logged_sim(small_config(phases=()), [req])
-        sim.run()
-        steps = [(r["event"], r["req"], r["target"]) for r in logged_rows(buffer)][:2]
-        assert steps == [("arrive", "0", "ssd"), ("submit", "0", "hdd")]
 
 
 class TestIntervalRows:
@@ -589,9 +525,14 @@ def test_events_log_replays_cleanly(tmp_path):
         run_simulation(config, events=EventLog(fh, config.scenario_hash()))
     scenario, rows = read_events(path)
     assert scenario == config.scenario_hash()
-    arrivals = [r for r in rows if r["event"] == "arrive"]
+    # an access is its application request's first submit row, at its arrival
+    accesses = {}
+    for r in rows:
+        if r["event"] == "submit" and r["req"] == r["app"]:
+            accesses.setdefault(r["req"], r)
+    assert len(accesses) == 20
+    assert all(r["time"] == r["arrival"] for r in accesses.values())
     completes = [r for r in rows if r["event"] == "complete"]
-    assert len(arrivals) == 20
     # every submitted request completes exactly once
     submitted_ids = {r["req"] for r in rows if r["event"] == "submit"}
     completed_ids = [r["req"] for r in completes]
