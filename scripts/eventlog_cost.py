@@ -15,11 +15,14 @@ list. Each round runs both sides once, and the side that goes first
 alternates from round to round, so a drift in host speed does not
 favour one side. A side's time for a round is the sum over its pairs.
 
-The probe prints each side's median, minimum and maximum over the
-rounds and the ratio of the medians, with the log to without it: the
-log's cost as a multiple of the run. It exits 1 if a pair's summary
-differs between the two sides, since the log must not change what is
-simulated.
+The probe prints each side's median, quartiles, minimum and maximum
+over the rounds and the ratio of the medians, with the log to without
+it: the log's cost as a multiple of the run. Since host speed drifts
+between rounds more than within one, it also prints the minimum, median
+and maximum of the ratio taken round by round; a change in the log's
+cost is resolved only when it moves that spread. It exits 1 if a pair's
+summary differs between the two sides, since the log must not change
+what is simulated.
 """
 
 from __future__ import annotations
@@ -36,6 +39,14 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import harness  # noqa: E402
 
 SIDES = ("without log", "with log")
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """First and third quartile; a single round is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _median, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -65,12 +76,18 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{len(pairs)} pairs, {args.repeats} rounds, timed as perfbench's replay:")
     for side in SIDES:
         runs = walls[side]
+        q1, q3 = quartiles(runs)
         print(
             f"  {side:<12} median {statistics.median(runs):.3f} s"
-            f" (min {min(runs):.3f}, max {max(runs):.3f})"
+            f" [q1 {q1:.3f}, q3 {q3:.3f}] (min {min(runs):.3f}, max {max(runs):.3f})"
         )
     ratio = statistics.median(walls["with log"]) / statistics.median(walls["without log"])
     print(f"  with / without log: {ratio:.2f}x")
+    ratios = [a / b for a, b in zip(walls["with log"], walls["without log"])]
+    print(
+        f"  per round: min {min(ratios):.2f}x, median {statistics.median(ratios):.2f}x,"
+        f" max {max(ratios):.2f}x"
+    )
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Scaling probe: mixed_rw under none-wb at 1x, 2x and 4x its length.
+"""Scaling probe: mixed_rw under none-wb at 1x, 2x, 4x and 8x its length.
 
 Usage, from the root of a checkout::
 
@@ -9,19 +9,28 @@ that depends on queue depth shows here as superlinear growth. Every
 phase's duration is multiplied by the factor at an unchanged rate,
 so a factor-k run carries about k times the application requests. Each
 run times its two stages apart: building the request list
-(``build_requests``) and simulating it (no event log, no reports). For
-each factor the probe prints the request count, then one line per stage
-with the best and the median wall time of ``--repeats`` runs, each
-relative to the 1x run. Each round runs every factor once, in rotating
-order, so a drift in host speed does not favour one factor; the best
-time is the least disturbed by other load on the host.
-If cost is linear in request count, the 4x run costs about 4x the 1x run.
+(``build_requests``) and simulating it (no event log, no reports).
+
+Every run is made in a fresh child process, started one at a time, so
+no run inherits the heap of another and the child's peak resident set
+(``resource.getrusage``) is that run's memory alone. For each factor the
+probe prints the request count, the median peak RSS of its runs and,
+past 1x, the bytes per request: the rise in peak RSS over the 1x run
+divided by the rise in request count, so the interpreter's fixed share
+drops out. Then it prints one line per stage with the best and the
+median wall time of ``--repeats`` runs, each relative to the 1x run.
+Each round runs every factor once, in rotating order, so a drift in host
+speed does not favour one factor; the best time is the least disturbed
+by other load on the host. If cost is linear in request count, the 8x
+run costs about 8x the 1x run.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import multiprocessing
+import resource
 import statistics
 import sys
 import time
@@ -34,7 +43,8 @@ from lbicasim import Simulation, build_requests, load_config  # noqa: E402
 
 SCENARIO = ROOT / "scenarios" / "mixed_rw.cfg"
 BALANCER = "none-wb"
-FACTORS = (1, 2, 4)
+FACTORS = (1, 2, 4, 8)
+STAGES = ("build", "simulate")
 
 
 def scaled(config, factor: int):
@@ -42,29 +52,49 @@ def scaled(config, factor: int):
     return dataclasses.replace(config, phases=phases)
 
 
+def measure(factor: int) -> tuple[int, float, float, int]:
+    """One run at ``factor``, in a child: requests, the two stage times, peak RSS in bytes."""
+    config = scaled(dataclasses.replace(load_config(SCENARIO), balancer=BALANCER), factor)
+    started = time.perf_counter()
+    built = build_requests(config)
+    split = time.perf_counter()
+    result = Simulation(config, built).run()
+    done = time.perf_counter()
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    return result.summary["app_requests"], split - started, done - split, peak
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
 
-    base = dataclasses.replace(load_config(SCENARIO), balancer=BALANCER)
-    stages = ("build", "simulate")
-    walls = {(stage, factor): [] for stage in stages for factor in FACTORS}
+    walls = {(stage, factor): [] for stage in STAGES for factor in FACTORS}
+    peaks = {factor: [] for factor in FACTORS}
     requests = {}
-    for repeat in range(args.repeats):
-        shift = repeat % len(FACTORS)
-        for factor in FACTORS[shift:] + FACTORS[:shift]:
-            config = scaled(base, factor)
-            started = time.perf_counter()
-            built = build_requests(config)
-            split = time.perf_counter()
-            result = Simulation(config, built).run()
-            walls["build", factor].append(split - started)
-            walls["simulate", factor].append(time.perf_counter() - split)
-            requests[factor] = result.summary["app_requests"]
+    # one worker at a time, replaced after every run
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+        for repeat in range(args.repeats):
+            shift = repeat % len(FACTORS)
+            for factor in FACTORS[shift:] + FACTORS[:shift]:
+                count, build, simulate, peak = pool.apply(measure, (factor,))
+                requests[factor] = count
+                walls["build", factor].append(build)
+                walls["simulate", factor].append(simulate)
+                peaks[factor].append(peak)
+    peak1 = statistics.median(peaks[1])
     for factor in FACTORS:
-        print(f"{SCENARIO.stem}/{BALANCER} x{factor}: {requests[factor]} requests")
-        for stage in stages:
+        peak = statistics.median(peaks[factor])
+        line = (
+            f"{SCENARIO.stem}/{BALANCER} x{factor}: {requests[factor]} requests,"
+            f" peak RSS {peak / 2**20:.1f} MB"
+        )
+        if factor > 1:
+            per_request = (peak - peak1) / (requests[factor] - requests[1])
+            line += f" ({per_request:.0f} B per request over x1)"
+        print(line)
+        for stage in STAGES:
             best, median = min(walls[stage, factor]), statistics.median(walls[stage, factor])
             best1, median1 = min(walls[stage, 1]), statistics.median(walls[stage, 1])
             print(

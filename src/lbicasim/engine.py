@@ -74,9 +74,13 @@ class IoRequest:
     requests created by the cache engine (promotions, eviction
     write-backs, the disk half of a write-through write) either link back
     through ``app_id`` or carry ``None``. ``target`` is unset until the
-    cache engine routes the request. Timestamps fill in as the request
-    moves through a device queue and must satisfy
-    ``arrival <= enqueued_at <= service_start <= completed_at``.
+    cache engine routes the request. ``completed_at`` is set when a
+    device finishes the request, exactly its op's service latency after
+    it entered service. It entered service no earlier than its arrival
+    and no earlier than the previous completion on its device, so
+    ``arrival <= completed_at - latency``. The submit and service-start
+    times are not stored: each request stays alive for the whole run, so
+    every field costs memory per request.
     """
 
     id: int
@@ -86,8 +90,6 @@ class IoRequest:
     origin: Origin
     target: DeviceRole | None = None
     app_id: int | None = None
-    enqueued_at: int | None = None
-    service_start: int | None = None
     completed_at: int | None = None
 
 
@@ -117,7 +119,9 @@ class Device:
         self.inqueue = [0] * len(Origin)
         self.submitted = 0
         self.busy_until = 0
-        self.busy_time = 0  # summed service time of completed requests
+        # summed service time of every request that entered service; a
+        # finished run drains every queue, so this is then the busy time
+        self.busy_time = 0
 
     @property
     def qsize(self) -> int:
@@ -129,15 +133,14 @@ class Device:
                 f"request {req.id} targets {req.target and req.target.name}, "
                 f"submitted to {self.role.name}"
             )
-        arrival = req.arrival
-        req.enqueued_at = now if now >= arrival else arrival
         self.inqueue[req.origin.index] += 1
         self.submitted += 1
         if self.in_service is None:
             # an idle device has an empty waiting queue: start at once
-            req.service_start = now
             self.in_service = req
-            self.busy_until = now + (self.read_latency if req.op is _READ else self.write_latency)
+            service = self.read_latency if req.op is _READ else self.write_latency
+            self.busy_until = now + service
+            self.busy_time += service
         else:
             self.waiting.append(req)
 
@@ -148,13 +151,13 @@ class Device:
         """
         req = self.in_service
         req.completed_at = now
-        self.busy_time += now - req.service_start
         self.inqueue[req.origin.index] -= 1
         if self.waiting:
             nxt = self.waiting.popleft()
-            nxt.service_start = now
             self.in_service = nxt
-            self.busy_until = now + (self.read_latency if nxt.op is _READ else self.write_latency)
+            service = self.read_latency if nxt.op is _READ else self.write_latency
+            self.busy_until = now + service
+            self.busy_time += service
         else:
             self.in_service = None
         return req

@@ -89,6 +89,20 @@ class PhaseSpec:
         return int(self.duration_us * self.arrival_rate / 1_000_000)
 
 
+def _region(base: int, working_set: int, request_count: int) -> Sequence[int]:
+    """The blocks ``base, base + 1, ...`` of a uniform region, for indexing.
+
+    Every request of a run stays alive until the run ends, and a block
+    number above 256 is a 32-byte object of its own unless requests share
+    it. A list holds one object per block, which the requests drawing that
+    block share; a range makes a new one per draw. The list is built only
+    when the phase has at least as many requests as the region has blocks,
+    so a huge, sparsely drawn region costs nothing up front.
+    """
+    blocks = range(base, base + working_set)
+    return list(blocks) if working_set <= request_count else blocks
+
+
 def generate(phases: Sequence[PhaseSpec], seed: int, start_id: int = 0) -> list[IoRequest]:
     """Expand a scenario into its request stream, deterministically.
 
@@ -110,30 +124,37 @@ def generate(phases: Sequence[PhaseSpec], seed: int, start_id: int = 0) -> list[
         jitter = phase.jitter
         read_fraction = phase.read_fraction
         model = phase.address_model
-        sequential = isinstance(model, Sequential)
-        if sequential:
-            read_base = write_base = model.start
-            stride = model.stride
-        else:
-            read_base = model.base
-            write_base = read_base if phase.write_base is None else phase.write_base
+        count = phase.request_count
         working_set = phase.working_set_blocks
         bits = working_set.bit_length()
-        for i in range(phase.request_count):
+        # a sequential phase's region is its start block; a uniform
+        # phase's is the sequence of its blocks, indexed by the offset
+        sequential = isinstance(model, Sequential)
+        if sequential:
+            read_region = write_region = model.start
+            stride = model.stride
+        else:
+            read_region = _region(model.base, working_set, count)
+            write_region = (
+                read_region
+                if phase.write_base is None
+                else _region(phase.write_base, working_set, count)
+            )
+        for i in range(count):
             arrival = phase_start + int(i * slot)
             if jitter > 0.0:
                 arrival += int(draw() * jitter * slot)
             if draw() < read_fraction:
-                op, origin, lba = _READ, _R, read_base
+                op, origin, region = _READ, _R, read_region
             else:
-                op, origin, lba = _WRITE, _W, write_base
+                op, origin, region = _WRITE, _W, write_region
             if sequential:
-                lba += i * stride
+                lba = region + i * stride
             else:
                 offset = getrandbits(bits)
                 while offset >= working_set:
                     offset = getrandbits(bits)
-                lba += offset
+                lba = region[offset]
             # fields (id, arrival, lba, op, origin, target, app_id); passing
             # them by keyword costs more than twice as much per request
             add(IoRequest(next_id, arrival, lba, op, origin, None, next_id))

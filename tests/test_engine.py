@@ -1,5 +1,6 @@
 """Event loop and device queue semantics."""
 
+import dataclasses
 import heapq
 import random
 import sys
@@ -16,6 +17,21 @@ from conftest import recount_origins
 
 def make_request(req_id, arrival=0, op=OpType.READ, origin=Origin.R, target=DeviceRole.SSD, lba=0):
     return IoRequest(id=req_id, arrival=arrival, lba=lba, op=op, origin=origin, target=target)
+
+
+def test_a_request_keeps_only_the_fields_the_package_reads():
+    # every request stays alive for the whole run, so each field costs
+    # memory per request
+    assert [f.name for f in dataclasses.fields(IoRequest)] == [
+        "id",
+        "arrival",
+        "lba",
+        "op",
+        "origin",
+        "target",
+        "app_id",
+        "completed_at",
+    ]
 
 
 # a step bound past every event a test schedules
@@ -89,15 +105,6 @@ class TestSubmit:
         sim, _ = new_sim()
         with pytest.raises(RoutingError, match="request 1 is unrouted"):
             sim.submit(make_request(1, target=None))
-
-    def test_enqueued_at_is_max_of_clock_and_arrival(self):
-        dev = Device(DeviceRole.SSD, 100, 100)
-        early = make_request(1, arrival=0)
-        dev.submit(early, now=40)
-        late = make_request(2, arrival=90)
-        dev.submit(late, now=40)
-        assert early.enqueued_at == 40
-        assert late.enqueued_at == 90
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
@@ -317,44 +324,50 @@ def random_schedule(seed, n=60):
 
 
 def run_schedule(seed):
+    """Drain a random schedule; the recorder submits each request as it arrives."""
     sim, rec = make_sim()
     for req in random_schedule(seed):
         sim.schedule_arrivals([req])
-    done = drain(sim, rec)
-    return sim, done
+    drain(sim, rec)
+    return sim, rec
+
+
+def service_latency(sim, req):
+    dev = sim.ssd if req.target is DeviceRole.SSD else sim.hdd
+    return dev.read_latency if req.op is OpType.READ else dev.write_latency
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_fifo_completion_order_per_device(seed):
-    _sim, done = run_schedule(seed)
+    _sim, rec = run_schedule(seed)
+    done = rec.completed
+    target = {r.id: r.target for r in done}
     for role in DeviceRole:
         times = [r.completed_at for r in done if r.target is role]
         assert times == sorted(times)
         ids_by_completion = [r.id for r in done if r.target is role]
-        ids_by_enqueue = sorted(
-            (r.id for r in done if r.target is role),
-            key=lambda i: next(r.enqueued_at for r in done if r.id == i),
-        )
-        assert ids_by_completion == ids_by_enqueue
+        ids_by_submit = [i for i in rec.arrived() if target[i] is role]
+        assert ids_by_completion == ids_by_submit
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_busy_time_equals_sum_of_service_latencies(seed):
-    sim, done = run_schedule(seed)
+    sim, rec = run_schedule(seed)
     for dev in (sim.ssd, sim.hdd):
-        expected = sum(
-            dev.read_latency if r.op is OpType.READ else dev.write_latency
-            for r in done
-            if r.target is dev.role
-        )
+        expected = sum(service_latency(sim, r) for r in rec.completed if r.target is dev.role)
         assert dev.busy_time == expected
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_timestamp_ordering_invariant(seed):
-    _sim, done = run_schedule(seed)
-    for req in done:
-        assert req.arrival <= req.enqueued_at <= req.service_start <= req.completed_at
+    sim, rec = run_schedule(seed)
+    for role in DeviceRole:
+        previous = 0  # completion of the request served before, on this device
+        for req in (r for r in rec.completed if r.target is role):
+            started = req.completed_at - service_latency(sim, req)
+            assert req.arrival <= started
+            assert previous <= started
+            previous = req.completed_at
 
 
 class PromotingRecorder(Recorder):
@@ -446,9 +459,10 @@ def test_every_way_of_driving_the_loop_hands_over_the_same_calls(requests, cuts)
 def test_identical_schedules_replay_identically():
     _, first = run_schedule(424242)
     _, second = run_schedule(424242)
-    trace_a = [(r.id, r.enqueued_at, r.service_start, r.completed_at) for r in first]
-    trace_b = [(r.id, r.enqueued_at, r.service_start, r.completed_at) for r in second]
-    assert trace_a == trace_b
+    assert first.calls == second.calls
+    assert [(r.id, r.completed_at) for r in first.completed] == [
+        (r.id, r.completed_at) for r in second.completed
+    ]
 
 
 queue_ops = st.lists(

@@ -314,3 +314,43 @@ def test_generate_matches_the_reference_stream_field_for_field(phases, seed, sta
     with mock.patch.object(workload, "random", SimpleNamespace(Random=rng_class())):
         actual = rows(generate(phases, seed, start_id))
     assert actual == expected
+
+
+@pytest.mark.parametrize("write_base", [None, 50_000])
+def test_a_uniform_phase_shares_one_block_object_per_block(write_base):
+    # steady's phase at a tenth of its length, its region moved past the
+    # small ints that CPython shares anyway
+    phase = PhaseSpec(
+        duration_us=1_000_000,
+        arrival_rate=6000,
+        read_fraction=0.7,
+        address_model=UniformRandom(base=10_000),
+        working_set_blocks=2048,
+        jitter=0.5,
+        write_base=write_base,
+    )
+    requests = generate([phase], seed=1)
+    regions = 1 if write_base is None else 2
+    assert len({id(r.lba) for r in requests}) <= regions * phase.working_set_blocks
+    fields = [f.name for f in dataclasses.fields(IoRequest)]
+    assert [tuple(getattr(r, name) for name in fields) for r in requests] == [
+        tuple(getattr(r, name) for name in fields) for r in reference_generate([phase], seed=1)
+    ]
+
+
+def test_a_sparsely_drawn_region_builds_no_table_of_its_blocks():
+    # 8 requests over 2^40 blocks: a list of the region would not fit in memory
+    base, write_base, working_set = 7, 2**41, 2**40
+    phase = PhaseSpec(
+        duration_us=8_000,
+        arrival_rate=1000,
+        read_fraction=0.5,
+        address_model=UniformRandom(base=base),
+        working_set_blocks=working_set,
+        write_base=write_base,
+    )
+    requests = generate([phase], seed=3)
+    assert len(requests) == 8
+    for r in requests:
+        start = base if r.op is OpType.READ else write_base
+        assert start <= r.lba < start + working_set
