@@ -27,7 +27,7 @@ from collections import OrderedDict
 from enum import Enum
 from typing import Callable
 
-from .engine import DeviceRole, IoRequest, OpType, Origin
+from .engine import DeviceRole, IoRequest, Origin
 
 
 class WritePolicy(Enum):
@@ -39,7 +39,6 @@ class WritePolicy(Enum):
 
 # members bound once, so planning an access makes no enum class lookups
 _R, _W, _P, _E = Origin
-_READ, _WRITE = OpType
 _SSD, _HDD = DeviceRole
 _WB, _WT, _WO, _RO = WritePolicy
 
@@ -125,7 +124,7 @@ class CacheEngine:
         entries = self._entries
         lba = req.lba
         policy = self.policy
-        is_read = req.op is _READ
+        is_read = req.origin is _R
         if is_read:
             if lba in entries:
                 self.read_hits += 1
@@ -158,12 +157,12 @@ class CacheEngine:
             writeback = self.evict_victim(now)[1]
         entries[lba] = dirty
 
-        # positional fields (id, arrival, lba, op, origin, target, app_id):
-        # the dataclass __init__ takes them at half the cost of keywords
+        # positional fields (id, arrival, lba, origin, target, app_id): the
+        # dataclass __init__ takes them at half the cost of keywords
         if is_read:
-            promotion = IoRequest(self._next_id(), now, lba, _WRITE, _P, _SSD)
+            promotion = IoRequest(self._next_id(), now, lba, _P, _SSD)
         elif policy is _WT:
-            mirror = IoRequest(self._next_id(), req.arrival, lba, _WRITE, _W, _HDD, req.app_id)
+            mirror = IoRequest(self._next_id(), req.arrival, lba, _W, _HDD, req.app_id)
             return ((req, mirror) if writeback is None else (writeback, req, mirror)), None, 2
         else:
             promotion = None
@@ -184,4 +183,4 @@ class CacheEngine:
 
     def _writeback(self, lba: int, now: int) -> IoRequest:
         self.dirty_writebacks += 1
-        return IoRequest(self._next_id(), now, lba, _WRITE, _E, _HDD)
+        return IoRequest(self._next_id(), now, lba, _E, _HDD)

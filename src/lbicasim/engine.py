@@ -26,8 +26,17 @@ from enum import Enum
 from typing import Callable, Sequence
 
 
+class OpType(Enum):
+    READ = "read"
+    WRITE = "write"
+
+
 class Origin(Enum):
-    """Request provenance: application traffic (R/W) or cache traffic (P/E)."""
+    """Request provenance: application traffic (R/W) or cache traffic (P/E).
+
+    ``op`` is the operation every request of this origin performs: an
+    application read reads, and every other origin writes a block.
+    """
 
     R = "R"  # application read
     W = "W"  # application write
@@ -37,11 +46,7 @@ class Origin(Enum):
     def __init__(self, value: str):
         # declaration position: the index of this origin in per-origin counts
         self.index = len(type(self).__members__)
-
-
-class OpType(Enum):
-    READ = "read"
-    WRITE = "write"
+        self.op = OpType.READ if value == "R" else OpType.WRITE
 
 
 class DeviceRole(Enum):
@@ -57,8 +62,7 @@ class DeviceRole(Enum):
 
 # Members bound once: reading one off its class costs a metaclass lookup,
 # which the per-request paths below would otherwise pay on every call.
-_R, _W, _P, _E = Origin
-_READ, _WRITE = OpType
+_R = Origin.R
 _SSD, _HDD = DeviceRole
 
 
@@ -74,23 +78,28 @@ class IoRequest:
     requests created by the cache engine (promotions, eviction
     write-backs, the disk half of a write-through write) either link back
     through ``app_id`` or carry ``None``. ``target`` is unset until the
-    cache engine routes the request. ``completed_at`` is set when a
-    device finishes the request, exactly its op's service latency after
-    it entered service. It entered service no earlier than its arrival
-    and no earlier than the previous completion on its device, so
-    ``arrival <= completed_at - latency``. The submit and service-start
-    times are not stored: each request stays alive for the whole run, so
+    cache engine routes the request. ``op`` is not stored: it is
+    ``origin.op``, a read for origin R and a write for every other.
+
+    A request's completion time is not stored either. A device finishes
+    it exactly its op's service latency after it entered service, and the
+    completion handler reads that instant from the simulator's clock. It
+    entered service no earlier than its arrival and no earlier than the
+    previous completion on its device, so ``arrival <= clock - latency``
+    when it completes. Each request stays alive for the whole run, so
     every field costs memory per request.
     """
 
     id: int
     arrival: int
     lba: int
-    op: OpType
     origin: Origin
     target: DeviceRole | None = None
     app_id: int | None = None
-    completed_at: int | None = None
+
+    @property
+    def op(self) -> OpType:
+        return self.origin.op
 
 
 class Device:
@@ -138,7 +147,7 @@ class Device:
         if self.in_service is None:
             # an idle device has an empty waiting queue: start at once
             self.in_service = req
-            service = self.read_latency if req.op is _READ else self.write_latency
+            service = self.read_latency if req.origin is _R else self.write_latency
             self.busy_until = now + service
             self.busy_time += service
         else:
@@ -150,12 +159,11 @@ class Device:
         The next waiting request, if any, enters service at ``now``.
         """
         req = self.in_service
-        req.completed_at = now
         self.inqueue[req.origin.index] -= 1
         if self.waiting:
             nxt = self.waiting.popleft()
             self.in_service = nxt
-            service = self.read_latency if nxt.op is _READ else self.write_latency
+            service = self.read_latency if nxt.origin is _R else self.write_latency
             self.busy_until = now + service
             self.busy_time += service
         else:

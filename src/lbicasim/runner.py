@@ -72,13 +72,16 @@ class EventLog:
 
     def request(self, time: int, event: str, req: IoRequest, note: str = "") -> None:
         # ``_value_`` is the member's stored value; ``.value`` reaches the
-        # same string through a descriptor that costs several times more
+        # same string through a descriptor that costs several times more.
+        # An id shared with its app id, and a time shared with the arrival
+        # (every access's own submit row), are each formatted once.
         rid, app_id, target = req.id, req.app_id, req.target
-        i = f"{rid}"
+        i, t = f"{rid}", f"{time}"
         self._write(
-            f"{time},{event},{i},{i if app_id == rid else '' if app_id is None else app_id},"
-            f"{req.origin._value_},{req.op._value_},{'' if target is None else target._value_},"
-            f"{req.lba},{req.arrival},{note}\n"
+            f"{t},{event},{i},{i if app_id == rid else '' if app_id is None else app_id},"
+            f"{req.origin._value_},{req.origin.op._value_},"
+            f"{'' if target is None else target._value_},"
+            f"{req.lba},{t if req.arrival == time else req.arrival},{note}\n"
         )
 
     def policy(self, time: int, policy: WritePolicy) -> None:
@@ -174,8 +177,9 @@ class Simulation:
             self._submit(sub)
 
     def _on_complete(self, req: IoRequest) -> None:
-        self.tracker.record_completion(req)
-        events, clock = self.events, req.completed_at
+        clock = self.sim.clock
+        self.tracker.record_completion(req, clock)
+        events = self.events
         if events:
             events.request(clock, "complete", req)
         if self._deferred:
@@ -239,7 +243,8 @@ class Simulation:
         return RunResult(self.config, self.rows, self._summary(end_time), end_time)
 
     def _summary(self, end_time: int) -> dict:
-        latencies = sorted(self._latencies)
+        latencies = self._latencies
+        latencies.sort()
         if latencies:
             mean_lat = statistics.fmean(latencies)
             median_lat = statistics.median(latencies)

@@ -62,8 +62,8 @@ class IntervalStats:
     Queue depths are sampled at the window end. ``ssd_served`` and
     ``hdd_served`` count each device's completions inside the window per
     origin, in ``Origin`` order ``(r, w, p, e)``; ``ssd_max_latency`` and
-    ``hdd_max_latency`` are the largest ``completed_at - arrival`` each
-    device saw in the window (zero when idle).
+    ``hdd_max_latency`` are the largest completion time less arrival
+    that each device saw in the window (zero when idle).
     """
 
     interval_index: int
@@ -100,11 +100,11 @@ class IntervalTracker:
         self._served = [[0] * len(Origin) for _role in DeviceRole]
         self._max_latency = [0] * len(DeviceRole)
 
-    def record_completion(self, req: IoRequest) -> None:
-        assert req.target is not None and req.completed_at is not None
+    def record_completion(self, req: IoRequest, now: int) -> None:
+        """Count ``req``, which its device finished at ``now``."""
         role = req.target.index
         self._served[role][req.origin.index] += 1
-        latency = req.completed_at - req.arrival
+        latency = now - req.arrival
         if latency > self._max_latency[role]:
             self._max_latency[role] = latency
 

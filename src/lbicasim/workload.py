@@ -27,9 +27,8 @@ from typing import Iterable, Sequence
 from .engine import IoRequest, OpType, Origin
 
 
-# the op and origin of an application read and write, bound once for
-# the per-request loops below
-_READ, _WRITE = OpType
+# the origins of an application read and write, bound once for the
+# per-request loops below
 _R, _W = Origin.R, Origin.W
 
 
@@ -145,9 +144,9 @@ def generate(phases: Sequence[PhaseSpec], seed: int, start_id: int = 0) -> list[
             if jitter > 0.0:
                 arrival += int(draw() * jitter * slot)
             if draw() < read_fraction:
-                op, origin, region = _READ, _R, read_region
+                origin, region = _R, read_region
             else:
-                op, origin, region = _WRITE, _W, write_region
+                origin, region = _W, write_region
             if sequential:
                 lba = region + i * stride
             else:
@@ -155,9 +154,9 @@ def generate(phases: Sequence[PhaseSpec], seed: int, start_id: int = 0) -> list[
                 while offset >= working_set:
                     offset = getrandbits(bits)
                 lba = region[offset]
-            # fields (id, arrival, lba, op, origin, target, app_id); passing
+            # fields (id, arrival, lba, origin, target, app_id); passing
             # them by keyword costs more than twice as much per request
-            add(IoRequest(next_id, arrival, lba, op, origin, None, next_id))
+            add(IoRequest(next_id, arrival, lba, origin, None, next_id))
             next_id += 1
         phase_start += phase.duration_us
     return requests
@@ -174,6 +173,9 @@ def load_trace(source: str | Path | Iterable[str], start_id: int = 0) -> list[Io
             return load_trace(fh, start_id=start_id)
 
     requests: list[IoRequest] = []
+    # every request of a run stays alive until the run ends: requests of
+    # one block share its first int object, as generate's regions do
+    seen = {}.setdefault
     next_id = start_id
     last_arrival = None
     for lineno, raw in enumerate(source, 1):
@@ -201,9 +203,10 @@ def load_trace(source: str | Path | Iterable[str], start_id: int = 0) -> list[Io
                 f"line {lineno}: arrivals not sorted ({arrival} after {last_arrival})"
             )
         last_arrival = arrival
-        op, origin = (_READ, _R) if op_field == "R" else (_WRITE, _W)
+        origin = _R if op_field == "R" else _W
         for offset in range(blocks):
-            requests.append(IoRequest(next_id, arrival, lba + offset, op, origin, None, next_id))
+            block = lba + offset
+            requests.append(IoRequest(next_id, arrival, seen(block, block), origin, None, next_id))
             next_id += 1
     return requests
 

@@ -23,7 +23,7 @@ from lbicasim.balancer import (
     compute_bypass_depth,
 )
 from lbicasim.cache import CacheEngine, WritePolicy
-from lbicasim.engine import DeviceRole, IoRequest, OpType, Origin
+from lbicasim.engine import DeviceRole, IoRequest, Origin
 from lbicasim.telemetry import IntervalStats, compute_queue_times
 
 from conftest import (
@@ -157,10 +157,9 @@ def test_criterion_04_lru_matches_brute_force():
             is_read = rng.random() < 0.6
             expect_hit = oracle.touch(lba)
             assert (lba in engine.resident_lbas()) == expect_hit  # hit/miss identical
-            op = OpType.READ if is_read else OpType.WRITE
             origin = Origin.R if is_read else Origin.W
             immediate, _, _ = engine.access(
-                IoRequest(id=step, arrival=step, lba=lba, op=op, origin=origin, app_id=step),
+                IoRequest(id=step, arrival=step, lba=lba, origin=origin, app_id=step),
                 now=step,
             )
             if is_read:  # routed to the cache exactly on a hit

@@ -17,17 +17,17 @@ def make_engine(capacity=4, policy=WritePolicy.WB):
     return CacheEngine(capacity, policy=policy)
 
 
-def app_request(req_id, lba, op, arrival=0):
-    origin = Origin.R if op is OpType.READ else Origin.W
-    return IoRequest(id=req_id, arrival=arrival, lba=lba, op=op, origin=origin, app_id=req_id)
+def app_request(req_id, lba, is_read, arrival=0):
+    origin = Origin.R if is_read else Origin.W
+    return IoRequest(id=req_id, arrival=arrival, lba=lba, origin=origin, app_id=req_id)
 
 
 def read(engine, req_id, lba, now=0):
-    return engine.access(app_request(req_id, lba, OpType.READ, arrival=now), now)
+    return engine.access(app_request(req_id, lba, True, arrival=now), now)
 
 
 def write(engine, req_id, lba, now=0):
-    return engine.access(app_request(req_id, lba, OpType.WRITE, arrival=now), now)
+    return engine.access(app_request(req_id, lba, False, arrival=now), now)
 
 
 def shapes(immediate):
@@ -185,7 +185,7 @@ class TestSetPolicy:
 class TestContracts:
     def test_cache_traffic_origins_rejected(self):
         engine = make_engine()
-        promo = IoRequest(id=1, arrival=0, lba=1, op=OpType.WRITE, origin=Origin.P)
+        promo = IoRequest(id=1, arrival=0, lba=1, origin=Origin.P)
         with pytest.raises(ValueError):
             engine.access(promo, now=0)
 
@@ -228,8 +228,7 @@ def replay_against_oracle(capacity, accesses):
     for step, (lba, is_read) in enumerate(accesses):
         engine_hits.append(lba in engine.resident_lbas())
         oracle_hits.append(oracle.touch(lba))
-        op = OpType.READ if is_read else OpType.WRITE
-        engine.access(app_request(step, lba, op, arrival=step), now=step)
+        engine.access(app_request(step, lba, is_read, arrival=step), now=step)
     assert engine.resident_lbas() == oracle.order  # same blocks, same recency order
     return engine_hits, oracle_hits
 
@@ -324,8 +323,7 @@ def test_access_matches_the_replica_and_its_documented_submit_order(capacity, op
             ro_write = not is_read and engine.policy is WritePolicy.RO
             writeback_lba = lba if ro_write else victim
 
-        op = OpType.READ if is_read else OpType.WRITE
-        req = app_request(step, lba, op, arrival=step)
+        req = app_request(step, lba, is_read, arrival=step)
         immediate, promotion, foreground = engine.access(req, now=step)
 
         shapes, promotes, expected_foreground = documented_plan(

@@ -15,8 +15,8 @@ from lbicasim.engine import Device, DeviceRole, IoRequest, OpType, Origin, Routi
 from conftest import recount_origins
 
 
-def make_request(req_id, arrival=0, op=OpType.READ, origin=Origin.R, target=DeviceRole.SSD, lba=0):
-    return IoRequest(id=req_id, arrival=arrival, lba=lba, op=op, origin=origin, target=target)
+def make_request(req_id, arrival=0, origin=Origin.R, target=DeviceRole.SSD, lba=0):
+    return IoRequest(id=req_id, arrival=arrival, lba=lba, origin=origin, target=target)
 
 
 def test_a_request_keeps_only_the_fields_the_package_reads():
@@ -26,12 +26,17 @@ def test_a_request_keeps_only_the_fields_the_package_reads():
         "id",
         "arrival",
         "lba",
-        "op",
         "origin",
         "target",
         "app_id",
-        "completed_at",
     ]
+
+
+@pytest.mark.parametrize("origin", list(Origin))
+def test_a_request_reads_exactly_when_its_origin_is_an_application_read(origin):
+    req = IoRequest(id=0, arrival=0, lba=0, origin=origin)
+    assert req.op is origin.op
+    assert (req.op is OpType.READ) is (origin is Origin.R)
 
 
 # a step bound past every event a test schedules
@@ -63,6 +68,10 @@ class Recorder:
 
     def arrived(self):
         return [req_id for _, kind, req_id in self.calls if kind == "arrive"]
+
+    def completions(self):
+        """``(id, completion instant)`` of every completion, in handler order."""
+        return [(req_id, clock) for clock, kind, req_id in self.calls if kind == "complete"]
 
 
 def new_sim(ssd=(100, 100), hdd=(5000, 5000), submit=True, recorder=None):
@@ -115,23 +124,23 @@ class TestStep:
     def test_single_read_completes_after_service_latency(self):
         sim, rec = new_sim()
         sim.submit(make_request(1))
-        done = drain(sim, rec)
-        assert [(r.id, r.completed_at) for r in done] == [(1, 100)]
+        drain(sim, rec)
+        assert rec.completions() == [(1, 100)]
 
     def test_two_reads_serialize_fifo(self):
         sim, rec = new_sim()
         sim.submit(make_request(1))
         sim.submit(make_request(2))
-        done = drain(sim, rec)
-        assert [(r.id, r.completed_at) for r in done] == [(1, 100), (2, 200)]
+        drain(sim, rec)
+        assert rec.completions() == [(1, 100), (2, 200)]
 
     def test_mixed_read_then_write_schedule(self):
         # read 100us then write 200us, both queued at t=0 -> 100 and 300
         sim, rec = new_sim(ssd=(100, 200))
-        sim.submit(make_request(1, op=OpType.READ))
-        sim.submit(make_request(2, op=OpType.WRITE, origin=Origin.W))
-        done = drain(sim, rec)
-        assert [(r.id, r.completed_at) for r in done] == [(1, 100), (2, 300)]
+        sim.submit(make_request(1))
+        sim.submit(make_request(2, origin=Origin.W))
+        drain(sim, rec)
+        assert rec.completions() == [(1, 100), (2, 300)]
 
     def test_no_pending_events_signals_end(self):
         sim, rec = new_sim()
@@ -220,7 +229,7 @@ class TestArrivalOrder:
 
     def test_simulation_rejects_unsorted_requests(self):
         requests = [
-            IoRequest(id=i, arrival=t, lba=i, op=OpType.READ, origin=Origin.R, app_id=i)
+            IoRequest(id=i, arrival=t, lba=i, origin=Origin.R, app_id=i)
             for i, t in enumerate((0, 200, 100))
         ]
         with pytest.raises(ValueError, match=r"request 2 arrives at 100"):
@@ -317,9 +326,8 @@ def random_schedule(seed, n=60):
     for i in range(n):
         t += rng.randrange(0, 300)
         target = DeviceRole.SSD if rng.random() < 0.7 else DeviceRole.HDD
-        op = OpType.READ if rng.random() < 0.5 else OpType.WRITE
-        origin = Origin.R if op is OpType.READ else Origin.W
-        reqs.append(make_request(i, arrival=t, op=op, origin=origin, target=target))
+        origin = Origin.R if rng.random() < 0.5 else Origin.W
+        reqs.append(make_request(i, arrival=t, origin=origin, target=target))
     return reqs
 
 
@@ -342,8 +350,9 @@ def test_fifo_completion_order_per_device(seed):
     _sim, rec = run_schedule(seed)
     done = rec.completed
     target = {r.id: r.target for r in done}
+    completed_at = dict(rec.completions())
     for role in DeviceRole:
-        times = [r.completed_at for r in done if r.target is role]
+        times = [completed_at[r.id] for r in done if r.target is role]
         assert times == sorted(times)
         ids_by_completion = [r.id for r in done if r.target is role]
         ids_by_submit = [i for i in rec.arrived() if target[i] is role]
@@ -361,13 +370,14 @@ def test_busy_time_equals_sum_of_service_latencies(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_timestamp_ordering_invariant(seed):
     sim, rec = run_schedule(seed)
+    completed_at = dict(rec.completions())
     for role in DeviceRole:
         previous = 0  # completion of the request served before, on this device
         for req in (r for r in rec.completed if r.target is role):
-            started = req.completed_at - service_latency(sim, req)
+            started = completed_at[req.id] - service_latency(sim, req)
             assert req.arrival <= started
             assert previous <= started
-            previous = req.completed_at
+            previous = completed_at[req.id]
 
 
 class PromotingRecorder(Recorder):
@@ -387,7 +397,6 @@ class PromotingRecorder(Recorder):
                 make_request(
                     self.FOLLOW_UP + req.id,
                     arrival=self.sim.clock,
-                    op=OpType.WRITE,
                     origin=Origin.P,
                     lba=req.lba,
                 )
@@ -416,7 +425,6 @@ def test_every_way_of_driving_the_loop_hands_over_the_same_calls(requests, cuts)
                 make_request(
                     i,
                     arrival=100 * tick,
-                    op=op,
                     origin=Origin.R if op is OpType.READ else Origin.W,
                     target=target,
                     lba=i,
@@ -460,9 +468,7 @@ def test_identical_schedules_replay_identically():
     _, first = run_schedule(424242)
     _, second = run_schedule(424242)
     assert first.calls == second.calls
-    assert [(r.id, r.completed_at) for r in first.completed] == [
-        (r.id, r.completed_at) for r in second.completed
-    ]
+    assert first.completions() == second.completions()
 
 
 queue_ops = st.lists(
@@ -481,8 +487,7 @@ def test_per_origin_counts_match_a_recount_after_every_operation(ops):
     now = 0
     for i, (op, arg) in enumerate(ops):
         if op == "submit":
-            kind = OpType.READ if arg is Origin.R else OpType.WRITE
-            dev.submit(make_request(i, arrival=now, op=kind, origin=arg), now)
+            dev.submit(make_request(i, arrival=now, origin=arg), now)
         elif op == "complete":
             if dev.in_service is not None:
                 now = dev.busy_until

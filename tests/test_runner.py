@@ -25,9 +25,9 @@ from lbicasim import (
     runner,
 )
 from lbicasim.balancer import BALANCERS, PolicyDecision
-from lbicasim.cache import WritePolicy
+from lbicasim.cache import CacheEngine, WritePolicy
 from lbicasim.engine import DeviceRole, IoRequest, OpType, Origin, Simulator
-from lbicasim.workload import PhaseSpec, UniformRandom
+from lbicasim.workload import PhaseSpec, UniformRandom, dump_trace, load_trace
 
 from conftest import SCENARIOS, read_events, recount_origins
 
@@ -52,15 +52,11 @@ def small_config(**overrides):
 
 
 def app_write(req_id, lba, arrival=0):
-    return IoRequest(
-        id=req_id, arrival=arrival, lba=lba, op=OpType.WRITE, origin=Origin.W, app_id=req_id
-    )
+    return IoRequest(id=req_id, arrival=arrival, lba=lba, origin=Origin.W, app_id=req_id)
 
 
 def app_read(req_id, lba, arrival=0):
-    return IoRequest(
-        id=req_id, arrival=arrival, lba=lba, op=OpType.READ, origin=Origin.R, app_id=req_id
-    )
+    return IoRequest(id=req_id, arrival=arrival, lba=lba, origin=Origin.R, app_id=req_id)
 
 
 def logged_sim(config, requests):
@@ -154,9 +150,7 @@ class TestBypassTail:
         blocker = app_write(90, lba=1)
         blocker.target = DeviceRole.SSD
         writes = [app_write(91 + i, lba=2 + i) for i in range(2)]
-        promo = IoRequest(
-            id=99, arrival=0, lba=9, op=OpType.WRITE, origin=Origin.P, target=DeviceRole.SSD
-        )
+        promo = IoRequest(id=99, arrival=0, lba=9, origin=Origin.P, target=DeviceRole.SSD)
         sim._submit(blocker)  # enters service, protected from removal
         for req in writes:
             req.target = DeviceRole.SSD
@@ -346,6 +340,50 @@ class TestLoopCalls:
         assert calls == sim.sim.ssd.submitted + sim.sim.hdd.submitted > 0
 
 
+class TestOpFollowsOrigin:
+    """A request reads exactly when its origin is R: its op is derived from it.
+
+    The events.log digests pin the op column byte for byte; this checks
+    every request the package builds on the committed scenarios.
+    """
+
+    @staticmethod
+    def assert_op_follows_origin(requests):
+        assert requests
+        for req in requests:
+            assert (req.op is OpType.READ) is (req.origin is Origin.R), req
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_generated_and_traced_requests(self, tmp_path, scenario):
+        generated = build_requests(scenario_config(scenario, "none-wb"))
+        self.assert_op_follows_origin(generated)
+        path = tmp_path / "trace.txt"
+        dump_trace(generated, path)
+        traced = load_trace(path)
+        self.assert_op_follows_origin(traced)
+        assert [r.origin for r in traced] == [r.origin for r in generated]
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("balancer", BALANCERS)
+    def test_requests_the_cache_engine_plans(self, monkeypatch, scenario, balancer):
+        config = scenario_config(scenario, balancer)
+        sim = Simulation(config, build_requests(config))
+        planned = []
+        access = CacheEngine.access
+
+        def recording_access(*args):
+            immediate, promotion, foreground = access(*args)
+            planned.extend(immediate)
+            if promotion is not None:
+                planned.append(promotion)
+            return immediate, promotion, foreground
+
+        monkeypatch.setattr(CacheEngine, "access", recording_access)
+        sim.run()
+        monkeypatch.undo()
+        self.assert_op_follows_origin(planned)
+
+
 class TestRunLifetime:
     def test_finished_run_is_freed_without_the_cyclic_gc(self):
         config = scenario_config("mixed_rw", "none-wb")
@@ -401,7 +439,6 @@ logged_requests = st.builds(
     id=numbers,
     arrival=numbers,
     lba=numbers,
-    op=st.sampled_from(OpType),
     origin=st.sampled_from(Origin),
     target=st.none() | st.sampled_from(DeviceRole),
     app_id=st.none() | numbers,
@@ -508,9 +545,7 @@ class TestWriteThroughRun:
         config = small_config(phases=(), ssd_write_us=20_000)
         sim = Simulation(config, [app_write(0, lba=1)])
         sim.balancer = FixedDecision(PolicyDecision(WritePolicy.WT, bypass_depth=1))
-        blocker = IoRequest(
-            id=99, arrival=0, lba=9, op=OpType.WRITE, origin=Origin.P, target=DeviceRole.SSD
-        )
+        blocker = IoRequest(id=99, arrival=0, lba=9, origin=Origin.P, target=DeviceRole.SSD)
         sim._submit(blocker)
         result = sim.run()
         assert result.rows[0].bypassed == 1

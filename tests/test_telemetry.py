@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbicasim.engine import Device, DeviceRole, IoRequest, OpType, Origin
+from lbicasim.engine import Device, DeviceRole, IoRequest, Origin
 from lbicasim.telemetry import IntervalTracker, compute_queue_times, take_snapshot
 
 qsizes = st.integers(min_value=0, max_value=1_000_000)
@@ -37,8 +37,7 @@ class TestComputeQueueTimes:
 
 
 def enqueue(device, req_id, origin, now=0):
-    op = OpType.READ if origin is Origin.R else OpType.WRITE
-    req = IoRequest(id=req_id, arrival=now, lba=0, op=op, origin=origin, target=device.role)
+    req = IoRequest(id=req_id, arrival=now, lba=0, origin=origin, target=device.role)
     device.submit(req, now)
     return req
 
@@ -72,11 +71,8 @@ class TestSnapshot:
         assert snap.ssd_inqueue == before
 
 
-def completed_request(req_id, origin, target, arrival, completed_at):
-    op = OpType.READ if origin is Origin.R else OpType.WRITE
-    req = IoRequest(id=req_id, arrival=arrival, lba=0, op=op, origin=origin, target=target)
-    req.completed_at = completed_at
-    return req
+def routed_request(req_id, origin, target, arrival):
+    return IoRequest(id=req_id, arrival=arrival, lba=0, origin=origin, target=target)
 
 
 class TestIntervalTracker:
@@ -93,7 +89,7 @@ class TestIntervalTracker:
 
     def test_single_completion_sets_max_latency(self):
         self.tracker.record_completion(
-            completed_request(1, Origin.R, DeviceRole.SSD, arrival=0, completed_at=250)
+            routed_request(1, Origin.R, DeviceRole.SSD, arrival=0), now=250
         )
         stats = self.tracker.close_interval(1000, 0, 0)
         assert stats.ssd_max_latency == 250
@@ -101,7 +97,7 @@ class TestIntervalTracker:
 
     def test_windowed_counters_reset_between_windows(self):
         self.tracker.record_completion(
-            completed_request(1, Origin.W, DeviceRole.HDD, arrival=0, completed_at=400)
+            routed_request(1, Origin.W, DeviceRole.HDD, arrival=0), now=400
         )
         first = self.tracker.close_interval(1000, 0, 0)
         stats = self.tracker.close_interval(2000, 0, 0)
@@ -119,15 +115,16 @@ class TestIntervalTracker:
             self.tracker.close_interval(1000, 0, 0)
 
     def test_served_counts_partition_completions(self):
+        # (request, completion instant)
         requests = [
-            completed_request(1, Origin.R, DeviceRole.SSD, 0, 100),
-            completed_request(2, Origin.P, DeviceRole.SSD, 0, 200),
-            completed_request(3, Origin.R, DeviceRole.HDD, 0, 5000),
-            completed_request(4, Origin.E, DeviceRole.HDD, 0, 9000),
-            completed_request(5, Origin.W, DeviceRole.SSD, 50, 300),
+            (routed_request(1, Origin.R, DeviceRole.SSD, 0), 100),
+            (routed_request(2, Origin.P, DeviceRole.SSD, 0), 200),
+            (routed_request(3, Origin.R, DeviceRole.HDD, 0), 5000),
+            (routed_request(4, Origin.E, DeviceRole.HDD, 0), 9000),
+            (routed_request(5, Origin.W, DeviceRole.SSD, 50), 300),
         ]
-        for req in requests:
-            self.tracker.record_completion(req)
+        for req, completed_at in requests:
+            self.tracker.record_completion(req, completed_at)
         stats = self.tracker.close_interval(10_000, 0, 0)
         assert sum(stats.ssd_served) + sum(stats.hdd_served) == len(requests)
         # (r, w, p, e) per device

@@ -214,13 +214,12 @@ def reference_generate(phases, seed, start_id=0, rng_class=random.Random):
                     lba = phase.write_base + offset
                 else:
                     lba = model.base + offset
-            op, origin = (OpType.READ, Origin.R) if is_read else (OpType.WRITE, Origin.W)
+            origin = Origin.R if is_read else Origin.W
             requests.append(
                 IoRequest(
                     id=next_id,
                     arrival=arrival,
                     lba=lba,
-                    op=op,
                     origin=origin,
                     app_id=next_id,
                 )
@@ -336,6 +335,26 @@ def test_a_uniform_phase_shares_one_block_object_per_block(write_base):
     assert [tuple(getattr(r, name) for name in fields) for r in requests] == [
         tuple(getattr(r, name) for name in fields) for r in reference_generate([phase], seed=1)
     ]
+
+
+def test_a_trace_shares_one_block_object_per_block():
+    # blocks past the small ints that CPython shares anyway, each repeated:
+    # by later lines, by an overlapping multi-block record and by a line
+    # that spells the block differently
+    text = "0,1000,3,R\n5,1001,1,W\n5,1002,2,R\n9,01000,1,W\n9, 1003 ,1,r\n"
+    requests = load_trace(io.StringIO(text))
+    assert [(r.id, r.arrival, r.lba, r.origin) for r in requests] == [
+        (0, 0, 1000, Origin.R),
+        (1, 0, 1001, Origin.R),
+        (2, 0, 1002, Origin.R),
+        (3, 5, 1001, Origin.W),
+        (4, 5, 1002, Origin.R),
+        (5, 5, 1003, Origin.R),
+        (6, 9, 1000, Origin.W),
+        (7, 9, 1003, Origin.R),
+    ]
+    for block in (1000, 1001, 1002, 1003):
+        assert len({id(r.lba) for r in requests if r.lba == block}) == 1
 
 
 def test_a_sparsely_drawn_region_builds_no_table_of_its_blocks():
