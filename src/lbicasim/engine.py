@@ -78,7 +78,7 @@ class IoRequest:
     requests created by the cache engine (promotions, eviction
     write-backs, the disk half of a write-through write) either link back
     through ``app_id`` or carry ``None``. ``target`` is unset until the
-    cache engine routes the request. ``op`` is not stored: it is
+    cache engine routes the request. The op is not stored: it is
     ``origin.op``, a read for origin R and a write for every other.
 
     A request's completion time is not stored either. A device finishes
@@ -96,10 +96,6 @@ class IoRequest:
     origin: Origin
     target: DeviceRole | None = None
     app_id: int | None = None
-
-    @property
-    def op(self) -> OpType:
-        return self.origin.op
 
 
 class Device:

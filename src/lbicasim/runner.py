@@ -72,16 +72,13 @@ class EventLog:
 
     def request(self, time: int, event: str, req: IoRequest, note: str = "") -> None:
         # ``_value_`` is the member's stored value; ``.value`` reaches the
-        # same string through a descriptor that costs several times more.
-        # An id shared with its app id, and a time shared with the arrival
-        # (every access's own submit row), are each formatted once.
+        # same string through a descriptor that costs several times more
         rid, app_id, target = req.id, req.app_id, req.target
-        i, t = f"{rid}", f"{time}"
+        i = f"{rid}"
         self._write(
-            f"{t},{event},{i},{i if app_id == rid else '' if app_id is None else app_id},"
+            f"{time},{event},{i},{i if app_id == rid else '' if app_id is None else app_id},"
             f"{req.origin._value_},{req.origin.op._value_},"
-            f"{'' if target is None else target._value_},"
-            f"{req.lba},{t if req.arrival == time else req.arrival},{note}\n"
+            f"{'' if target is None else target._value_},{req.lba},{req.arrival},{note}\n"
         )
 
     def policy(self, time: int, policy: WritePolicy) -> None:

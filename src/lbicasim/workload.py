@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .engine import IoRequest, OpType, Origin
+from .engine import IoRequest, Origin
 
 
 # the origins of an application read and write, bound once for the
@@ -173,9 +173,6 @@ def load_trace(source: str | Path | Iterable[str], start_id: int = 0) -> list[Io
             return load_trace(fh, start_id=start_id)
 
     requests: list[IoRequest] = []
-    # every request of a run stays alive until the run ends: requests of
-    # one block share its first int object, as generate's regions do
-    seen = {}.setdefault
     next_id = start_id
     last_arrival = None
     for lineno, raw in enumerate(source, 1):
@@ -205,8 +202,7 @@ def load_trace(source: str | Path | Iterable[str], start_id: int = 0) -> list[Io
         last_arrival = arrival
         origin = _R if op_field == "R" else _W
         for offset in range(blocks):
-            block = lba + offset
-            requests.append(IoRequest(next_id, arrival, seen(block, block), origin, None, next_id))
+            requests.append(IoRequest(next_id, arrival, lba + offset, origin, None, next_id))
             next_id += 1
     return requests
 
@@ -216,5 +212,5 @@ def dump_trace(requests: Iterable[IoRequest], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# arrival_us,lba,blocks,op\n")
         for req in requests:
-            op = "R" if req.op is OpType.READ else "W"
+            op = "R" if req.origin is _R else "W"
             fh.write(f"{req.arrival},{req.lba},1,{op}\n")

@@ -49,7 +49,7 @@ class TestReadPaths:
         assert shapes(immediate) == [(Origin.R, DeviceRole.HDD)]
         assert promote is not None
         assert promote.origin is Origin.P
-        assert promote.op is OpType.WRITE
+        assert promote.origin.op is OpType.WRITE
         assert promote.target is DeviceRole.SSD
 
     def test_miss_on_full_cache_evicts_dirty_victim_first(self):

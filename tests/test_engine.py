@@ -34,9 +34,7 @@ def test_a_request_keeps_only_the_fields_the_package_reads():
 
 @pytest.mark.parametrize("origin", list(Origin))
 def test_a_request_reads_exactly_when_its_origin_is_an_application_read(origin):
-    req = IoRequest(id=0, arrival=0, lba=0, origin=origin)
-    assert req.op is origin.op
-    assert (req.op is OpType.READ) is (origin is Origin.R)
+    assert (origin.op is OpType.READ) is (origin is Origin.R)
 
 
 # a step bound past every event a test schedules
@@ -342,7 +340,7 @@ def run_schedule(seed):
 
 def service_latency(sim, req):
     dev = sim.ssd if req.target is DeviceRole.SSD else sim.hdd
-    return dev.read_latency if req.op is OpType.READ else dev.write_latency
+    return dev.read_latency if req.origin.op is OpType.READ else dev.write_latency
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -392,7 +390,7 @@ class PromotingRecorder(Recorder):
 
     def on_complete(self, req):
         super().on_complete(req)
-        if req.target is DeviceRole.HDD and req.op is OpType.READ and req.id < self.FOLLOW_UP:
+        if req.target is DeviceRole.HDD and req.origin is Origin.R and req.id < self.FOLLOW_UP:
             self.sim.submit(
                 make_request(
                     self.FOLLOW_UP + req.id,

@@ -25,9 +25,9 @@ from lbicasim import (
     runner,
 )
 from lbicasim.balancer import BALANCERS, PolicyDecision
-from lbicasim.cache import CacheEngine, WritePolicy
+from lbicasim.cache import WritePolicy
 from lbicasim.engine import DeviceRole, IoRequest, OpType, Origin, Simulator
-from lbicasim.workload import PhaseSpec, UniformRandom, dump_trace, load_trace
+from lbicasim.workload import PhaseSpec, UniformRandom
 
 from conftest import SCENARIOS, read_events, recount_origins
 
@@ -340,50 +340,6 @@ class TestLoopCalls:
         assert calls == sim.sim.ssd.submitted + sim.sim.hdd.submitted > 0
 
 
-class TestOpFollowsOrigin:
-    """A request reads exactly when its origin is R: its op is derived from it.
-
-    The events.log digests pin the op column byte for byte; this checks
-    every request the package builds on the committed scenarios.
-    """
-
-    @staticmethod
-    def assert_op_follows_origin(requests):
-        assert requests
-        for req in requests:
-            assert (req.op is OpType.READ) is (req.origin is Origin.R), req
-
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_generated_and_traced_requests(self, tmp_path, scenario):
-        generated = build_requests(scenario_config(scenario, "none-wb"))
-        self.assert_op_follows_origin(generated)
-        path = tmp_path / "trace.txt"
-        dump_trace(generated, path)
-        traced = load_trace(path)
-        self.assert_op_follows_origin(traced)
-        assert [r.origin for r in traced] == [r.origin for r in generated]
-
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    @pytest.mark.parametrize("balancer", BALANCERS)
-    def test_requests_the_cache_engine_plans(self, monkeypatch, scenario, balancer):
-        config = scenario_config(scenario, balancer)
-        sim = Simulation(config, build_requests(config))
-        planned = []
-        access = CacheEngine.access
-
-        def recording_access(*args):
-            immediate, promotion, foreground = access(*args)
-            planned.extend(immediate)
-            if promotion is not None:
-                planned.append(promotion)
-            return immediate, promotion, foreground
-
-        monkeypatch.setattr(CacheEngine, "access", recording_access)
-        sim.run()
-        monkeypatch.undo()
-        self.assert_op_follows_origin(planned)
-
-
 class TestRunLifetime:
     def test_finished_run_is_freed_without_the_cyclic_gc(self):
         config = scenario_config("mixed_rw", "none-wb")
@@ -453,7 +409,7 @@ def reference_row(time, event, req, note=""):
         req.id,
         "" if req.app_id is None else req.app_id,
         req.origin.value,
-        req.op.value,
+        req.origin.op.value,
         "" if req.target is None else req.target.value,
         req.lba,
         req.arrival,

@@ -110,8 +110,8 @@ class TestGenerate:
     def test_separate_write_region_splits_reads_and_writes(self):
         phase = uniform_phase(read_fraction=0.5, working_set=32, write_base=1000)
         requests = generate([phase], seed=6)
-        reads = [r for r in requests if r.op is OpType.READ]
-        writes = [r for r in requests if r.op is OpType.WRITE]
+        reads = [r for r in requests if r.origin.op is OpType.READ]
+        writes = [r for r in requests if r.origin.op is OpType.WRITE]
         assert reads and writes
         assert all(0 <= r.lba < 32 for r in reads)
         assert all(1000 <= r.lba < 1032 for r in writes)
@@ -120,19 +120,19 @@ class TestGenerate:
         phases = [uniform_phase(read_fraction=0.5, jitter=0.5)]
         a = generate(phases, seed=9)
         b = generate(phases, seed=9)
-        assert [(r.arrival, r.lba, r.op) for r in a] == [(r.arrival, r.lba, r.op) for r in b]
+        assert [(r.arrival, r.lba, r.origin) for r in a] == [(r.arrival, r.lba, r.origin) for r in b]
 
     def test_different_seeds_differ(self):
         phases = [uniform_phase(read_fraction=0.5, jitter=0.5)]
         a = generate(phases, seed=9)
         b = generate(phases, seed=10)
-        assert [(r.arrival, r.lba, r.op) for r in a] != [(r.arrival, r.lba, r.op) for r in b]
+        assert [(r.arrival, r.lba, r.origin) for r in a] != [(r.arrival, r.lba, r.origin) for r in b]
 
     def test_read_fraction_extremes(self):
         all_reads = generate([uniform_phase(read_fraction=1.0)], seed=1)
         all_writes = generate([uniform_phase(read_fraction=0.0)], seed=1)
-        assert all(r.op is OpType.READ for r in all_reads)
-        assert all(r.op is OpType.WRITE for r in all_writes)
+        assert all(r.origin.op is OpType.READ for r in all_reads)
+        assert all(r.origin.op is OpType.WRITE for r in all_writes)
 
 
 class TestLoadTrace:
@@ -140,12 +140,12 @@ class TestLoadTrace:
         requests = load_trace(io.StringIO("0,100,1,R\n"))
         assert len(requests) == 1
         req = requests[0]
-        assert (req.arrival, req.lba, req.op) == (0, 100, OpType.READ)
+        assert (req.arrival, req.lba, req.origin.op) == (0, 100, OpType.READ)
 
     def test_multi_block_record_splits(self):
         requests = load_trace(io.StringIO("0,100,4,W\n"))
         assert [(r.arrival, r.lba) for r in requests] == [(0, 100), (0, 101), (0, 102), (0, 103)]
-        assert all(r.op is OpType.WRITE for r in requests)
+        assert all(r.origin.op is OpType.WRITE for r in requests)
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# header\n\n10,5,1,R\n"
@@ -183,8 +183,8 @@ def test_round_trip_through_the_trace_format(tmp_path):
     path = tmp_path / "trace.txt"
     dump_trace(original, path)
     reloaded = load_trace(path)
-    assert [(r.arrival, r.lba, r.op, r.origin) for r in original] == [
-        (r.arrival, r.lba, r.op, r.origin) for r in reloaded
+    assert [(r.arrival, r.lba, r.origin) for r in original] == [
+        (r.arrival, r.lba, r.origin) for r in reloaded
     ]
 
 
@@ -337,26 +337,6 @@ def test_a_uniform_phase_shares_one_block_object_per_block(write_base):
     ]
 
 
-def test_a_trace_shares_one_block_object_per_block():
-    # blocks past the small ints that CPython shares anyway, each repeated:
-    # by later lines, by an overlapping multi-block record and by a line
-    # that spells the block differently
-    text = "0,1000,3,R\n5,1001,1,W\n5,1002,2,R\n9,01000,1,W\n9, 1003 ,1,r\n"
-    requests = load_trace(io.StringIO(text))
-    assert [(r.id, r.arrival, r.lba, r.origin) for r in requests] == [
-        (0, 0, 1000, Origin.R),
-        (1, 0, 1001, Origin.R),
-        (2, 0, 1002, Origin.R),
-        (3, 5, 1001, Origin.W),
-        (4, 5, 1002, Origin.R),
-        (5, 5, 1003, Origin.R),
-        (6, 9, 1000, Origin.W),
-        (7, 9, 1003, Origin.R),
-    ]
-    for block in (1000, 1001, 1002, 1003):
-        assert len({id(r.lba) for r in requests if r.lba == block}) == 1
-
-
 def test_a_sparsely_drawn_region_builds_no_table_of_its_blocks():
     # 8 requests over 2^40 blocks: a list of the region would not fit in memory
     base, write_base, working_set = 7, 2**41, 2**40
@@ -371,5 +351,5 @@ def test_a_sparsely_drawn_region_builds_no_table_of_its_blocks():
     requests = generate([phase], seed=3)
     assert len(requests) == 8
     for r in requests:
-        start = base if r.op is OpType.READ else write_base
+        start = base if r.origin.op is OpType.READ else write_base
         assert start <= r.lba < start + working_set
