@@ -46,6 +46,9 @@ _WB, _WT, _WO, _RO = WritePolicy
 class CacheEngine:
     """Block map, LRU recency, and the active write policy.
 
+    Assigning ``policy`` switches it: resident blocks and dirty bits
+    survive, nothing is flushed, and later accesses follow the new policy.
+
     ``next_id`` allocates ids for the auxiliary requests the engine
     creates; the runner passes its global counter so ids stay unique
     across application and cache traffic.
@@ -84,14 +87,6 @@ class CacheEngine:
 
     # ------------------------------------------------------------------
     # operations
-
-    def set_policy(self, policy: WritePolicy) -> None:
-        """Switch the write policy in place.
-
-        Resident blocks and dirty bits survive the switch; nothing is
-        flushed. Subsequent accesses follow the new policy.
-        """
-        self.policy = policy
 
     def access(
         self, req: IoRequest, now: int
@@ -154,7 +149,9 @@ class CacheEngine:
         if lba in entries:  # only a write reaches here with its block resident
             entries.move_to_end(lba)
         elif len(entries) >= self.capacity_blocks:
-            writeback = self.evict_victim(now)[1]
+            victim, victim_dirty = entries.popitem(last=False)
+            if victim_dirty:
+                writeback = self._writeback(victim, now)
         entries[lba] = dirty
 
         # positional fields (id, arrival, lba, origin, target, app_id): the
@@ -167,19 +164,6 @@ class CacheEngine:
         else:
             promotion = None
         return ((req,) if writeback is None else (req, writeback)), promotion, 1
-
-    def evict_victim(self, now: int) -> tuple[int, IoRequest | None]:
-        """Evict the LRU block from a full cache.
-
-        Returns the victim lba and, when the victim was dirty, the HDD
-        write-back request that persists it. Clean victims leave silently.
-        """
-        if len(self._entries) < self.capacity_blocks:
-            raise ValueError("evict_victim called on a cache that is not full")
-        lba, dirty = self._entries.popitem(last=False)
-        if dirty:
-            return lba, self._writeback(lba, now)
-        return lba, None
 
     def _writeback(self, lba: int, now: int) -> IoRequest:
         self.dirty_writebacks += 1

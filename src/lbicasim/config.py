@@ -50,13 +50,11 @@ _RUN_KEYS = {
     "hdd_read_us": ("hdd_read_us", int, 1),
     "hdd_write_us": ("hdd_write_us", int, 1),
     "cache_blocks": ("cache_blocks", int, 1),
-    "block_bytes": ("block_bytes", int, 1),
     "trace": ("trace_path", str, 1),
 }
 
 # Phase keys set fields of PhaseSpec and of its address model, which
-# ``phaseN.address`` names; the keys of the other model are parsed and
-# ignored.
+# ``phaseN.address`` names; a key of the other model is an error.
 _PHASE_KEYS = {
     "duration_ms": ("duration_us", int, 1000),
     "rate": ("arrival_rate", float, 1),
@@ -89,7 +87,6 @@ class RunConfig:
     ssd_write_us: int = 100
     hdd_read_us: int = 5000
     hdd_write_us: int = 5000
-    block_bytes: int = 4096
     phases: tuple[PhaseSpec, ...] = ()
     trace_path: str | None = None
 
@@ -104,8 +101,6 @@ class RunConfig:
                 raise ConfigError(f"{name}: must be a positive number of microseconds")
         if self.cache_blocks < 1:
             raise ConfigError("cache_blocks: must be at least 1")
-        if self.block_bytes < 1:
-            raise ConfigError("block_bytes: must be positive")
         if self.interval_us <= 0:
             raise ConfigError("interval_ms: must be positive")
         if not 0.5 < self.theta_dom <= 1.0:
@@ -137,7 +132,7 @@ class RunConfig:
             f"theta_dom={self.theta_dom!r}",
             f"ssd={self.ssd_read_us}/{self.ssd_write_us}",
             f"hdd={self.hdd_read_us}/{self.hdd_write_us}",
-            f"cache={self.cache_blocks}x{self.block_bytes}",
+            f"cache={self.cache_blocks}x4096",  # the block size, once a key: no hash moves
             f"trace={self.trace_path!r}",
         ]
         parts.extend(repr(phase) for phase in self.phases)
@@ -170,12 +165,16 @@ def _arguments(cls, table: dict, settings: dict, prefix: str = "") -> dict:
 
 def _build_phase(index: int, given: dict[str, str]) -> PhaseSpec:
     prefix = f"phase{index}."
-    address = given.pop("address", None)
+    address = given.pop("address", "uniform")
     settings = _parse_values(_PHASE_KEYS, given, prefix)
     arguments = _arguments(PhaseSpec, _PHASE_KEYS, settings, prefix)
-    model = type(PhaseSpec.address_model) if address is None else _ADDRESS_MODELS.get(address)
+    model = _ADDRESS_MODELS.get(address)
     if model is None:
         raise ConfigError(f"{prefix}address: expected uniform or sequential, got {address!r}")
+    for key in given:
+        name = _PHASE_KEYS[key][0]
+        if name not in arguments and name not in model.__dataclass_fields__:
+            raise ConfigError(f"{prefix}{key}: not a key of the {address} address model")
     if model is UniformRandom and "working_set" not in given:
         raise ConfigError(f"{prefix}working_set: missing for uniform address model")
     try:

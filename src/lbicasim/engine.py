@@ -1,10 +1,10 @@
 """Event-driven simulation core: clock, device queues, request lifecycle.
 
 Each storage device is a single-server FIFO queue with fixed per-op
-service latencies. Time is integer microseconds and only moves forward,
-to the earliest pending event (a scheduled arrival or an in-service
-completion). Arrivals must be scheduled in non-decreasing time order,
-and the loop walks them with a cursor.
+service latencies. Time is integer microseconds and moves to the
+earliest pending event (a scheduled arrival or an in-service
+completion). Arrivals are given once, at construction, in non-decreasing
+time order, and the loop walks them with a cursor.
 
 The engine owns the event loop: :meth:`Simulator.step` processes every
 event up to a given time and hands each completion and each arrival to
@@ -26,16 +26,12 @@ from enum import Enum
 from typing import Callable, Sequence
 
 
-class OpType(Enum):
-    READ = "read"
-    WRITE = "write"
-
-
 class Origin(Enum):
     """Request provenance: application traffic (R/W) or cache traffic (P/E).
 
-    ``op`` is the operation every request of this origin performs: an
-    application read reads, and every other origin writes a block.
+    ``op`` is the operation every request of this origin performs, as the
+    event log spells it: an application read is a ``"read"``, and every
+    other origin writes a block.
     """
 
     R = "R"  # application read
@@ -46,7 +42,7 @@ class Origin(Enum):
     def __init__(self, value: str):
         # declaration position: the index of this origin in per-origin counts
         self.index = len(type(self).__members__)
-        self.op = OpType.READ if value == "R" else OpType.WRITE
+        self.op = "read" if value == "R" else "write"
 
 
 class DeviceRole(Enum):
@@ -187,15 +183,14 @@ class Device:
 class Simulator:
     """Deterministic event loop over two devices and a schedule of arrivals.
 
-    Arrivals are kept in one list in schedule order, which must be
-    non-decreasing in time; a cursor marks the next one to surface.
+    ``arrivals`` is the whole schedule, non-decreasing in time; it is kept
+    as given, not copied, and a cursor marks the next one to surface.
     ``on_complete`` receives every request a device finishes and
     ``on_arrive`` every scheduled arrival, each at its own instant; both
     run with :attr:`clock` at that instant and may submit requests, and
     an owner may set both to None once it is done stepping.
     Tie-breaking at an equal timestamp is fixed: service completions are
-    handled before arrivals, SSD before HDD, and arrivals in the order
-    they were scheduled.
+    handled before arrivals, SSD before HDD, and arrivals in schedule order.
     """
 
     def __init__(
@@ -204,34 +199,24 @@ class Simulator:
         hdd: Device,
         on_complete: Callable[[IoRequest], None],
         on_arrive: Callable[[IoRequest], None],
+        arrivals: Sequence[IoRequest] = (),
     ):
-        self.clock = 0
-        self.ssd = ssd
-        self.hdd = hdd
-        self.on_complete = on_complete
-        self.on_arrive = on_arrive
-        self._arrivals: list[IoRequest] = []
-        self._cursor = 0  # index in _arrivals of the next arrival to surface
-        self._next_arrival: int | None = None  # its time, None when all surfaced
-
-    def schedule_arrivals(self, reqs: Sequence[IoRequest]) -> None:
-        """Append arrivals, which must not go back in time.
-
-        Raises ``ValueError`` naming the first request that arrives before
-        the one scheduled ahead of it; nothing is scheduled then.
-        """
-        arrivals = self._arrivals
-        last = arrivals[-1].arrival if arrivals else None
-        for req in reqs:
+        last = None
+        for req in arrivals:
             if last is not None and req.arrival < last:
                 raise ValueError(
                     f"request {req.id} arrives at {req.arrival}, "
                     f"before the preceding scheduled arrival at {last}"
                 )
             last = req.arrival
-        arrivals.extend(reqs)
-        if self._next_arrival is None and self._cursor < len(arrivals):
-            self._next_arrival = arrivals[self._cursor].arrival
+        self.clock = 0
+        self.ssd = ssd
+        self.hdd = hdd
+        self.on_complete = on_complete
+        self.on_arrive = on_arrive
+        self._arrivals = arrivals
+        self._cursor = 0  # index in _arrivals of the next arrival to surface
+        self._next_arrival = arrivals[0].arrival if arrivals else None  # None when all surfaced
 
     def submit(self, req: IoRequest) -> None:
         target = req.target
@@ -242,32 +227,23 @@ class Simulator:
         else:
             self.hdd.submit(req, self.clock)
 
-    def next_event_time(self) -> int | None:
-        t = self._next_arrival
-        ssd, hdd = self.ssd, self.hdd
-        if ssd.in_service is not None and (t is None or ssd.busy_until < t):
-            t = ssd.busy_until
-        if hdd.in_service is not None and (t is None or hdd.busy_until < t):
-            t = hdd.busy_until
-        return t
-
     def step(self, until: int) -> bool:
         """Process every event due at or before ``until``, instant by instant.
 
         At each instant the clock moves to it, the due completions leave
         their devices (SSD, then HDD) before either is handed to
         ``on_complete``, and then that instant's arrivals go to
-        ``on_arrive`` in schedule order. The clock stays at the last
-        instant processed. Returns True while events remain after
-        ``until``, False once nothing is pending, which signals the end of
-        the simulation rather than an error.
+        ``on_arrive`` in schedule order. Returns True while events remain
+        after ``until``, with the clock left at ``until``, and False once
+        nothing is pending, with the clock at the last instant processed:
+        the end of the simulation rather than an error.
         """
         ssd, hdd = self.ssd, self.hdd
         on_complete, on_arrive = self.on_complete, self.on_arrive
         arrivals = self._arrivals
         while True:
-            # the next instant, found as next_event_time() finds it but
-            # reading each device once; a device due at it is then finished
+            # the next instant, reading each device once; a device due at
+            # it is then finished
             t = self._next_arrival
             ssd_due = ssd.busy_until if ssd.in_service is not None else None
             hdd_due = hdd.busy_until if hdd.in_service is not None else None
@@ -278,6 +254,7 @@ class Simulator:
             if t is None:
                 return False
             if t > until:
+                self.clock = until
                 return True
             self.clock = t
             if ssd_due == t:
@@ -298,13 +275,3 @@ class Simulator:
                 self._cursor = i
                 self._next_arrival = arrivals[i].arrival if i < len(arrivals) else None
                 on_arrive(arrivals[i - 1])
-
-    def advance_to(self, t: int) -> None:
-        """Move the clock to ``t``, which must not skip over pending events.
-
-        Used for interval boundaries that fall inside an idle stretch.
-        """
-        nxt = self.next_event_time()
-        if t < self.clock or (nxt is not None and nxt < t):
-            raise ValueError(f"cannot advance to {t} past pending events")
-        self.clock = t

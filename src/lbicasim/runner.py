@@ -1,13 +1,14 @@
 """Run orchestration: workload -> cache engine -> event loop -> telemetry -> balancer.
 
-The engine owns the event loop; the :class:`Simulation` supplies its two
-handlers and calls ``Simulator.step`` once per interval. Its arrival
-handler dispatches application arrivals through the cache engine; its
+The engine owns the event loop; the :class:`Simulation` gives it the
+application requests as its arrival schedule, supplies its two handlers
+and calls ``Simulator.step`` once per interval. Its arrival handler
+dispatches application arrivals through the cache engine; its
 completion handler materializes deferred promotions when their backing
 disk reads complete and keeps the per-application bookkeeping that
 defines request latency (a write-through write completes when both
-halves finish). Between two ``step`` calls it ticks the balancer at the
-interval boundary.
+halves finish). Between two ``step`` calls, with the clock at the
+interval boundary, it ticks the balancer.
 
 Balancer ticks only return a decision; the simulation applies it through
 two methods, so every policy change and queue edit flows through one
@@ -77,7 +78,7 @@ class EventLog:
         i = f"{rid}"
         self._write(
             f"{time},{event},{i},{i if app_id == rid else '' if app_id is None else app_id},"
-            f"{req.origin._value_},{req.origin.op._value_},"
+            f"{req.origin._value_},{req.origin.op},"
             f"{'' if target is None else target._value_},{req.lba},{req.arrival},{note}\n"
         )
 
@@ -106,7 +107,6 @@ class RunResult:
     config: RunConfig
     rows: list[IntervalRow]
     summary: dict
-    end_time: int
 
 
 class Simulation:
@@ -115,7 +115,7 @@ class Simulation:
         self.events = events
         ssd = Device(DeviceRole.SSD, config.ssd_read_us, config.ssd_write_us)
         hdd = Device(DeviceRole.HDD, config.hdd_read_us, config.hdd_write_us)
-        self.sim = Simulator(ssd, hdd, self._on_complete, self._dispatch)
+        self.sim = Simulator(ssd, hdd, self._on_complete, self._dispatch, requests)
         next_free = max((r.id for r in requests), default=-1) + 1
         self._ids = itertools.count(next_free)
         self.cache = CacheEngine(config.cache_blocks, next_id=self._ids.__next__)
@@ -129,14 +129,13 @@ class Simulation:
         self._both_halves_pending: set[int] = set()
         self._latencies: list[int] = []
         self._n_app = len(requests)
-        self.sim.schedule_arrivals(requests)
 
     # ------------------------------------------------------------------
     # applying controller decisions
 
     def set_policy(self, policy: WritePolicy) -> None:
         if policy is not self.cache.policy:
-            self.cache.set_policy(policy)
+            self.cache.policy = policy
             if self.events:
                 self.events.policy(self.sim.clock, policy)
 
@@ -225,19 +224,19 @@ class Simulation:
         boundary = interval
         sim = self.sim
         while sim.step(boundary):
-            # events remain past the boundary: close this interval first
-            sim.advance_to(boundary)
+            # events remain past the boundary, where step left the clock:
+            # close this interval first
             self._tick(boundary)
             boundary += interval
         end_time = sim.clock
         if end_time > boundary - interval:
             # final partial interval: queues are empty, the tick just closes it
-            sim.advance_to(boundary)
+            sim.clock = boundary
             self._tick(boundary)
         # the handlers are bound methods of this Simulation: dropping them
         # breaks the cycle, so a finished run is freed by reference counting
         sim.on_complete = sim.on_arrive = None
-        return RunResult(self.config, self.rows, self._summary(end_time), end_time)
+        return RunResult(self.config, self.rows, self._summary(end_time))
 
     def _summary(self, end_time: int) -> dict:
         latencies = self._latencies

@@ -102,8 +102,8 @@ def _region(base: int, working_set: int, request_count: int) -> Sequence[int]:
     return list(blocks) if working_set <= request_count else blocks
 
 
-def generate(phases: Sequence[PhaseSpec], seed: int, start_id: int = 0) -> list[IoRequest]:
-    """Expand a scenario into its request stream, deterministically.
+def generate(phases: Sequence[PhaseSpec], seed: int) -> list[IoRequest]:
+    """Expand a scenario into its request stream, with ids from 0, deterministically.
 
     Per request, the draws are: the jitter (when the phase has one), the
     read/write choice, and for a uniform phase the address offset. The
@@ -116,7 +116,7 @@ def generate(phases: Sequence[PhaseSpec], seed: int, start_id: int = 0) -> list[
     draw, getrandbits = rng.random, rng.getrandbits
     requests: list[IoRequest] = []
     add = requests.append
-    next_id = start_id
+    next_id = 0
     phase_start = 0
     for phase in phases:
         slot = 1_000_000 / phase.arrival_rate
@@ -162,18 +162,18 @@ def generate(phases: Sequence[PhaseSpec], seed: int, start_id: int = 0) -> list[
     return requests
 
 
-def load_trace(source: str | Path | Iterable[str], start_id: int = 0) -> list[IoRequest]:
-    """Parse a trace file into single-block requests.
+def load_trace(source: str | Path | Iterable[str]) -> list[IoRequest]:
+    """Parse a trace file into single-block requests, with ids from 0 in file order.
 
     Raises :class:`TraceFormatError` with the offending line number for
     malformed records and for the first out-of-order arrival.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            return load_trace(fh, start_id=start_id)
+            return load_trace(fh)
 
     requests: list[IoRequest] = []
-    next_id = start_id
+    next_id = 0
     last_arrival = None
     for lineno, raw in enumerate(source, 1):
         line = raw.strip()

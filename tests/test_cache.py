@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbicasim.cache import CacheEngine, WritePolicy
-from lbicasim.engine import DeviceRole, IoRequest, OpType, Origin
+from lbicasim.engine import DeviceRole, IoRequest, Origin
 
 from conftest import CacheReplica
 
@@ -49,7 +49,7 @@ class TestReadPaths:
         assert shapes(immediate) == [(Origin.R, DeviceRole.HDD)]
         assert promote is not None
         assert promote.origin is Origin.P
-        assert promote.origin.op is OpType.WRITE
+        assert promote.origin.op == "write"
         assert promote.target is DeviceRole.SSD
 
     def test_miss_on_full_cache_evicts_dirty_victim_first(self):
@@ -90,7 +90,7 @@ class TestWritePaths:
     def test_wt_write_over_dirty_block_cleans_it(self):
         engine = make_engine()
         write(engine, 1, lba=3)
-        engine.set_policy(WritePolicy.WT)
+        engine.policy = WritePolicy.WT
         write(engine, 2, lba=3)
         assert 3 in engine.resident_lbas()
         assert engine.dirty_lbas() == set()
@@ -104,7 +104,7 @@ class TestWritePaths:
     def test_ro_write_invalidates_clean_copy_silently(self):
         engine = make_engine()
         read(engine, 1, lba=3)
-        engine.set_policy(WritePolicy.RO)
+        engine.policy = WritePolicy.RO
         immediate, _, _ = write(engine, 2, lba=3)
         assert shapes(immediate) == [(Origin.W, DeviceRole.HDD)]
         assert 3 not in engine.resident_lbas()
@@ -112,7 +112,7 @@ class TestWritePaths:
     def test_ro_write_over_dirty_copy_writes_back_first(self):
         engine = make_engine()
         write(engine, 1, lba=3)  # dirty under WB
-        engine.set_policy(WritePolicy.RO)
+        engine.policy = WritePolicy.RO
         immediate, _, _ = write(engine, 2, lba=3)
         assert shapes(immediate) == [(Origin.E, DeviceRole.HDD), (Origin.W, DeviceRole.HDD)]
         assert 3 not in engine.resident_lbas()
@@ -124,22 +124,21 @@ class TestEviction:
         read(engine, 1, lba=5, now=1)
         read(engine, 2, lba=9, now=2)
         write(engine, 3, lba=9, now=3)  # lba 9 dirty, lba 5 least recent
-        victim, writeback = engine.evict_victim(now=4)
-        assert victim == 5
-        assert writeback is None
+        immediate, _, _ = read(engine, 4, lba=7, now=4)  # a miss on the full cache
+        assert shapes(immediate) == [(Origin.R, DeviceRole.HDD)]
+        assert engine.resident_lbas() == [9, 7]
+        assert engine.dirty_writebacks == 0
 
     def test_dirty_victim_writes_back(self):
         engine = make_engine(capacity=2)
         write(engine, 1, lba=9, now=1)
         read(engine, 2, lba=5, now=2)  # lba 9 least recent and dirty
-        victim, writeback = engine.evict_victim(now=3)
-        assert victim == 9
-        assert writeback is not None
-        assert (writeback.origin, writeback.target, writeback.lba) == (
-            Origin.E,
-            DeviceRole.HDD,
-            9,
-        )
+        immediate, _, _ = read(engine, 3, lba=7, now=3)  # a miss on the full cache
+        assert shapes(immediate) == [(Origin.R, DeviceRole.HDD), (Origin.E, DeviceRole.HDD)]
+        writeback = immediate[1]
+        assert (writeback.lba, writeback.arrival) == (9, 3)
+        assert engine.resident_lbas() == [5, 7]
+        assert engine.dirty_writebacks == 1
 
     def test_retouched_block_survives_eviction(self):
         # touch 1, touch 2, touch 1, insert 3 on capacity 2 -> victim is 2
@@ -150,19 +149,13 @@ class TestEviction:
         read(engine, 4, lba=3, now=4)
         assert engine.resident_lbas() == [1, 3]
 
-    def test_eviction_requires_a_full_cache(self):
-        engine = make_engine(capacity=2)
-        read(engine, 1, lba=1)
-        with pytest.raises(ValueError):
-            engine.evict_victim(now=1)
-
 
 class TestSetPolicy:
     def test_switch_preserves_residency_and_dirty_bits(self):
         engine = make_engine()
         for i, lba in enumerate((1, 2, 3)):
             write(engine, i, lba=lba)
-        engine.set_policy(WritePolicy.WO)
+        engine.policy = WritePolicy.WO
         assert engine.policy is WritePolicy.WO
         assert engine.dirty_lbas() == {1, 2, 3}
 
@@ -170,7 +163,7 @@ class TestSetPolicy:
         engine = make_engine(policy=WritePolicy.WO)
         _, promotion, _ = read(engine, 1, lba=7)
         assert promotion is None
-        engine.set_policy(WritePolicy.WB)
+        engine.policy = WritePolicy.WB
         _, promotion, _ = read(engine, 2, lba=8)
         assert promotion.origin is Origin.P
 
@@ -178,7 +171,7 @@ class TestSetPolicy:
         engine = make_engine()
         read(engine, 1, lba=7)
         before = (engine.policy, engine.resident_lbas(), engine.dirty_lbas())
-        engine.set_policy(WritePolicy.WB)
+        engine.policy = WritePolicy.WB
         assert (engine.policy, engine.resident_lbas(), engine.dirty_lbas()) == before
 
 
@@ -309,7 +302,7 @@ def test_access_matches_the_replica_and_its_documented_submit_order(capacity, op
     replica = CacheReplica(capacity)
     for step, (kind, arg) in enumerate(ops):
         if kind == "policy":
-            engine.set_policy(arg)
+            engine.policy = arg
             replica.policy = arg.value
             continue
         lba, is_read = arg, kind == "read"

@@ -1,6 +1,8 @@
-"""Config parsing, validation, and scenario hashing."""
+"""Config parsing, validation, scenario hashing, and the README's config keys."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,6 @@ ssd_write_us = 200
 hdd_read_us = 4000
 hdd_write_us = 6000
 cache_blocks = 128
-block_bytes = 512
 
 phase1.duration_ms = 300
 phase1.rate = 2000
@@ -46,7 +47,7 @@ class TestParsing:
         assert config.theta_dom == 0.8
         assert (config.ssd_read_us, config.ssd_write_us) == (100, 200)
         assert (config.hdd_read_us, config.hdd_write_us) == (4000, 6000)
-        assert (config.cache_blocks, config.block_bytes) == (128, 512)
+        assert config.cache_blocks == 128
         assert len(config.phases) == 2
         first, second = config.phases
         assert first.duration_us == 300_000
@@ -150,6 +151,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match="phase1.base: expected int"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "address, key",
+        [("uniform", "start"), ("uniform", "stride"), ("sequential", "base"), (None, "stride")],
+    )
+    def test_key_of_the_other_address_model_is_rejected_by_name(self, address, key):
+        text = (
+            "cache_blocks = 8\nphase1.duration_ms = 10\nphase1.rate = 100\n"
+            f"phase1.working_set = 8\nphase1.{key} = 7\n"
+        )
+        if address is not None:
+            text += f"phase1.address = {address}\n"
+        model = address or "uniform"  # a phase without an address is uniform
+        with pytest.raises(
+            ConfigError, match=f"phase1.{key}: not a key of the {model} address model"
+        ):
+            parse_config_text(text)
 
 class TestKeyTables:
     def test_every_run_field_is_set_by_exactly_one_key(self):
@@ -281,3 +298,29 @@ class TestLoadConfig:
         for name, path in SCENARIOS.items():
             config = load_config(path)
             assert config.phases, name
+
+
+def readme_config_section():
+    """The README's "Configuration format" section, up to the next heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = text.index("## Configuration format")
+    return text[start : text.index("\n## ", start)]
+
+
+class TestReadme:
+    def test_the_readme_shows_how_to_set_every_key(self):
+        section = readme_config_section()
+        keys = [*_RUN_KEYS, *_PHASE_KEYS, "address"]
+        # ``key = `` at a line start (commented or not), after a phase
+        # prefix or inside inline code
+        unshown = [k for k in keys if not re.search(rf"(?:^#? ?|\.|`){k} = ", section, re.M)]
+        assert unshown == []
+
+    def test_every_key_line_of_the_readme_example_parses(self):
+        example = readme_config_section().split("```ini\n", 1)[1].split("```", 1)[0]
+        # a commented-out ``key = value`` line is an optional setting: parse it too
+        lines = [re.sub(r"^# (?=[\w.]+ = )", "", line) for line in example.splitlines()]
+        assert any(line.startswith("phase1.write_base") for line in lines)
+        config = parse_config_text("\n".join(lines), origin="README.md")
+        assert config.cache_blocks == 256
+        assert [type(phase.address_model) for phase in config.phases] == [UniformRandom, Sequential]

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lbicasim import RunConfig, Simulation
-from lbicasim.engine import Device, DeviceRole, IoRequest, OpType, Origin, RoutingError, Simulator
+from lbicasim.engine import Device, DeviceRole, IoRequest, Origin, RoutingError, Simulator
 
 from conftest import recount_origins
 
@@ -34,7 +34,7 @@ def test_a_request_keeps_only_the_fields_the_package_reads():
 
 @pytest.mark.parametrize("origin", list(Origin))
 def test_a_request_reads_exactly_when_its_origin_is_an_application_read(origin):
-    assert (origin.op is OpType.READ) is (origin is Origin.R)
+    assert origin.op == ("read" if origin is Origin.R else "write")
 
 
 # a step bound past every event a test schedules
@@ -72,16 +72,16 @@ class Recorder:
         return [(req_id, clock) for clock, kind, req_id in self.calls if kind == "complete"]
 
 
-def new_sim(ssd=(100, 100), hdd=(5000, 5000), submit=True, recorder=None):
+def new_sim(ssd=(100, 100), hdd=(5000, 5000), submit=True, recorder=None, arrivals=()):
     """A simulator over devices with the given (read, write) latencies, and its recorder."""
     rec = recorder or Recorder(submit)
     ssd_dev, hdd_dev = Device(DeviceRole.SSD, *ssd), Device(DeviceRole.HDD, *hdd)
-    rec.sim = Simulator(ssd_dev, hdd_dev, rec.on_complete, rec.on_arrive)
+    rec.sim = Simulator(ssd_dev, hdd_dev, rec.on_complete, rec.on_arrive, arrivals)
     return rec.sim, rec
 
 
-def make_sim(submit=True):
-    return new_sim(ssd=(100, 300), hdd=(4000, 6000), submit=submit)
+def make_sim(submit=True, arrivals=()):
+    return new_sim(ssd=(100, 300), hdd=(4000, 6000), submit=submit, arrivals=arrivals)
 
 
 def drain(sim, rec):
@@ -147,8 +147,7 @@ class TestStep:
         assert sim.clock == 0
 
     def test_scheduled_arrivals_surface_at_their_instant(self):
-        sim, rec = new_sim(submit=False)
-        sim.schedule_arrivals([make_request(1, arrival=250)])
+        sim, rec = new_sim(submit=False, arrivals=[make_request(1, arrival=250)])
         assert sim.step(249) is True
         assert rec.calls == []
         assert sim.step(250) is False
@@ -156,9 +155,8 @@ class TestStep:
         assert rec.calls == [(250, "arrive", 1)]
 
     def test_same_instant_completions_precede_arrivals(self):
-        sim, rec = new_sim(submit=False)
+        sim, rec = new_sim(submit=False, arrivals=[make_request(2, arrival=100)])
         sim.submit(make_request(1))
-        sim.schedule_arrivals([make_request(2, arrival=100)])
         assert sim.step(100) is False
         assert sim.clock == 100
         assert rec.calls == [(100, "complete", 1), (100, "arrive", 2)]
@@ -182,48 +180,28 @@ class TestStep:
         for i in range(3):
             sim.submit(make_request(i))
         assert sim.step(150) is True
-        assert sim.clock == 100
+        assert sim.clock == 150  # left at ``until`` while events remain past it
         assert rec.calls == [(100, "complete", 0)]
         assert sim.step(200) is True  # the event at exactly ``until`` is handled
         assert rec.calls[-1] == (200, "complete", 1)
+        assert sim.clock == 200
         assert sim.step(FOREVER) is False
         assert rec.calls[-1] == (300, "complete", 2)
 
 
 class TestArrivalOrder:
     def test_out_of_order_arrival_is_rejected_by_name(self):
-        sim, _ = make_sim()
-        sim.schedule_arrivals([make_request(1, arrival=500)])
-        with pytest.raises(ValueError, match=r"request 2 arrives at 400"):
-            sim.schedule_arrivals([make_request(2, arrival=400)])
+        arrivals = [make_request(1, arrival=500), make_request(2, arrival=400)]
+        with pytest.raises(
+            ValueError,
+            match=r"request 2 arrives at 400, before the preceding scheduled arrival at 500",
+        ):
+            make_sim(arrivals=arrivals)
 
     def test_batch_names_the_first_out_of_order_request_and_schedules_nothing(self):
-        sim, _ = make_sim()
         batch = [make_request(i, arrival=t) for i, t in enumerate((0, 10, 10, 5, 3))]
         with pytest.raises(ValueError, match=r"request 3 arrives at 5"):
-            sim.schedule_arrivals(batch)
-        assert sim.next_event_time() is None
-
-    def test_batch_is_checked_against_what_is_already_scheduled(self):
-        sim, rec = make_sim(submit=False)
-        sim.schedule_arrivals([make_request(0, arrival=100)])
-        with pytest.raises(ValueError, match=r"request 1 arrives at 99"):
-            sim.schedule_arrivals([make_request(1, arrival=99)])
-        sim.schedule_arrivals([make_request(2, arrival=100)])
-        assert sim.step(FOREVER) is False
-        assert rec.calls == [(100, "arrive", 0), (100, "arrive", 2)]
-
-    def test_scheduling_after_the_schedule_ran_dry_resumes_the_cursor(self):
-        sim, rec = make_sim(submit=False)
-        sim.schedule_arrivals([make_request(0, arrival=10)])
-        assert sim.step(FOREVER) is False
-        assert rec.arrived() == [0]
-        assert sim.step(FOREVER) is False
-        assert rec.arrived() == [0]
-        sim.schedule_arrivals([make_request(1, arrival=20)])
-        assert sim.next_event_time() == 20
-        assert sim.step(FOREVER) is False
-        assert rec.calls[-1] == (20, "arrive", 1)
+            make_sim(arrivals=batch)
 
     def test_simulation_rejects_unsorted_requests(self):
         requests = [
@@ -241,8 +219,8 @@ sorted_schedules = st.lists(st.integers(min_value=0, max_value=12), max_size=50)
 )
 
 
-@given(sorted_schedules, st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
-def test_arrival_cursor_matches_a_heap_reference(times, chunk, rng):
+@given(sorted_schedules, st.randoms(use_true_random=False))
+def test_arrival_cursor_matches_a_heap_reference(times, rng):
     reqs = [
         make_request(i, arrival=t, target=rng.choice(list(DeviceRole))) for i, t in enumerate(times)
     ]
@@ -257,9 +235,7 @@ def test_arrival_cursor_matches_a_heap_reference(times, chunk, rng):
             ids.append(heapq.heappop(heap)[2])
         expected.append((t, ids))
 
-    sim, rec = make_sim()
-    for start in range(0, len(reqs), chunk):
-        sim.schedule_arrivals(reqs[start : start + chunk])
+    sim, rec = make_sim(arrivals=reqs)
     assert sim.step(FOREVER) is False
     got = []
     for clock, kind, req_id in rec.calls:
@@ -298,25 +274,6 @@ class TestRemoveTail:
         assert self.dev.in_service.id == 1
 
 
-class TestAdvance:
-    def test_advance_through_idle_time(self):
-        sim, _ = new_sim()
-        sim.advance_to(1_000)
-        assert sim.clock == 1_000
-
-    def test_advance_may_not_skip_pending_events(self):
-        sim, _ = new_sim()
-        sim.submit(make_request(1))
-        with pytest.raises(ValueError):
-            sim.advance_to(500)
-
-    def test_advance_backwards_rejected(self):
-        sim, _ = new_sim()
-        sim.advance_to(100)
-        with pytest.raises(ValueError):
-            sim.advance_to(50)
-
-
 def random_schedule(seed, n=60):
     rng = random.Random(seed)
     reqs = []
@@ -331,16 +288,14 @@ def random_schedule(seed, n=60):
 
 def run_schedule(seed):
     """Drain a random schedule; the recorder submits each request as it arrives."""
-    sim, rec = make_sim()
-    for req in random_schedule(seed):
-        sim.schedule_arrivals([req])
+    sim, rec = make_sim(arrivals=random_schedule(seed))
     drain(sim, rec)
     return sim, rec
 
 
 def service_latency(sim, req):
     dev = sim.ssd if req.target is DeviceRole.SSD else sim.hdd
-    return dev.read_latency if req.origin.op is OpType.READ else dev.write_latency
+    return dev.read_latency if req.origin is Origin.R else dev.write_latency
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -401,14 +356,15 @@ class PromotingRecorder(Recorder):
             )
 
 
-# (arrival on a 100us grid, target, op): arrivals coincide with each other
-# and with completions (SSD 100/300us, HDD 400/600us), so many instants
-# hold completions on both devices and arrivals at once
+# (arrival on a 100us grid, target, origin R or W): arrivals coincide with
+# each other and with completions (SSD 100/300us, HDD 400/600us), so many
+# instants hold completions on both devices and arrivals at once; every
+# event falls on the grid
 grid_requests = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=40),
         st.sampled_from(list(DeviceRole)),
-        st.sampled_from(list(OpType)),
+        st.sampled_from([Origin.R, Origin.W]),
     ),
     max_size=40,
 )
@@ -417,38 +373,36 @@ grid_requests = st.lists(
 @given(grid_requests, st.lists(st.integers(min_value=-100, max_value=6_000), max_size=12))
 def test_every_way_of_driving_the_loop_hands_over_the_same_calls(requests, cuts):
     def build():
-        sim, rec = new_sim(ssd=(100, 300), hdd=(400, 600), recorder=PromotingRecorder())
-        sim.schedule_arrivals(
-            [
-                make_request(
-                    i,
-                    arrival=100 * tick,
-                    origin=Origin.R if op is OpType.READ else Origin.W,
-                    target=target,
-                    lba=i,
-                )
-                for i, (tick, target, op) in enumerate(sorted(requests, key=lambda r: r[0]))
-            ]
+        arrivals = [
+            make_request(i, arrival=100 * tick, origin=origin, target=target, lba=i)
+            for i, (tick, target, origin) in enumerate(sorted(requests, key=lambda r: r[0]))
+        ]
+        return new_sim(
+            ssd=(100, 300), hdd=(400, 600), recorder=PromotingRecorder(), arrivals=arrivals
         )
-        return sim, rec
 
     def checked_step(sim, rec, until):
         handled = len(rec.calls)
         more = sim.step(until)
-        # nothing after ``until`` was handled, and whatever is left lies past it
+        # nothing after ``until`` was handled
         assert all(clock <= until for clock, _, _ in rec.calls[handled:])
-        nxt = sim.next_event_time()
-        assert more is (nxt is not None)
-        assert nxt is None or nxt > until
+        if more:
+            # the clock waits at ``until``, and everything due by then was
+            # handled: stepping to it again hands over nothing
+            assert sim.clock == until
+            handled = len(rec.calls)
+            assert sim.step(until) is True
+            assert rec.calls[handled:] == []
         return more
 
     # one call
     sim, whole = build()
     assert checked_step(sim, whole, FOREVER) is False
-    # one call per instant
+    # one call per instant: every event falls on the 100us grid
     sim, per_instant = build()
-    while (t := sim.next_event_time()) is not None:
-        checked_step(sim, per_instant, t)
+    grid = 0
+    while checked_step(sim, per_instant, grid):
+        grid += 100
     # calls at random cut points, then one to the end
     sim, cut = build()
     for until in sorted(cuts):
@@ -458,7 +412,7 @@ def test_every_way_of_driving_the_loop_hands_over_the_same_calls(requests, cuts)
     assert per_instant.calls == whole.calls
     assert cut.calls == whole.calls
     assert len(whole.completed) == len(requests) + sum(
-        1 for _, target, op in requests if target is DeviceRole.HDD and op is OpType.READ
+        1 for _, target, origin in requests if target is DeviceRole.HDD and origin is Origin.R
     )
 
 

@@ -26,7 +26,7 @@ from lbicasim import (
 )
 from lbicasim.balancer import BALANCERS, PolicyDecision
 from lbicasim.cache import WritePolicy
-from lbicasim.engine import DeviceRole, IoRequest, OpType, Origin, Simulator
+from lbicasim.engine import DeviceRole, IoRequest, Origin, Simulator
 from lbicasim.workload import PhaseSpec, UniformRandom
 
 from conftest import SCENARIOS, read_events, recount_origins
@@ -79,7 +79,7 @@ class TestEndToEnd:
     def test_row_count_covers_the_whole_run(self):
         config = small_config()
         result = run_simulation(config)
-        expected = -(-result.end_time // config.interval_us)
+        expected = -(-result.summary["simulated_end_us"] // config.interval_us)
         assert result.summary["intervals"] == len(result.rows) == expected
 
     def test_interval_windows_tile_without_gaps(self):
@@ -288,7 +288,7 @@ class TestEnumHashing:
             hashes += 1
             return Enum.__hash__(member)
 
-        for enum in (Origin, DeviceRole, OpType, WritePolicy):
+        for enum in (Origin, DeviceRole, WritePolicy):
             monkeypatch.setattr(enum, "__hash__", counting_hash)
         result = sim.run()
         monkeypatch.undo()
@@ -409,7 +409,7 @@ def reference_row(time, event, req, note=""):
         req.id,
         "" if req.app_id is None else req.app_id,
         req.origin.value,
-        req.origin.op.value,
+        "read" if req.origin is Origin.R else "write",
         "" if req.target is None else req.target.value,
         req.lba,
         req.arrival,

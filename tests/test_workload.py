@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbicasim import TraceFormatError, workload
-from lbicasim.engine import IoRequest, OpType, Origin
+from lbicasim.engine import IoRequest, Origin
 from lbicasim.workload import PhaseSpec, Sequential, UniformRandom, dump_trace, generate, load_trace
 
 
@@ -110,8 +110,8 @@ class TestGenerate:
     def test_separate_write_region_splits_reads_and_writes(self):
         phase = uniform_phase(read_fraction=0.5, working_set=32, write_base=1000)
         requests = generate([phase], seed=6)
-        reads = [r for r in requests if r.origin.op is OpType.READ]
-        writes = [r for r in requests if r.origin.op is OpType.WRITE]
+        reads = [r for r in requests if r.origin is Origin.R]
+        writes = [r for r in requests if r.origin is Origin.W]
         assert reads and writes
         assert all(0 <= r.lba < 32 for r in reads)
         assert all(1000 <= r.lba < 1032 for r in writes)
@@ -131,8 +131,8 @@ class TestGenerate:
     def test_read_fraction_extremes(self):
         all_reads = generate([uniform_phase(read_fraction=1.0)], seed=1)
         all_writes = generate([uniform_phase(read_fraction=0.0)], seed=1)
-        assert all(r.origin.op is OpType.READ for r in all_reads)
-        assert all(r.origin.op is OpType.WRITE for r in all_writes)
+        assert all(r.origin is Origin.R for r in all_reads)
+        assert all(r.origin is Origin.W for r in all_writes)
 
 
 class TestLoadTrace:
@@ -140,12 +140,12 @@ class TestLoadTrace:
         requests = load_trace(io.StringIO("0,100,1,R\n"))
         assert len(requests) == 1
         req = requests[0]
-        assert (req.arrival, req.lba, req.origin.op) == (0, 100, OpType.READ)
+        assert (req.arrival, req.lba, req.origin) == (0, 100, Origin.R)
 
     def test_multi_block_record_splits(self):
         requests = load_trace(io.StringIO("0,100,4,W\n"))
         assert [(r.arrival, r.lba) for r in requests] == [(0, 100), (0, 101), (0, 102), (0, 103)]
-        assert all(r.origin.op is OpType.WRITE for r in requests)
+        assert all(r.origin is Origin.W for r in requests)
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# header\n\n10,5,1,R\n"
@@ -171,9 +171,9 @@ class TestLoadTrace:
         with pytest.raises(TraceFormatError, match="blocks"):
             load_trace(io.StringIO("0,1,0,R\n"))
 
-    def test_ids_are_sequential_from_start_id(self):
-        requests = load_trace(io.StringIO("0,1,2,R\n5,9,1,W\n"), start_id=10)
-        assert [r.id for r in requests] == [10, 11, 12]
+    def test_ids_are_sequential_from_zero(self):
+        requests = load_trace(io.StringIO("0,1,2,R\n5,9,1,W\n"))
+        assert [r.id for r in requests] == [0, 1, 2]
         assert all(r.app_id == r.id for r in requests)
 
 
@@ -188,13 +188,13 @@ def test_round_trip_through_the_trace_format(tmp_path):
     ]
 
 
-def reference_generate(phases, seed, start_id=0, rng_class=random.Random):
+def reference_generate(phases, seed, rng_class=random.Random):
     """The stream ``generate`` must reproduce, built the plain way:
     keyword construction and ``rng.randrange`` for the address offset."""
     rng = rng_class(seed)
     draw, randrange = rng.random, rng.randrange
     requests = []
-    next_id = start_id
+    next_id = 0
     phase_start = 0
     for phase in phases:
         slot = 1_000_000 / phase.arrival_rate
@@ -296,10 +296,9 @@ def scripted_random(script):
 @given(
     st.lists(phase_specs(), min_size=1, max_size=3),
     st.integers(min_value=0, max_value=2**32),
-    st.integers(min_value=0, max_value=1000),
     st.none() | st.lists(st.integers(1, 99).map(lambda k: k / 100), min_size=1, max_size=64),
 )
-def test_generate_matches_the_reference_stream_field_for_field(phases, seed, start_id, script):
+def test_generate_matches_the_reference_stream_field_for_field(phases, seed, script):
     def rng_class():
         # a fresh class per generator, so each replays the script from its start
         return random.Random if script is None else scripted_random(script)
@@ -309,9 +308,9 @@ def test_generate_matches_the_reference_stream_field_for_field(phases, seed, sta
     def rows(requests):
         return [tuple(getattr(r, name) for name in fields) for r in requests]
 
-    expected = rows(reference_generate(phases, seed, start_id, rng_class()))
+    expected = rows(reference_generate(phases, seed, rng_class()))
     with mock.patch.object(workload, "random", SimpleNamespace(Random=rng_class())):
-        actual = rows(generate(phases, seed, start_id))
+        actual = rows(generate(phases, seed))
     assert actual == expected
 
 
@@ -351,5 +350,5 @@ def test_a_sparsely_drawn_region_builds_no_table_of_its_blocks():
     requests = generate([phase], seed=3)
     assert len(requests) == 8
     for r in requests:
-        start = base if r.origin.op is OpType.READ else write_base
+        start = base if r.origin is Origin.R else write_base
         assert start <= r.lba < start + working_set
