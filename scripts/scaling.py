@@ -17,12 +17,14 @@ no run inherits the heap of another and the child's peak resident set
 probe prints the request count, the median peak RSS of its runs and,
 past 1x, the bytes per request: the rise in peak RSS over the 1x run
 divided by the rise in request count, so the interpreter's fixed share
-drops out. Then it prints one line per stage with the best and the
-median wall time of ``--repeats`` runs, each relative to the 1x run.
-Each round runs every factor once, in rotating order, so a drift in host
-speed does not favour one factor; the best time is the least disturbed
-by other load on the host. If cost is linear in request count, the 8x
-run costs about 8x the 1x run.
+drops out. A second line gives the median peak RSS as it stood after
+the build and after the run, and their difference: what simulating adds
+on top of the built list. Then it prints one line per stage with the
+best and the median wall time of ``--repeats`` runs, each relative to
+the 1x run. Each round runs every factor once, in rotating order, so a
+drift in host speed does not favour one factor; the best time is the
+least disturbed by other load on the host. If cost is linear in request
+count, the 8x run costs about 8x the 1x run.
 """
 
 from __future__ import annotations
@@ -52,17 +54,22 @@ def scaled(config, factor: int):
     return dataclasses.replace(config, phases=phases)
 
 
-def measure(factor: int) -> tuple[int, float, float, int]:
-    """One run at ``factor``, in a child: requests, the two stage times, peak RSS in bytes."""
+def peak_rss() -> int:
+    """This process's peak resident set so far, in bytes (ru_maxrss is in KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
+def measure(factor: int) -> tuple[int, float, float, int, int]:
+    """One run at ``factor``, in a child: requests, the two stage times, and
+    the peak RSS in bytes after the build and after the run."""
     config = scaled(dataclasses.replace(load_config(SCENARIO), balancer=BALANCER), factor)
     started = time.perf_counter()
     built = build_requests(config)
     split = time.perf_counter()
+    build_peak = peak_rss()
     result = Simulation(config, built).run()
     done = time.perf_counter()
-    # ru_maxrss is in KiB on Linux
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    return result.summary["app_requests"], split - started, done - split, peak
+    return result.summary["app_requests"], split - started, done - split, build_peak, peak_rss()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -72,16 +79,18 @@ def main(argv: list[str] | None = None) -> int:
 
     walls = {(stage, factor): [] for stage in STAGES for factor in FACTORS}
     peaks = {factor: [] for factor in FACTORS}
+    build_peaks = {factor: [] for factor in FACTORS}
     requests = {}
     # one worker at a time, replaced after every run
     with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
         for repeat in range(args.repeats):
             shift = repeat % len(FACTORS)
             for factor in FACTORS[shift:] + FACTORS[:shift]:
-                count, build, simulate, peak = pool.apply(measure, (factor,))
+                count, build, simulate, build_peak, peak = pool.apply(measure, (factor,))
                 requests[factor] = count
                 walls["build", factor].append(build)
                 walls["simulate", factor].append(simulate)
+                build_peaks[factor].append(build_peak)
                 peaks[factor].append(peak)
     peak1 = statistics.median(peaks[1])
     for factor in FACTORS:
@@ -94,6 +103,11 @@ def main(argv: list[str] | None = None) -> int:
             per_request = (peak - peak1) / (requests[factor] - requests[1])
             line += f" ({per_request:.0f} B per request over x1)"
         print(line)
+        build_peak = statistics.median(build_peaks[factor])
+        print(
+            f"  peak RSS after build {build_peak / 2**20:.1f} MB, after run {peak / 2**20:.1f} MB:"
+            f" the run adds {(peak - build_peak) / 2**20:.1f} MB"
+        )
         for stage in STAGES:
             best, median = min(walls[stage, factor]), statistics.median(walls[stage, factor])
             best1, median1 = min(walls[stage, 1]), statistics.median(walls[stage, 1])

@@ -173,7 +173,9 @@ def _build_phase(index: int, given: dict[str, str]) -> PhaseSpec:
         raise ConfigError(f"{prefix}address: expected uniform or sequential, got {address!r}")
     for key in given:
         name = _PHASE_KEYS[key][0]
-        if name not in arguments and name not in model.__dataclass_fields__:
+        foreign = name not in arguments and name not in model.__dataclass_fields__
+        # a separate write region is a PhaseSpec field, but only a uniform phase has one
+        if foreign or (key == "write_base" and model is not UniformRandom):
             raise ConfigError(f"{prefix}{key}: not a key of the {address} address model")
     if model is UniformRandom and "working_set" not in given:
         raise ConfigError(f"{prefix}working_set: missing for uniform address model")

@@ -4,7 +4,8 @@ Each storage device is a single-server FIFO queue with fixed per-op
 service latencies. Time is integer microseconds and moves to the
 earliest pending event (a scheduled arrival or an in-service
 completion). Arrivals are given once, at construction, in non-decreasing
-time order, and the loop walks them with a cursor.
+time order, and the loop walks them with a cursor, clearing each slot it
+passes: once a request has arrived, the schedule no longer holds it.
 
 The engine owns the event loop: :meth:`Simulator.step` processes every
 event up to a given time and hands each completion and each arrival to
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, MutableSequence
 
 
 class Origin(Enum):
@@ -82,8 +83,9 @@ class IoRequest:
     completion handler reads that instant from the simulator's clock. It
     entered service no earlier than its arrival and no earlier than the
     previous completion on its device, so ``arrival <= clock - latency``
-    when it completes. Each request stays alive for the whole run, so
-    every field costs memory per request.
+    when it completes. An application request is alive from the build
+    of its list until it completes (the simulator's schedule lets go of
+    it as it arrives), so every field costs memory per built request.
     """
 
     id: int
@@ -184,7 +186,14 @@ class Simulator:
     """Deterministic event loop over two devices and a schedule of arrivals.
 
     ``arrivals`` is the whole schedule, non-decreasing in time; it is kept
-    as given, not copied, and a cursor marks the next one to surface.
+    as given, not copied, and a cursor marks the next one to surface. The
+    schedule is consumed: as ``step`` hands an arrival to ``on_arrive`` it
+    sets that slot to None. From then on only what ``on_arrive`` keeps
+    holds the request (the runner submits it to a device queue), so it is
+    freed when it completes. The caller's list is left all None once
+    every arrival has surfaced. A schedule must therefore be a mutable
+    sequence, such as the list ``build_requests`` returns; the default
+    empty one has nothing to clear.
     ``on_complete`` receives every request a device finishes and
     ``on_arrive`` every scheduled arrival, each at its own instant; both
     run with :attr:`clock` at that instant and may submit requests, and
@@ -199,7 +208,7 @@ class Simulator:
         hdd: Device,
         on_complete: Callable[[IoRequest], None],
         on_arrive: Callable[[IoRequest], None],
-        arrivals: Sequence[IoRequest] = (),
+        arrivals: MutableSequence[IoRequest | None] = (),
     ):
         last = None
         for req in arrivals:
@@ -274,4 +283,8 @@ class Simulator:
                 i = self._cursor + 1
                 self._cursor = i
                 self._next_arrival = arrivals[i].arrival if i < len(arrivals) else None
-                on_arrive(arrivals[i - 1])
+                req = arrivals[i - 1]
+                # the schedule lets go of the arrival, so a finished
+                # request is freed by reference counting
+                arrivals[i - 1] = None
+                on_arrive(req)

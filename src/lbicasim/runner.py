@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import statistics
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 from .balancer import RatioVector, detect_bottleneck, make_balancer
 from .cache import CacheEngine, WritePolicy
@@ -110,7 +110,16 @@ class RunResult:
 
 
 class Simulation:
-    def __init__(self, config: RunConfig, requests: Sequence[IoRequest], events: EventLog | None = None):
+    """One run of ``config`` over ``requests``, its application requests in arrival order.
+
+    ``requests`` becomes the simulator's arrival schedule and is consumed:
+    each slot is set to None as its request arrives, so the list is all
+    None after :meth:`run`, and each request is freed once it completes.
+    A run therefore needs a list of its own; ``run_simulation`` and the
+    command line build one per run with :func:`build_requests`.
+    """
+
+    def __init__(self, config: RunConfig, requests: list[IoRequest], events: EventLog | None = None):
         self.config = config
         self.events = events
         ssd = Device(DeviceRole.SSD, config.ssd_read_us, config.ssd_write_us)

@@ -91,12 +91,13 @@ class PhaseSpec:
 def _region(base: int, working_set: int, request_count: int) -> Sequence[int]:
     """The blocks ``base, base + 1, ...`` of a uniform region, for indexing.
 
-    Every request of a run stays alive until the run ends, and a block
-    number above 256 is a 32-byte object of its own unless requests share
-    it. A list holds one object per block, which the requests drawing that
-    block share; a range makes a new one per draw. The list is built only
-    when the phase has at least as many requests as the region has blocks,
-    so a huge, sparsely drawn region costs nothing up front.
+    Every request stays alive from its list's build until it completes,
+    and a block number above 256 is a 32-byte object of its own unless
+    requests share it. A list holds one object per block, which the
+    requests drawing that block share; a range makes a new one per draw.
+    The list is built only when the phase has at least as many requests
+    as the region has blocks, so a huge, sparsely drawn region costs
+    nothing up front.
     """
     blocks = range(base, base + working_set)
     return list(blocks) if working_set <= request_count else blocks

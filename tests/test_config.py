@@ -153,7 +153,13 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "address, key",
-        [("uniform", "start"), ("uniform", "stride"), ("sequential", "base"), (None, "stride")],
+        [
+            ("uniform", "start"),
+            ("uniform", "stride"),
+            ("sequential", "base"),
+            ("sequential", "write_base"),
+            (None, "stride"),
+        ],
     )
     def test_key_of_the_other_address_model_is_rejected_by_name(self, address, key):
         text = (

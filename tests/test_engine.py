@@ -20,8 +20,8 @@ def make_request(req_id, arrival=0, origin=Origin.R, target=DeviceRole.SSD, lba=
 
 
 def test_a_request_keeps_only_the_fields_the_package_reads():
-    # every request stays alive for the whole run, so each field costs
-    # memory per request
+    # every request stays alive from its list's build until it completes,
+    # so each field costs memory per request
     assert [f.name for f in dataclasses.fields(IoRequest)] == [
         "id",
         "arrival",
@@ -168,6 +168,7 @@ class TestStep:
             seen.append((req.id, sim.ssd.in_service, sim.hdd.in_service))
 
         ssd, hdd = Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 100, 100)
+        # the default schedule, an empty tuple: the loop has no slot to clear
         sim = Simulator(ssd, hdd, on_complete, seen.append)
         sim.submit(make_request(1))
         sim.submit(make_request(2, target=DeviceRole.HDD))
@@ -331,6 +332,31 @@ def test_timestamp_ordering_invariant(seed):
             assert req.arrival <= started
             assert previous <= started
             previous = completed_at[req.id]
+
+
+class ScheduleWatcher(Recorder):
+    """Recording handlers that check, at each completion, that the
+    arrival schedule no longer holds the finished request."""
+
+    def __init__(self, schedule):
+        super().__init__()
+        self.schedule = schedule
+
+    def on_complete(self, req):
+        assert all(slot is not req for slot in self.schedule), req.id
+        super().on_complete(req)
+
+
+class TestScheduleConsumed:
+    def test_no_slot_holds_a_finished_request_and_the_run_leaves_it_empty(self):
+        schedule = random_schedule(7)
+        n = len(schedule)
+        sim, rec = new_sim(
+            ssd=(100, 300), hdd=(4000, 6000), recorder=ScheduleWatcher(schedule), arrivals=schedule
+        )
+        drain(sim, rec)
+        assert len(rec.completed) == n
+        assert schedule == [None] * n
 
 
 class PromotingRecorder(Recorder):

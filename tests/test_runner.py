@@ -7,6 +7,7 @@ import gc
 import inspect
 import io
 import sys
+import tracemalloc
 import weakref
 from collections import deque
 from enum import Enum
@@ -353,6 +354,25 @@ class TestRunLifetime:
         finally:
             gc.enable()
         assert result.summary["app_completed"] == result.summary["app_requests"]
+
+    def test_a_run_holds_little_beyond_its_built_list(self):
+        # the simulator lets go of each request as it arrives, so a request
+        # lives only until it completes: the run's peak is about the built
+        # list, and a finished run keeps much less than the list
+        config = scenario_config("mixed_rw", "none-wb")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            requests = build_requests(config)
+            built = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            result = Simulation(config, requests).run()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.summary["app_completed"] == len(requests) > 0
+        assert peak - base <= 1.05 * built
+        assert after - base < 0.6 * built
 
 
 class TestPolicyLog:
