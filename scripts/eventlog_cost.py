@@ -9,9 +9,9 @@ The pairs are those of perfbench's replay workload
 under none-wb, lbica and sib, each with its committed seed. Each pair
 runs through ``harness.run_pair``, the benchmark's own timed region:
 construct and run the simulation, write the reports and, on the side
-with the log, stream ``events.log`` to a temporary directory. Request
-lists are built before that region starts, since a run consumes its
-list. Each round runs both sides once, and the side that goes first
+with the log, stream ``events.log`` to a temporary directory. Each
+pair's request schedule is built once, before any round, since a run
+only reads it. Each round runs both sides once, and the side that goes first
 alternates from round to round, so a drift in host speed does not
 favour one side. A side's time for a round is the sum over its pairs.
 
@@ -60,13 +60,13 @@ def main(argv: list[str] | None = None) -> int:
     summaries: dict[str, list[dict]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         configs = harness.load_pairs(lb, pairs, Path(tmp), None)
+        schedules = [lb.runner.build_requests(config) for config in configs]
         for repeat in range(args.repeats):
             for side in SIDES if repeat % 2 == 0 else SIDES[::-1]:
                 total = 0.0
                 summaries[side] = []
-                for config in configs:
-                    requests = lb.runner.build_requests(config)
-                    run = harness.run_pair(lb, config, requests, Path(tmp), side == "with log")
+                for config, schedule in zip(configs, schedules):
+                    run = harness.run_pair(lb, config, schedule, Path(tmp), side == "with log")
                     total += run.wall_s
                     summaries[side].append(run.summary)
                 walls[side].append(total)

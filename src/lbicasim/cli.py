@@ -57,14 +57,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     # a malformed trace fails here, before the output directory or log exists
-    requests = build_requests(config)
+    schedule = build_requests(config)
     args.out.mkdir(parents=True, exist_ok=True)
     if args.events:
         with open(args.out / "events.log", "w", newline="") as fh:
             events = EventLog(fh, config.scenario_hash())
-            result = Simulation(config, requests, events).run()
+            result = Simulation(config, schedule, events).run()
     else:
-        result = Simulation(config, requests).run()
+        result = Simulation(config, schedule).run()
     write_run(result, args.out)
     if not args.quiet:
         summary = result.summary

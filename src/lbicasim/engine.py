@@ -3,9 +3,10 @@
 Each storage device is a single-server FIFO queue with fixed per-op
 service latencies. Time is integer microseconds and moves to the
 earliest pending event (a scheduled arrival or an in-service
-completion). Arrivals are given once, at construction, in non-decreasing
-time order, and the loop walks them with a cursor, clearing each slot it
-passes: once a request has arrived, the schedule no longer holds it.
+completion). Arrivals are given once, at construction, as a
+:class:`Schedule` of plain columns in non-decreasing time order. The
+loop walks them with a cursor and creates each application request at
+its arrival instant, so no request object exists before it arrives.
 
 The engine owns the event loop: :meth:`Simulator.step` processes every
 event up to a given time and hands each completion and each arrival to
@@ -21,10 +22,11 @@ bit-identical schedules.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, MutableSequence
+from typing import Callable
 
 
 class Origin(Enum):
@@ -59,7 +61,7 @@ class DeviceRole(Enum):
 
 # Members bound once: reading one off its class costs a metaclass lookup,
 # which the per-request paths below would otherwise pay on every call.
-_R = Origin.R
+_R, _W = Origin.R, Origin.W
 _SSD, _HDD = DeviceRole
 
 
@@ -83,9 +85,9 @@ class IoRequest:
     completion handler reads that instant from the simulator's clock. It
     entered service no earlier than its arrival and no earlier than the
     previous completion on its device, so ``arrival <= clock - latency``
-    when it completes. An application request is alive from the build
-    of its list until it completes (the simulator's schedule lets go of
-    it as it arrives), so every field costs memory per built request.
+    when it completes. An application request is created at its arrival
+    instant, from its row of the :class:`Schedule`, and lives until it
+    completes, so every field costs memory per request in a device queue.
     """
 
     id: int
@@ -94,6 +96,41 @@ class IoRequest:
     origin: Origin
     target: DeviceRole | None = None
     app_id: int | None = None
+
+
+class Schedule:
+    """The application requests of a run, as three columns in arrival order.
+
+    Request ``i`` arrives at ``arrival[i]``, accesses block ``lba[i]``
+    and is a read when ``read[i]`` is 1, a write when it is 0; its id and
+    its app id are both ``i``. No request object exists until the
+    simulator creates it at its arrival instant, so a scheduled request
+    costs a slot in each column: 8 B of ``array('q')``, one list slot
+    and one byte. ``lba`` is a list, so requests drawing the same block
+    can share one int object (see ``workload._region``).
+    """
+
+    __slots__ = ("arrival", "lba", "read")
+
+    def __init__(self) -> None:
+        self.arrival = array("q")
+        self.lba: list[int] = []
+        self.read = bytearray()
+
+    def __len__(self) -> int:
+        return len(self.arrival)
+
+    def append(self, arrival: int, lba: int, read: bool) -> None:
+        """Schedule the next request; its arrival may not precede the last one's."""
+        arrivals = self.arrival
+        if arrivals and arrival < arrivals[-1]:
+            raise ValueError(
+                f"request {len(arrivals)} arrives at {arrival}, "
+                f"before the preceding scheduled arrival at {arrivals[-1]}"
+            )
+        arrivals.append(arrival)
+        self.lba.append(lba)
+        self.read.append(read)
 
 
 class Device:
@@ -185,15 +222,13 @@ class Device:
 class Simulator:
     """Deterministic event loop over two devices and a schedule of arrivals.
 
-    ``arrivals`` is the whole schedule, non-decreasing in time; it is kept
-    as given, not copied, and a cursor marks the next one to surface. The
-    schedule is consumed: as ``step`` hands an arrival to ``on_arrive`` it
-    sets that slot to None. From then on only what ``on_arrive`` keeps
-    holds the request (the runner submits it to a device queue), so it is
-    freed when it completes. The caller's list is left all None once
-    every arrival has surfaced. A schedule must therefore be a mutable
-    sequence, such as the list ``build_requests`` returns; the default
-    empty one has nothing to clear.
+    ``schedule`` holds every application arrival; it is kept as given, not
+    copied, and a cursor marks the next one to surface. At that arrival's
+    instant ``step`` creates its :class:`IoRequest` (id and app id ``i``
+    for row ``i``, no target) and hands it to ``on_arrive``, so only what
+    ``on_arrive`` keeps holds the request (the runner submits it to a
+    device queue), and it is freed when it completes. The schedule itself
+    is only read, so one schedule can drive any number of simulators.
     ``on_complete`` receives every request a device finishes and
     ``on_arrive`` every scheduled arrival, each at its own instant; both
     run with :attr:`clock` at that instant and may submit requests, and
@@ -208,24 +243,17 @@ class Simulator:
         hdd: Device,
         on_complete: Callable[[IoRequest], None],
         on_arrive: Callable[[IoRequest], None],
-        arrivals: MutableSequence[IoRequest | None] = (),
+        schedule: Schedule,
     ):
-        last = None
-        for req in arrivals:
-            if last is not None and req.arrival < last:
-                raise ValueError(
-                    f"request {req.id} arrives at {req.arrival}, "
-                    f"before the preceding scheduled arrival at {last}"
-                )
-            last = req.arrival
         self.clock = 0
         self.ssd = ssd
         self.hdd = hdd
         self.on_complete = on_complete
         self.on_arrive = on_arrive
-        self._arrivals = arrivals
-        self._cursor = 0  # index in _arrivals of the next arrival to surface
-        self._next_arrival = arrivals[0].arrival if arrivals else None  # None when all surfaced
+        self.schedule = schedule
+        self._cursor = 0  # row in ``schedule`` of the next arrival to surface
+        # its arrival time, None once every arrival has surfaced
+        self._next_arrival = schedule.arrival[0] if len(schedule) else None
 
     def submit(self, req: IoRequest) -> None:
         target = req.target
@@ -249,42 +277,48 @@ class Simulator:
         """
         ssd, hdd = self.ssd, self.hdd
         on_complete, on_arrive = self.on_complete, self.on_arrive
-        arrivals = self._arrivals
-        while True:
-            # the next instant, reading each device once; a device due at
-            # it is then finished
-            t = self._next_arrival
-            ssd_due = ssd.busy_until if ssd.in_service is not None else None
-            hdd_due = hdd.busy_until if hdd.in_service is not None else None
-            if ssd_due is not None and (t is None or ssd_due < t):
-                t = ssd_due
-            if hdd_due is not None and (t is None or hdd_due < t):
-                t = hdd_due
-            if t is None:
-                return False
-            if t > until:
-                self.clock = until
-                return True
-            self.clock = t
-            if ssd_due == t:
-                done = ssd.finish(t)
-                if hdd_due == t:
-                    hdd_done = hdd.finish(t)
-                    on_complete(done)
-                    on_complete(hdd_done)
-                else:
-                    on_complete(done)
-            elif hdd_due == t:
-                on_complete(hdd.finish(t))
-            if self._next_arrival == t:
-                # one arrival per pass: the next pass finds this instant
-                # again while arrivals remain at it, and no completion can
-                # fall due at it in between, since every service takes time
-                i = self._cursor + 1
-                self._cursor = i
-                self._next_arrival = arrivals[i].arrival if i < len(arrivals) else None
-                req = arrivals[i - 1]
-                # the schedule lets go of the arrival, so a finished
-                # request is freed by reference counting
-                arrivals[i - 1] = None
-                on_arrive(req)
+        schedule = self.schedule
+        arrivals, lbas, reads = schedule.arrival, schedule.lba, schedule.read
+        count = len(arrivals)
+        # only this method moves the cursor, so it lives in locals while
+        # the loop runs and is stored back however the loop is left
+        cursor, next_arrival = self._cursor, self._next_arrival
+        try:
+            while True:
+                # the next instant, reading each device once; a device due
+                # at it is then finished
+                t = next_arrival
+                ssd_due = ssd.busy_until if ssd.in_service is not None else None
+                hdd_due = hdd.busy_until if hdd.in_service is not None else None
+                if ssd_due is not None and (t is None or ssd_due < t):
+                    t = ssd_due
+                if hdd_due is not None and (t is None or hdd_due < t):
+                    t = hdd_due
+                if t is None:
+                    return False
+                if t > until:
+                    self.clock = until
+                    return True
+                self.clock = t
+                if ssd_due == t:
+                    done = ssd.finish(t)
+                    if hdd_due == t:
+                        hdd_done = hdd.finish(t)
+                        on_complete(done)
+                        on_complete(hdd_done)
+                    else:
+                        on_complete(done)
+                elif hdd_due == t:
+                    on_complete(hdd.finish(t))
+                if next_arrival == t:
+                    # one arrival per pass: the next pass finds this instant
+                    # again while arrivals remain at it, and no completion
+                    # can fall due at it in between, since every service
+                    # takes time
+                    i = cursor
+                    cursor += 1
+                    next_arrival = arrivals[cursor] if cursor < count else None
+                    # fields (id, arrival, lba, origin, target, app_id)
+                    on_arrive(IoRequest(i, t, lbas[i], _R if reads[i] else _W, None, i))
+        finally:
+            self._cursor, self._next_arrival = cursor, next_arrival

@@ -1,14 +1,15 @@
 """Run orchestration: workload -> cache engine -> event loop -> telemetry -> balancer.
 
 The engine owns the event loop; the :class:`Simulation` gives it the
-application requests as its arrival schedule, supplies its two handlers
-and calls ``Simulator.step`` once per interval. Its arrival handler
-dispatches application arrivals through the cache engine; its
-completion handler materializes deferred promotions when their backing
-disk reads complete and keeps the per-application bookkeeping that
-defines request latency (a write-through write completes when both
-halves finish). Between two ``step`` calls, with the clock at the
-interval boundary, it ticks the balancer.
+:class:`~lbicasim.engine.Schedule` of the application requests,
+supplies its two handlers and calls ``Simulator.step`` once per
+interval. Its arrival handler dispatches application arrivals through
+the cache engine; its completion handler materializes deferred
+promotions when their backing disk reads complete and keeps the
+per-application bookkeeping that defines request latency (a
+write-through write completes when both halves finish). Between two
+``step`` calls, with the clock at the interval boundary, it ticks the
+balancer.
 
 Balancer ticks only return a decision; the simulation applies it through
 two methods, so every policy change and queue edit flows through one
@@ -34,7 +35,7 @@ from typing import IO
 from .balancer import RatioVector, detect_bottleneck, make_balancer
 from .cache import CacheEngine, WritePolicy
 from .config import RunConfig
-from .engine import Device, DeviceRole, IoRequest, Origin, Simulator
+from .engine import Device, DeviceRole, IoRequest, Origin, Schedule, Simulator
 from .telemetry import IntervalStats, IntervalTracker, take_snapshot
 from .workload import generate, load_trace
 
@@ -110,23 +111,22 @@ class RunResult:
 
 
 class Simulation:
-    """One run of ``config`` over ``requests``, its application requests in arrival order.
+    """One run of ``config`` over ``schedule``, its application requests in arrival order.
 
-    ``requests`` becomes the simulator's arrival schedule and is consumed:
-    each slot is set to None as its request arrives, so the list is all
-    None after :meth:`run`, and each request is freed once it completes.
-    A run therefore needs a list of its own; ``run_simulation`` and the
-    command line build one per run with :func:`build_requests`.
+    ``schedule`` becomes the simulator's arrival schedule: request ``i``
+    of it is created with id ``i`` when it arrives and freed once it
+    completes, and auxiliary requests take ids from ``len(schedule)`` on.
+    The schedule is only read, so runs may share one.
     """
 
-    def __init__(self, config: RunConfig, requests: list[IoRequest], events: EventLog | None = None):
+    def __init__(self, config: RunConfig, schedule: Schedule, events: EventLog | None = None):
         self.config = config
         self.events = events
         ssd = Device(DeviceRole.SSD, config.ssd_read_us, config.ssd_write_us)
         hdd = Device(DeviceRole.HDD, config.hdd_read_us, config.hdd_write_us)
-        self.sim = Simulator(ssd, hdd, self._on_complete, self._dispatch, requests)
-        next_free = max((r.id for r in requests), default=-1) + 1
-        self._ids = itertools.count(next_free)
+        self.sim = Simulator(ssd, hdd, self._on_complete, self._dispatch, schedule)
+        self._n_app = len(schedule)
+        self._ids = itertools.count(self._n_app)
         self.cache = CacheEngine(config.cache_blocks, next_id=self._ids.__next__)
         self.tracker = IntervalTracker(config.ssd_latency_avg, config.hdd_latency_avg)
         self.balancer = make_balancer(config.balancer, config.theta_dom)
@@ -137,7 +137,6 @@ class Simulation:
         # app ids of write-through writes whose two halves are both pending
         self._both_halves_pending: set[int] = set()
         self._latencies: list[int] = []
-        self._n_app = len(requests)
 
     # ------------------------------------------------------------------
     # applying controller decisions
@@ -252,7 +251,12 @@ class Simulation:
         latencies.sort()
         if latencies:
             mean_lat = statistics.fmean(latencies)
-            median_lat = statistics.median(latencies)
+            # what ``statistics.median`` returns, without sorting a copy
+            half = len(latencies) // 2
+            if len(latencies) % 2:
+                median_lat = latencies[half]
+            else:
+                median_lat = (latencies[half - 1] + latencies[half]) / 2
             p99_lat = latencies[max(0, -(-99 * len(latencies) // 100) - 1)]
             max_lat = latencies[-1]
         else:
@@ -298,7 +302,8 @@ class Simulation:
         return summary
 
 
-def build_requests(config: RunConfig) -> list[IoRequest]:
+def build_requests(config: RunConfig) -> Schedule:
+    """The schedule of ``config``'s application requests: its trace, or its phases."""
     if config.trace_path is not None:
         return load_trace(config.trace_path)
     return generate(config.phases, config.seed)

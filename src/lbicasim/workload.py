@@ -7,6 +7,10 @@ produce the same stream. Burstiness is modeled by stepping the rate
 between phases rather than by heavy-tailed arrival processes, which
 keeps per-phase counts checkable.
 
+Both produce a :class:`~lbicasim.engine.Schedule`: columns of arrival
+times, blocks and read flags, with no request object built ahead of
+its arrival.
+
 Traces serialize as text, one request per line::
 
     arrival_us,lba,blocks,op
@@ -24,12 +28,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .engine import IoRequest, Origin
+from .engine import Schedule
 
 
-# the origins of an application read and write, bound once for the
-# per-request loops below
-_R, _W = Origin.R, Origin.W
+# the largest arrival time a schedule's ``array('q')`` column holds
+_MAX_ARRIVAL = 2**63 - 1
 
 
 class TraceFormatError(ValueError):
@@ -91,10 +94,10 @@ class PhaseSpec:
 def _region(base: int, working_set: int, request_count: int) -> Sequence[int]:
     """The blocks ``base, base + 1, ...`` of a uniform region, for indexing.
 
-    Every request stays alive from its list's build until it completes,
-    and a block number above 256 is a 32-byte object of its own unless
-    requests share it. A list holds one object per block, which the
-    requests drawing that block share; a range makes a new one per draw.
+    A schedule's ``lba`` column holds every request's block until the run
+    ends, and a block number above 256 is a 32-byte object of its own
+    unless rows share it. A list holds one object per block, which the
+    rows drawing that block share; a range makes a new one per draw.
     The list is built only when the phase has at least as many requests
     as the region has blocks, so a huge, sparsely drawn region costs
     nothing up front.
@@ -103,8 +106,8 @@ def _region(base: int, working_set: int, request_count: int) -> Sequence[int]:
     return list(blocks) if working_set <= request_count else blocks
 
 
-def generate(phases: Sequence[PhaseSpec], seed: int) -> list[IoRequest]:
-    """Expand a scenario into its request stream, with ids from 0, deterministically.
+def generate(phases: Sequence[PhaseSpec], seed: int) -> Schedule:
+    """Expand a scenario into its request schedule, deterministically.
 
     Per request, the draws are: the jitter (when the phase has one), the
     read/write choice, and for a uniform phase the address offset. The
@@ -115,9 +118,8 @@ def generate(phases: Sequence[PhaseSpec], seed: int) -> list[IoRequest]:
     """
     rng = random.Random(seed)
     draw, getrandbits = rng.random, rng.getrandbits
-    requests: list[IoRequest] = []
-    add = requests.append
-    next_id = 0
+    schedule = Schedule()
+    add = schedule.append
     phase_start = 0
     for phase in phases:
         slot = 1_000_000 / phase.arrival_rate
@@ -144,10 +146,8 @@ def generate(phases: Sequence[PhaseSpec], seed: int) -> list[IoRequest]:
             arrival = phase_start + int(i * slot)
             if jitter > 0.0:
                 arrival += int(draw() * jitter * slot)
-            if draw() < read_fraction:
-                origin, region = _R, read_region
-            else:
-                origin, region = _W, write_region
+            read = draw() < read_fraction
+            region = read_region if read else write_region
             if sequential:
                 lba = region + i * stride
             else:
@@ -155,16 +155,13 @@ def generate(phases: Sequence[PhaseSpec], seed: int) -> list[IoRequest]:
                 while offset >= working_set:
                     offset = getrandbits(bits)
                 lba = region[offset]
-            # fields (id, arrival, lba, origin, target, app_id); passing
-            # them by keyword costs more than twice as much per request
-            add(IoRequest(next_id, arrival, lba, origin, None, next_id))
-            next_id += 1
+            add(arrival, lba, read)
         phase_start += phase.duration_us
-    return requests
+    return schedule
 
 
-def load_trace(source: str | Path | Iterable[str]) -> list[IoRequest]:
-    """Parse a trace file into single-block requests, with ids from 0 in file order.
+def load_trace(source: str | Path | Iterable[str]) -> Schedule:
+    """Parse a trace file into a schedule of single-block requests, in file order.
 
     Raises :class:`TraceFormatError` with the offending line number for
     malformed records and for the first out-of-order arrival.
@@ -173,8 +170,7 @@ def load_trace(source: str | Path | Iterable[str]) -> list[IoRequest]:
         with open(source, "r", encoding="utf-8") as fh:
             return load_trace(fh)
 
-    requests: list[IoRequest] = []
-    next_id = 0
+    schedule = Schedule()
     last_arrival = None
     for lineno, raw in enumerate(source, 1):
         line = raw.strip()
@@ -191,6 +187,8 @@ def load_trace(source: str | Path | Iterable[str]) -> list[IoRequest]:
             raise TraceFormatError(f"line {lineno}: arrival_us, lba and blocks must be integers")
         if arrival < 0 or lba < 0:
             raise TraceFormatError(f"line {lineno}: arrival_us and lba must be non-negative")
+        if arrival > _MAX_ARRIVAL:
+            raise TraceFormatError(f"line {lineno}: arrival_us must be at most {_MAX_ARRIVAL}")
         if blocks < 1:
             raise TraceFormatError(f"line {lineno}: blocks must be at least 1")
         op_field = fields[3].upper()
@@ -201,17 +199,15 @@ def load_trace(source: str | Path | Iterable[str]) -> list[IoRequest]:
                 f"line {lineno}: arrivals not sorted ({arrival} after {last_arrival})"
             )
         last_arrival = arrival
-        origin = _R if op_field == "R" else _W
+        read = op_field == "R"
         for offset in range(blocks):
-            requests.append(IoRequest(next_id, arrival, lba + offset, origin, None, next_id))
-            next_id += 1
-    return requests
+            schedule.append(arrival, lba + offset, read)
+    return schedule
 
 
-def dump_trace(requests: Iterable[IoRequest], path: str | Path) -> None:
-    """Write requests as a single-block-per-line trace."""
+def dump_trace(schedule: Schedule, path: str | Path) -> None:
+    """Write a schedule as a single-block-per-line trace."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# arrival_us,lba,blocks,op\n")
-        for req in requests:
-            op = "R" if req.origin is _R else "W"
-            fh.write(f"{req.arrival},{req.lba},1,{op}\n")
+        for arrival, lba, read in zip(schedule.arrival, schedule.lba, schedule.read):
+            fh.write(f"{arrival},{lba},1,{'R' if read else 'W'}\n")

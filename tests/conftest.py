@@ -19,7 +19,7 @@ import pytest
 
 from lbicasim import EventLog, RunResult, load_config, run_simulation, write_run
 from lbicasim.balancer import BALANCERS
-from lbicasim.engine import Origin
+from lbicasim.engine import Origin, Schedule
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -120,6 +120,25 @@ class CacheReplica:
             self.dirty.add(lba)
         else:
             self._admit(lba, dirty=True)
+
+
+def schedule_of(rows) -> Schedule:
+    """A schedule of application requests from ``(arrival, lba, origin)`` rows, in order.
+
+    Row ``i`` becomes request ``i``; ``origin`` is ``Origin.R`` or ``Origin.W``.
+    """
+    schedule = Schedule()
+    for arrival, lba, origin in rows:
+        schedule.append(arrival, lba, origin is Origin.R)
+    return schedule
+
+
+def scheduled(schedule: Schedule) -> list[tuple[int, int, Origin]]:
+    """Each scheduled request as an ``(arrival, lba, origin)`` row, request 0 first."""
+    return [
+        (arrival, lba, Origin.R if read else Origin.W)
+        for arrival, lba, read in zip(schedule.arrival, schedule.lba, schedule.read)
+    ]
 
 
 def recount_origins(device) -> list[int]:

@@ -388,11 +388,11 @@ def test_event_log_replay_rejects_a_double_dispatch(tmp_path):
     # criterion 10 reads each access off its first submit row, so a
     # request dispatched twice must still fail the replay
     config = load_config(SCENARIOS["write_intensive"])
-    requests = build_requests(config)
-    first = requests[0].id
+    first = 0  # the first scheduled request's id
     path = tmp_path / "events.log"
     with open(path, "w", newline="") as fh:
-        sim = Simulation(config, requests, events=EventLog(fh, config.scenario_hash()))
+        events = EventLog(fh, config.scenario_hash())
+        sim = Simulation(config, build_requests(config), events=events)
         dispatch = sim._dispatch
 
         def dispatch_first_twice(req):

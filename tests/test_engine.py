@@ -1,6 +1,7 @@
 """Event loop and device queue semantics."""
 
 import dataclasses
+import gc
 import heapq
 import random
 import sys
@@ -9,10 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbicasim import RunConfig, Simulation
-from lbicasim.engine import Device, DeviceRole, IoRequest, Origin, RoutingError, Simulator
+from lbicasim.engine import Device, DeviceRole, IoRequest, Origin, RoutingError, Schedule, Simulator
 
-from conftest import recount_origins
+from conftest import recount_origins, schedule_of
 
 
 def make_request(req_id, arrival=0, origin=Origin.R, target=DeviceRole.SSD, lba=0):
@@ -20,8 +20,8 @@ def make_request(req_id, arrival=0, origin=Origin.R, target=DeviceRole.SSD, lba=
 
 
 def test_a_request_keeps_only_the_fields_the_package_reads():
-    # every request stays alive from its list's build until it completes,
-    # so each field costs memory per request
+    # every request stays alive from its arrival until it completes, so
+    # each field costs memory per queued request
     assert [f.name for f in dataclasses.fields(IoRequest)] == [
         "id",
         "arrival",
@@ -44,14 +44,15 @@ FOREVER = sys.maxsize
 class Recorder:
     """Recording handlers: every call as ``(clock, kind, request id)``.
 
-    With ``submit`` set, the arrival handler submits each arrival to its
-    target device, the way the runner's dispatch does once it has planned
-    the access.
+    With ``submit`` set, the arrival handler routes each arrival to the
+    device ``targets`` names for its schedule row and submits it there,
+    the way the runner's dispatch does once it has planned the access.
     """
 
     def __init__(self, submit=True):
         self.sim = None
         self.submit = submit
+        self.targets = []
         self.calls = []
         self.completed = []
 
@@ -62,6 +63,7 @@ class Recorder:
     def on_arrive(self, req):
         self.calls.append((self.sim.clock, "arrive", req.id))
         if self.submit:
+            req.target = self.targets[req.id]
             self.sim.submit(req)
 
     def arrived(self):
@@ -73,10 +75,16 @@ class Recorder:
 
 
 def new_sim(ssd=(100, 100), hdd=(5000, 5000), submit=True, recorder=None, arrivals=()):
-    """A simulator over devices with the given (read, write) latencies, and its recorder."""
+    """A simulator over devices with the given (read, write) latencies, and its recorder.
+
+    ``arrivals`` are ``(arrival, lba, origin, target)`` rows in arrival
+    order: the schedule, and the device the recorder routes each row to.
+    """
     rec = recorder or Recorder(submit)
+    rec.targets = [target for *_, target in arrivals]
+    schedule = schedule_of(row[:3] for row in arrivals)
     ssd_dev, hdd_dev = Device(DeviceRole.SSD, *ssd), Device(DeviceRole.HDD, *hdd)
-    rec.sim = Simulator(ssd_dev, hdd_dev, rec.on_complete, rec.on_arrive, arrivals)
+    rec.sim = Simulator(ssd_dev, hdd_dev, rec.on_complete, rec.on_arrive, schedule)
     return rec.sim, rec
 
 
@@ -147,19 +155,19 @@ class TestStep:
         assert sim.clock == 0
 
     def test_scheduled_arrivals_surface_at_their_instant(self):
-        sim, rec = new_sim(submit=False, arrivals=[make_request(1, arrival=250)])
+        sim, rec = new_sim(submit=False, arrivals=[(250, 7, Origin.W, None)])
         assert sim.step(249) is True
         assert rec.calls == []
         assert sim.step(250) is False
         assert sim.clock == 250
-        assert rec.calls == [(250, "arrive", 1)]
+        assert rec.calls == [(250, "arrive", 0)]
 
     def test_same_instant_completions_precede_arrivals(self):
-        sim, rec = new_sim(submit=False, arrivals=[make_request(2, arrival=100)])
+        sim, rec = new_sim(submit=False, arrivals=[(100, 0, Origin.R, None)])
         sim.submit(make_request(1))
         assert sim.step(100) is False
         assert sim.clock == 100
-        assert rec.calls == [(100, "complete", 1), (100, "arrive", 2)]
+        assert rec.calls == [(100, "complete", 1), (100, "arrive", 0)]
 
     def test_both_due_completions_leave_their_devices_before_either_handler(self):
         seen = []
@@ -168,8 +176,7 @@ class TestStep:
             seen.append((req.id, sim.ssd.in_service, sim.hdd.in_service))
 
         ssd, hdd = Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 100, 100)
-        # the default schedule, an empty tuple: the loop has no slot to clear
-        sim = Simulator(ssd, hdd, on_complete, seen.append)
+        sim = Simulator(ssd, hdd, on_complete, seen.append, Schedule())
         sim.submit(make_request(1))
         sim.submit(make_request(2, target=DeviceRole.HDD))
         assert sim.step(100) is False
@@ -192,25 +199,23 @@ class TestStep:
 
 class TestArrivalOrder:
     def test_out_of_order_arrival_is_rejected_by_name(self):
-        arrivals = [make_request(1, arrival=500), make_request(2, arrival=400)]
         with pytest.raises(
             ValueError,
-            match=r"request 2 arrives at 400, before the preceding scheduled arrival at 500",
+            match=r"request 1 arrives at 400, before the preceding scheduled arrival at 500",
         ):
-            make_sim(arrivals=arrivals)
+            schedule_of([(500, 0, Origin.R), (400, 1, Origin.R)])
 
     def test_batch_names_the_first_out_of_order_request_and_schedules_nothing(self):
-        batch = [make_request(i, arrival=t) for i, t in enumerate((0, 10, 10, 5, 3))]
-        with pytest.raises(ValueError, match=r"request 3 arrives at 5"):
-            make_sim(arrivals=batch)
-
-    def test_simulation_rejects_unsorted_requests(self):
-        requests = [
-            IoRequest(id=i, arrival=t, lba=i, origin=Origin.R, app_id=i)
-            for i, t in enumerate((0, 200, 100))
-        ]
-        with pytest.raises(ValueError, match=r"request 2 arrives at 100"):
-            Simulation(RunConfig(cache_blocks=8), requests)
+        schedule = Schedule()
+        with pytest.raises(ValueError, match=r"request 3 arrives at 5,"):
+            for i, t in enumerate((0, 10, 10, 5, 3)):
+                schedule.append(t, i, True)
+        # the rejected request left no trace in any column
+        assert (list(schedule.arrival), schedule.lba, list(schedule.read)) == (
+            [0, 10, 10],
+            [0, 1, 2],
+            [1, 1, 1],
+        )
 
 
 # sorted arrival times drawn from few distinct values, so many coincide
@@ -222,11 +227,9 @@ sorted_schedules = st.lists(st.integers(min_value=0, max_value=12), max_size=50)
 
 @given(sorted_schedules, st.randoms(use_true_random=False))
 def test_arrival_cursor_matches_a_heap_reference(times, rng):
-    reqs = [
-        make_request(i, arrival=t, target=rng.choice(list(DeviceRole))) for i, t in enumerate(times)
-    ]
-    # reference: the (arrival, seq) heap the cursor replaced
-    heap = [(req.arrival, seq, req.id) for seq, req in enumerate(reqs)]
+    reqs = [(t, i, Origin.R, rng.choice(list(DeviceRole))) for i, t in enumerate(times)]
+    # reference: the (arrival, seq) heap the cursor replaced; row i is request i
+    heap = [(arrival, seq, seq) for seq, (arrival, *_) in enumerate(reqs)]
     heapq.heapify(heap)
     expected = []
     while heap:
@@ -283,7 +286,7 @@ def random_schedule(seed, n=60):
         t += rng.randrange(0, 300)
         target = DeviceRole.SSD if rng.random() < 0.7 else DeviceRole.HDD
         origin = Origin.R if rng.random() < 0.5 else Origin.W
-        reqs.append(make_request(i, arrival=t, origin=origin, target=target))
+        reqs.append((t, i, origin, target))
     return reqs
 
 
@@ -334,29 +337,32 @@ def test_timestamp_ordering_invariant(seed):
             previous = completed_at[req.id]
 
 
-class ScheduleWatcher(Recorder):
-    """Recording handlers that check, at each completion, that the
-    arrival schedule no longer holds the finished request."""
+class TestArrivalCreation:
+    def test_no_application_request_exists_before_its_arrival_instant(self):
+        # blocks no other test uses, so only this schedule's requests match
+        base = 7 * 10**12
+        rows = [(100 * k, base + k, Origin.W, DeviceRole.SSD) for k in range(1, 6)]
+        # a 1 ms write service keeps every arrived request queued to the end
+        sim, rec = new_sim(ssd=(1000, 1000), arrivals=rows)
 
-    def __init__(self, schedule):
-        super().__init__()
-        self.schedule = schedule
+        def live():
+            gc.collect()
+            return sorted(
+                obj.lba - base
+                for obj in gc.get_objects()
+                if type(obj) is IoRequest and obj.lba > base
+            )
 
-    def on_complete(self, req):
-        assert all(slot is not req for slot in self.schedule), req.id
-        super().on_complete(req)
-
-
-class TestScheduleConsumed:
-    def test_no_slot_holds_a_finished_request_and_the_run_leaves_it_empty(self):
-        schedule = random_schedule(7)
-        n = len(schedule)
-        sim, rec = new_sim(
-            ssd=(100, 300), hdd=(4000, 6000), recorder=ScheduleWatcher(schedule), arrivals=schedule
-        )
+        assert live() == []
+        for k in range(1, 6):
+            # the instant before request k - 1 arrives, then the instant itself
+            assert sim.step(100 * k - 1) is True
+            assert live() == list(range(1, k))
+            sim.step(100 * k)
+            assert live() == list(range(1, k + 1))
         drain(sim, rec)
-        assert len(rec.completed) == n
-        assert schedule == [None] * n
+        assert [req.id for req in rec.completed] == list(range(5))
+        assert all(req.app_id == req.id for req in rec.completed)
 
 
 class PromotingRecorder(Recorder):
@@ -400,7 +406,7 @@ grid_requests = st.lists(
 def test_every_way_of_driving_the_loop_hands_over_the_same_calls(requests, cuts):
     def build():
         arrivals = [
-            make_request(i, arrival=100 * tick, origin=origin, target=target, lba=i)
+            (100 * tick, i, origin, target)
             for i, (tick, target, origin) in enumerate(sorted(requests, key=lambda r: r[0]))
         ]
         return new_sim(
@@ -443,8 +449,13 @@ def test_every_way_of_driving_the_loop_hands_over_the_same_calls(requests, cuts)
 
 
 def test_identical_schedules_replay_identically():
-    _, first = run_schedule(424242)
-    _, second = run_schedule(424242)
+    first_sim, first = run_schedule(424242)
+    # the second run reads the first one's schedule object: a run only reads it
+    second = Recorder()
+    second.targets = first.targets
+    ssd, hdd = Device(DeviceRole.SSD, 100, 300), Device(DeviceRole.HDD, 4000, 6000)
+    second.sim = Simulator(ssd, hdd, second.on_complete, second.on_arrive, first_sim.schedule)
+    drain(second.sim, second)
     assert first.calls == second.calls
     assert first.completions() == second.completions()
 

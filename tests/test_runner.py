@@ -24,13 +24,15 @@ from lbicasim import (
     load_config,
     run_simulation,
     runner,
+    write_run,
 )
 from lbicasim.balancer import BALANCERS, PolicyDecision
 from lbicasim.cache import WritePolicy
-from lbicasim.engine import DeviceRole, IoRequest, Origin, Simulator
-from lbicasim.workload import PhaseSpec, UniformRandom
+from lbicasim.engine import DeviceRole, IoRequest, Origin, Schedule, Simulator
+from lbicasim.report import read_intervals, read_summary
+from lbicasim.workload import PhaseSpec, UniformRandom, dump_trace
 
-from conftest import SCENARIOS, read_events, recount_origins
+from conftest import SCENARIOS, read_events, recount_origins, schedule_of
 
 
 def small_config(**overrides):
@@ -56,14 +58,10 @@ def app_write(req_id, lba, arrival=0):
     return IoRequest(id=req_id, arrival=arrival, lba=lba, origin=Origin.W, app_id=req_id)
 
 
-def app_read(req_id, lba, arrival=0):
-    return IoRequest(id=req_id, arrival=arrival, lba=lba, origin=Origin.R, app_id=req_id)
-
-
-def logged_sim(config, requests):
+def logged_sim(config, schedule):
     """A simulation whose event log is written to the returned buffer."""
     buffer = io.StringIO()
-    return Simulation(config, requests, events=EventLog(buffer, config.scenario_hash())), buffer
+    return Simulation(config, schedule, events=EventLog(buffer, config.scenario_hash())), buffer
 
 
 def logged_rows(buffer):
@@ -115,9 +113,31 @@ class TestEndToEnd:
         assert buffer.readline().strip() == f"# scenario={config.scenario_hash()}"
 
 
+class TestTraceRoundTrip:
+    def test_a_dumped_and_reloaded_schedule_reports_the_same_rows(self, tmp_path):
+        # write_intensive/lbica bypasses writes, so the run reads every column
+        config = scenario_config("write_intensive", "lbica")
+        trace = tmp_path / "trace.txt"
+        dump_trace(build_requests(config), trace)
+        replayed = dataclasses.replace(config, phases=(), trace_path=str(trace))
+        write_run(run_simulation(config), tmp_path / "phases")
+        write_run(run_simulation(replayed), tmp_path / "trace")
+        generated_hash, generated_rows = read_intervals(tmp_path / "phases" / "intervals.csv")
+        replayed_hash, replayed_rows = read_intervals(tmp_path / "trace" / "intervals.csv")
+        assert replayed_hash != generated_hash
+        assert replayed_rows == generated_rows
+        assert sum(int(row["bypassed"]) for row in replayed_rows) > 0
+        summaries = []
+        for name, scenario in (("phases", generated_hash), ("trace", replayed_hash)):
+            file_hash, summary = read_summary(tmp_path / name / "summary.csv")
+            assert file_hash == summary.pop("scenario") == scenario
+            summaries.append(summary)
+        assert summaries[0] == summaries[1]
+
+
 class TestDeferredPromotion:
     def test_read_miss_promotes_after_the_disk_read(self):
-        sim, buffer = logged_sim(small_config(phases=()), [app_read(0, lba=5)])
+        sim, buffer = logged_sim(small_config(phases=()), schedule_of([(0, 5, Origin.R)]))
         result = sim.run()
         assert result.summary["ssd_completed_p"] == 1
         assert result.summary["hdd_completed_r"] == 1
@@ -135,7 +155,7 @@ class TestDeferredPromotion:
         ]
 
     def test_promotion_dropped_when_policy_turned_write_only(self):
-        sim = Simulation(small_config(phases=()), [app_read(0, lba=5)])
+        sim = Simulation(small_config(phases=()), schedule_of([(0, 5, Origin.R)]))
         sim.set_policy(sim.balancer.initial_policy)
         assert sim.sim.step(0) is True  # the arrival is dispatched, its disk read pending
         assert sim.sim.hdd.in_service.id == 0
@@ -147,7 +167,7 @@ class TestDeferredPromotion:
 
 class TestBypassTail:
     def test_promotions_are_discarded_and_writes_move_to_disk(self):
-        sim, buffer = logged_sim(small_config(phases=()), [])
+        sim, buffer = logged_sim(small_config(phases=()), Schedule())
         blocker = app_write(90, lba=1)
         blocker.target = DeviceRole.SSD
         writes = [app_write(91 + i, lba=2 + i) for i in range(2)]
@@ -175,7 +195,7 @@ class TestBypassTail:
             assert steps == [("submit", "ssd"), ("remove", "ssd"), ("submit", "hdd")]
 
     def test_bypass_of_an_empty_queue_moves_nothing(self):
-        sim = Simulation(small_config(phases=()), [])
+        sim = Simulation(small_config(phases=()), Schedule())
         assert sim.bypass_tail(4) == 0
 
 
@@ -199,7 +219,7 @@ class TestApplyDecision:
 
     def test_runner_clamps_the_requested_bypass_then_switches_policy(self):
         config = small_config(phases=())
-        sim, buffer = logged_sim(config, [])
+        sim, buffer = logged_sim(config, Schedule())
         self.submit_ssd_writes(sim, 90, 3)  # one in service, two waiting
         sim.balancer = FixedDecision(PolicyDecision(WritePolicy.WT, bypass_depth=10))
         sim._tick(config.interval_us)
@@ -355,29 +375,50 @@ class TestRunLifetime:
             gc.enable()
         assert result.summary["app_completed"] == result.summary["app_requests"]
 
-    def test_a_run_holds_little_beyond_its_built_list(self):
-        # the simulator lets go of each request as it arrives, so a request
-        # lives only until it completes: the run's peak is about the built
-        # list, and a finished run keeps much less than the list
-        config = scenario_config("mixed_rw", "none-wb")
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            requests = build_requests(config)
-            built = tracemalloc.get_traced_memory()[0] - base
-            tracemalloc.reset_peak()
-            result = Simulation(config, requests).run()
-            after, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result.summary["app_completed"] == len(requests) > 0
-        assert peak - base <= 1.05 * built
-        assert after - base < 0.6 * built
+    def test_a_shallow_queue_run_holds_few_bytes_per_scheduled_request(self):
+        # the benchmark's steady phase at 1 s and 2 s: its queues stay a few
+        # entries deep, so a scheduled request costs its schedule row (17 B
+        # and list growth) and its latency sample; a request object built
+        # ahead of its arrival would cost about 150 B
+        def traced_peak(seconds):
+            phase = PhaseSpec(
+                duration_us=seconds * 1_000_000,
+                arrival_rate=6000,
+                read_fraction=0.7,
+                address_model=UniformRandom(),
+                working_set_blocks=2048,
+                jitter=0.5,
+            )
+            config = RunConfig(
+                seed=1,
+                interval_us=100_000,
+                ssd_read_us=100,
+                ssd_write_us=100,
+                hdd_read_us=150,
+                hdd_write_us=150,
+                cache_blocks=1024,
+                phases=(phase,),
+            )
+            tracemalloc.start()
+            try:
+                schedule = build_requests(config)
+                result = Simulation(config, schedule).run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.summary["app_completed"] == len(schedule) == 6000 * seconds
+            assert max(row.stats.ssd_qsize for row in result.rows) < 50
+            return len(schedule), peak
+
+        short_n, short_peak = traced_peak(1)
+        long_n, long_peak = traced_peak(2)
+        # the fixed share (cache table, interval rows) drops out of the difference
+        assert (long_peak - short_peak) / (long_n - short_n) <= 40
 
 
 class TestPolicyLog:
     def test_policy_changes_logged_once_per_transition(self):
-        sim, buffer = logged_sim(small_config(phases=()), [])
+        sim, buffer = logged_sim(small_config(phases=()), Schedule())
         sim.set_policy(sim.balancer.initial_policy)  # WB -> WB, not a transition
         sim.set_policy(WritePolicy.WO)
         sim.set_policy(WritePolicy.WO)  # repeat is not logged
@@ -492,7 +533,7 @@ class TestIntervalRows:
 class TestWriteThroughRun:
     def test_sib_run_mirrors_every_write(self):
         config = small_config(balancer="sib", phases=())
-        writes = [app_write(i, lba=i, arrival=i * 10) for i in range(5)]
+        writes = schedule_of((i * 10, i, Origin.W) for i in range(5))
         result = Simulation(config, writes).run()
         assert result.summary["ssd_completed_w"] == 5
         assert result.summary["hdd_completed_w"] == 5
@@ -501,7 +542,7 @@ class TestWriteThroughRun:
 
     def test_write_through_latency_waits_for_both_halves(self):
         config = small_config(balancer="sib", phases=())
-        sim = Simulation(config, [app_write(0, lba=1)])
+        sim = Simulation(config, schedule_of([(0, 1, Origin.W)]))
         result = sim.run()
         # disk half is the slower one: 5000us write service
         assert sim._latencies == [5000]
@@ -510,7 +551,7 @@ class TestWriteThroughRun:
     def test_write_through_latency_waits_for_a_slower_cache_half(self):
         # inverted latencies: the disk mirror completes first, at 5000us
         config = small_config(balancer="sib", phases=(), ssd_write_us=8000)
-        sim = Simulation(config, [app_write(0, lba=1)])
+        sim = Simulation(config, schedule_of([(0, 1, Origin.W)]))
         result = sim.run()
         assert sim._latencies == [8000]
         assert result.summary["app_completed"] == 1
@@ -519,7 +560,7 @@ class TestWriteThroughRun:
         # a slow cache-queue blocker keeps the WT cache half waiting until the
         # first tick (10ms) moves it behind the mirror, which finished at 5ms
         config = small_config(phases=(), ssd_write_us=20_000)
-        sim = Simulation(config, [app_write(0, lba=1)])
+        sim = Simulation(config, schedule_of([(0, 1, Origin.W)]))
         sim.balancer = FixedDecision(PolicyDecision(WritePolicy.WT, bypass_depth=1))
         blocker = IoRequest(id=99, arrival=0, lba=9, origin=Origin.P, target=DeviceRole.SSD)
         sim._submit(blocker)

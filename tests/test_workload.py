@@ -1,6 +1,6 @@
 """Synthetic generation determinism and the textual trace format."""
 
-import dataclasses
+import csv
 import io
 import itertools
 import random
@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lbicasim import TraceFormatError, workload
-from lbicasim.engine import IoRequest, Origin
+from lbicasim import EventLog, RunConfig, Simulation, TraceFormatError, workload
+from lbicasim.engine import Origin
 from lbicasim.workload import PhaseSpec, Sequential, UniformRandom, dump_trace, generate, load_trace
+
+from conftest import scheduled
 
 
 def uniform_phase(duration_ms=100, rate=1000, read_fraction=1.0, working_set=64, **kw):
@@ -78,16 +80,15 @@ class TestGenerate:
 
     def test_arrivals_stay_inside_their_phase(self):
         phases = [uniform_phase(duration_ms=50, rate=2000, jitter=0.5) for _ in range(3)]
-        requests = generate(phases, seed=5)
+        schedule = generate(phases, seed=5)
         boundaries = [50_000, 100_000, 150_000]
-        count_per_phase = len(requests) // 3
+        count_per_phase = len(schedule) // 3
         for index, bound in enumerate(boundaries):
-            chunk = requests[index * count_per_phase : (index + 1) * count_per_phase]
-            assert all((bound - 50_000) <= r.arrival < bound for r in chunk)
+            chunk = schedule.arrival[index * count_per_phase : (index + 1) * count_per_phase]
+            assert all((bound - 50_000) <= arrival < bound for arrival in chunk)
 
     def test_arrivals_are_sorted(self):
-        requests = generate([uniform_phase(jitter=0.9)], seed=11)
-        arrivals = [r.arrival for r in requests]
+        arrivals = list(generate([uniform_phase(jitter=0.9)], seed=11).arrival)
         assert arrivals == sorted(arrivals)
 
     def test_sequential_addresses_walk_by_stride(self):
@@ -98,54 +99,46 @@ class TestGenerate:
             address_model=Sequential(start=100, stride=8),
             working_set_blocks=1,
         )
-        requests = generate([phase], seed=2)
-        lbas = [r.lba for r in requests]
-        assert lbas == [100 + 8 * i for i in range(len(requests))]
+        schedule = generate([phase], seed=2)
+        assert schedule.lba == [100 + 8 * i for i in range(len(schedule))]
 
     def test_uniform_addresses_stay_in_working_set(self):
         phase = uniform_phase(working_set=32)
-        for req in generate([phase], seed=4):
-            assert 0 <= req.lba < 32
+        assert all(0 <= lba < 32 for lba in generate([phase], seed=4).lba)
 
     def test_separate_write_region_splits_reads_and_writes(self):
         phase = uniform_phase(read_fraction=0.5, working_set=32, write_base=1000)
-        requests = generate([phase], seed=6)
-        reads = [r for r in requests if r.origin is Origin.R]
-        writes = [r for r in requests if r.origin is Origin.W]
+        rows = scheduled(generate([phase], seed=6))
+        reads = [lba for _, lba, origin in rows if origin is Origin.R]
+        writes = [lba for _, lba, origin in rows if origin is Origin.W]
         assert reads and writes
-        assert all(0 <= r.lba < 32 for r in reads)
-        assert all(1000 <= r.lba < 1032 for r in writes)
+        assert all(0 <= lba < 32 for lba in reads)
+        assert all(1000 <= lba < 1032 for lba in writes)
 
     def test_same_seed_reproduces_the_stream(self):
         phases = [uniform_phase(read_fraction=0.5, jitter=0.5)]
-        a = generate(phases, seed=9)
-        b = generate(phases, seed=9)
-        assert [(r.arrival, r.lba, r.origin) for r in a] == [(r.arrival, r.lba, r.origin) for r in b]
+        assert scheduled(generate(phases, seed=9)) == scheduled(generate(phases, seed=9))
 
     def test_different_seeds_differ(self):
         phases = [uniform_phase(read_fraction=0.5, jitter=0.5)]
-        a = generate(phases, seed=9)
-        b = generate(phases, seed=10)
-        assert [(r.arrival, r.lba, r.origin) for r in a] != [(r.arrival, r.lba, r.origin) for r in b]
+        assert scheduled(generate(phases, seed=9)) != scheduled(generate(phases, seed=10))
 
     def test_read_fraction_extremes(self):
         all_reads = generate([uniform_phase(read_fraction=1.0)], seed=1)
         all_writes = generate([uniform_phase(read_fraction=0.0)], seed=1)
-        assert all(r.origin is Origin.R for r in all_reads)
-        assert all(r.origin is Origin.W for r in all_writes)
+        assert len(all_reads) == len(all_writes) > 0
+        assert all(all_reads.read)
+        assert not any(all_writes.read)
 
 
 class TestLoadTrace:
     def test_single_record(self):
-        requests = load_trace(io.StringIO("0,100,1,R\n"))
-        assert len(requests) == 1
-        req = requests[0]
-        assert (req.arrival, req.lba, req.origin) == (0, 100, Origin.R)
+        assert scheduled(load_trace(io.StringIO("0,100,1,R\n"))) == [(0, 100, Origin.R)]
 
     def test_multi_block_record_splits(self):
-        requests = load_trace(io.StringIO("0,100,4,W\n"))
-        assert [(r.arrival, r.lba) for r in requests] == [(0, 100), (0, 101), (0, 102), (0, 103)]
-        assert all(r.origin is Origin.W for r in requests)
+        assert scheduled(load_trace(io.StringIO("0,100,4,W\n"))) == [
+            (0, lba, Origin.W) for lba in (100, 101, 102, 103)
+        ]
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# header\n\n10,5,1,R\n"
@@ -171,10 +164,27 @@ class TestLoadTrace:
         with pytest.raises(TraceFormatError, match="blocks"):
             load_trace(io.StringIO("0,1,0,R\n"))
 
+    def test_arrival_past_the_schedule_column_rejected_with_line_number(self):
+        # a schedule keeps arrivals in a signed 64-bit column
+        assert scheduled(load_trace(io.StringIO(f"{2**63 - 1},1,1,R\n"))) == [
+            (2**63 - 1, 1, Origin.R)
+        ]
+        with pytest.raises(TraceFormatError, match="line 2: arrival_us must be at most"):
+            load_trace(io.StringIO(f"0,1,1,R\n{2**63},1,1,R\n"))
+
     def test_ids_are_sequential_from_zero(self):
-        requests = load_trace(io.StringIO("0,1,2,R\n5,9,1,W\n"))
-        assert [r.id for r in requests] == [0, 1, 2]
-        assert all(r.app_id == r.id for r in requests)
+        # request i of the schedule is created with id and app id i: each
+        # access, its first submit row, comes in file order
+        schedule = load_trace(io.StringIO("0,1,2,R\n5,9,1,W\n"))
+        buffer = io.StringIO()
+        Simulation(RunConfig(cache_blocks=8), schedule, EventLog(buffer, "trace")).run()
+        buffer.seek(0)
+        buffer.readline()  # scenario header
+        accesses = {}
+        for row in csv.DictReader(buffer):
+            if row["event"] == "submit" and row["app"]:
+                accesses.setdefault(row["req"], (row["app"], row["lba"]))
+        assert accesses == {"0": ("0", "1"), "1": ("1", "2"), "2": ("2", "9")}
 
 
 def test_round_trip_through_the_trace_format(tmp_path):
@@ -182,19 +192,15 @@ def test_round_trip_through_the_trace_format(tmp_path):
     original = generate(phases, seed=21)
     path = tmp_path / "trace.txt"
     dump_trace(original, path)
-    reloaded = load_trace(path)
-    assert [(r.arrival, r.lba, r.origin) for r in original] == [
-        (r.arrival, r.lba, r.origin) for r in reloaded
-    ]
+    assert scheduled(load_trace(path)) == scheduled(original)
 
 
 def reference_generate(phases, seed, rng_class=random.Random):
-    """The stream ``generate`` must reproduce, built the plain way:
-    keyword construction and ``rng.randrange`` for the address offset."""
+    """The stream ``generate`` must reproduce, as ``(arrival, lba, origin)``
+    rows built the plain way, with ``rng.randrange`` for the address offset."""
     rng = rng_class(seed)
     draw, randrange = rng.random, rng.randrange
-    requests = []
-    next_id = 0
+    rows = []
     phase_start = 0
     for phase in phases:
         slot = 1_000_000 / phase.arrival_rate
@@ -214,19 +220,9 @@ def reference_generate(phases, seed, rng_class=random.Random):
                     lba = phase.write_base + offset
                 else:
                     lba = model.base + offset
-            origin = Origin.R if is_read else Origin.W
-            requests.append(
-                IoRequest(
-                    id=next_id,
-                    arrival=arrival,
-                    lba=lba,
-                    origin=origin,
-                    app_id=next_id,
-                )
-            )
-            next_id += 1
+            rows.append((arrival, lba, Origin.R if is_read else Origin.W))
         phase_start += phase.duration_us
-    return requests
+    return rows
 
 
 # 1, 2, 3 and 2^k - 1, 2^k, 2^k + 1: the rejection loop of the address
@@ -303,14 +299,9 @@ def test_generate_matches_the_reference_stream_field_for_field(phases, seed, scr
         # a fresh class per generator, so each replays the script from its start
         return random.Random if script is None else scripted_random(script)
 
-    fields = [f.name for f in dataclasses.fields(IoRequest)]
-
-    def rows(requests):
-        return [tuple(getattr(r, name) for name in fields) for r in requests]
-
-    expected = rows(reference_generate(phases, seed, rng_class()))
+    expected = reference_generate(phases, seed, rng_class())
     with mock.patch.object(workload, "random", SimpleNamespace(Random=rng_class())):
-        actual = rows(generate(phases, seed))
+        actual = scheduled(generate(phases, seed))
     assert actual == expected
 
 
@@ -327,13 +318,10 @@ def test_a_uniform_phase_shares_one_block_object_per_block(write_base):
         jitter=0.5,
         write_base=write_base,
     )
-    requests = generate([phase], seed=1)
+    schedule = generate([phase], seed=1)
     regions = 1 if write_base is None else 2
-    assert len({id(r.lba) for r in requests}) <= regions * phase.working_set_blocks
-    fields = [f.name for f in dataclasses.fields(IoRequest)]
-    assert [tuple(getattr(r, name) for name in fields) for r in requests] == [
-        tuple(getattr(r, name) for name in fields) for r in reference_generate([phase], seed=1)
-    ]
+    assert len({id(lba) for lba in schedule.lba}) <= regions * phase.working_set_blocks
+    assert scheduled(schedule) == reference_generate([phase], seed=1)
 
 
 def test_a_sparsely_drawn_region_builds_no_table_of_its_blocks():
@@ -347,8 +335,8 @@ def test_a_sparsely_drawn_region_builds_no_table_of_its_blocks():
         working_set_blocks=working_set,
         write_base=write_base,
     )
-    requests = generate([phase], seed=3)
-    assert len(requests) == 8
-    for r in requests:
-        start = base if r.origin is Origin.R else write_base
-        assert start <= r.lba < start + working_set
+    rows = scheduled(generate([phase], seed=3))
+    assert len(rows) == 8
+    for _, lba, origin in rows:
+        start = base if origin is Origin.R else write_base
+        assert start <= lba < start + working_set
