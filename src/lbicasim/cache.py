@@ -38,7 +38,7 @@ class WritePolicy(Enum):
 
 
 # members bound once, so planning an access makes no enum class lookups
-_R, _W, _P, _E = Origin
+_W, _P, _E = Origin.W, Origin.P, Origin.E
 _SSD, _HDD = DeviceRole
 _WB, _WT, _WO, _RO = WritePolicy
 
@@ -89,20 +89,25 @@ class CacheEngine:
     # operations
 
     def access(
-        self, req: IoRequest, now: int
-    ) -> tuple[tuple[IoRequest, ...], IoRequest | None, int]:
-        """Plan the device traffic for one application access.
+        self, row: int, lba: int, is_read: int, now: int
+    ) -> tuple[IoRequest | None, DeviceRole, IoRequest | None, IoRequest | None, int]:
+        """Plan the device traffic for one application access, at its arrival ``now``.
 
-        Returns ``(immediate, promotion, foreground)``. ``immediate`` is
-        ordered, and same-device entries must be submitted in that order.
-        Under WT and RO a write-back comes first: under RO it persists a
-        stale dirty copy before the invalidating disk write, and under WT
-        the evicted victim's write-back precedes the cache write and its
-        mirror. Under WB, WO and on a read miss it follows the access
-        itself. ``foreground`` counts the requests whose completion
-        completes the application access: 1, or 2 for a write-through
-        write (the cache write and its disk mirror). Other traffic
-        (promotions, eviction write-backs) is background.
+        The access is schedule row ``row``, a read of block ``lba`` when
+        ``is_read`` is true and a write of it otherwise (its ``Schedule``
+        columns). Returns ``(before, target, after, promotion,
+        foreground)``: the row itself is to be submitted to ``target``,
+        right after the request ``before`` and right before the request
+        ``after``, when these are set; each is routed on its own. Under WT
+        and RO a write-back comes ``before``: under RO it persists a stale
+        dirty copy before the invalidating disk write, and under WT the
+        evicted victim's write-back precedes the cache write and its
+        mirror, which comes ``after``. Under WB, WO and on a read miss the
+        write-back comes ``after``. ``foreground`` counts the requests
+        whose completion completes the application access: 1, or 2 for a
+        write-through write (the cache write and its disk mirror, which
+        carries ``row`` as its app id). Other traffic (promotions,
+        eviction write-backs) is background.
 
         ``promotion``, set by a read miss that admits its block, is held
         back until the access's own disk read completes: a promotion
@@ -112,36 +117,28 @@ class CacheEngine:
         promotion is dropped. The runner refreshes its ``arrival`` to the
         submission instant.
         """
-        if req.origin is not _R and req.origin is not _W:
-            raise ValueError(
-                f"cache access takes application traffic only, got origin {req.origin.name}"
-            )
         entries = self._entries
-        lba = req.lba
         policy = self.policy
-        is_read = req.origin is _R
         if is_read:
             if lba in entries:
                 self.read_hits += 1
                 entries.move_to_end(lba)
-                req.target = _SSD
-                return (req,), None, 1
+                return None, _SSD, None, None, 1
             self.read_misses += 1
-            req.target = _HDD
             if policy is _WO:
-                return (req,), None, 1  # miss served by disk alone, nothing admitted
+                return None, _HDD, None, None, 1  # miss served by disk alone, nothing admitted
+            target = _HDD
             dirty = False
         elif policy is _RO:
-            req.target = _HDD
             if entries.pop(lba, False):  # invalidate any cached copy
                 # the cached copy holds unwritten data: persist it before
                 # the new write lands on the same device queue
-                return (self._writeback(lba, now), req), None, 1
-            return (req,), None, 1
+                return self._writeback(lba, now), _HDD, None, None, 1
+            return None, _HDD, None, None, 1
         else:
             # WB and WO buffer the write and mark the block dirty; under WT
             # the disk copy becomes current again
-            req.target = _SSD
+            target = _SSD
             dirty = policy is not _WT
 
         # the block becomes MRU; a non-resident one evicts first if full
@@ -159,11 +156,11 @@ class CacheEngine:
         if is_read:
             promotion = IoRequest(self._next_id(), now, lba, _P, _SSD)
         elif policy is _WT:
-            mirror = IoRequest(self._next_id(), req.arrival, lba, _W, _HDD, req.app_id)
-            return ((req, mirror) if writeback is None else (writeback, req, mirror)), None, 2
+            mirror = IoRequest(self._next_id(), now, lba, _W, _HDD, row)
+            return writeback, _SSD, mirror, None, 2
         else:
             promotion = None
-        return ((req,) if writeback is None else (req, writeback)), promotion, 1
+        return None, target, writeback, promotion, 1
 
     def _writeback(self, lba: int, now: int) -> IoRequest:
         self.dirty_writebacks += 1

@@ -5,8 +5,10 @@ service latencies. Time is integer microseconds and moves to the
 earliest pending event (a scheduled arrival or an in-service
 completion). Arrivals are given once, at construction, as a
 :class:`Schedule` of plain columns in non-decreasing time order. The
-loop walks them with a cursor and creates each application request at
-its arrival instant, so no request object exists before it arrives.
+loop walks them with a cursor. An application request stays its
+schedule row, an ``int``, from its arrival until a device finishes it:
+the arrival handler and the device queues take the row itself, and the
+loop builds the request's :class:`IoRequest` only at its completion.
 
 The engine owns the event loop: :meth:`Simulator.step` processes every
 event up to a given time and hands each completion and each arrival to
@@ -85,9 +87,12 @@ class IoRequest:
     completion handler reads that instant from the simulator's clock. It
     entered service no earlier than its arrival and no earlier than the
     previous completion on its device, so ``arrival <= clock - latency``
-    when it completes. An application request is created at its arrival
-    instant, from its row of the :class:`Schedule`, and lives until it
-    completes, so every field costs memory per request in a device queue.
+    when it completes. Cache traffic is an ``IoRequest`` from its
+    creation to its completion. An application request is one only from
+    its completion on: it waits and is served as its row of the
+    :class:`Schedule`, and :meth:`Simulator.step` builds its object,
+    target set to the device that finished it, just before handing it to
+    the completion handler.
     """
 
     id: int
@@ -101,13 +106,16 @@ class IoRequest:
 class Schedule:
     """The application requests of a run, as three columns in arrival order.
 
-    Request ``i`` arrives at ``arrival[i]``, accesses block ``lba[i]``
-    and is a read when ``read[i]`` is 1, a write when it is 0; its id and
-    its app id are both ``i``. No request object exists until the
-    simulator creates it at its arrival instant, so a scheduled request
-    costs a slot in each column: 8 B of ``array('q')``, one list slot
-    and one byte. ``lba`` is a list, so requests drawing the same block
-    can share one int object (see ``workload._region``).
+    Request ``i`` is row ``i``: it arrives at ``arrival[i]``, accesses
+    block ``lba[i]`` and is a read when ``read[i]`` is 1, a write when it
+    is 0; its id and its app id are both ``i``. From its arrival until a
+    device finishes it, the request is the int ``i`` (the simulator hands
+    it to its arrival handler, and device queues hold it), so a scheduled
+    request costs a slot in each column (8 B of ``array('q')``, one list
+    slot and one byte) and, while it waits, an int and a queue slot. Its
+    :class:`IoRequest` exists only from its completion on. ``lba`` is a
+    list, so requests drawing the same block can share one int object
+    (see ``workload._region``).
     """
 
     __slots__ = ("arrival", "lba", "read")
@@ -136,6 +144,15 @@ class Schedule:
 class Device:
     """Single-server FIFO queue with per-op service latencies (microseconds).
 
+    A pending request is either an :class:`IoRequest` routed to this
+    device (cache traffic, or a request built by hand) or an application
+    request's schedule row, an ``int``. A row's target is the device that
+    holds it, and its op is ``reads[row]``: ``reads`` is the ``read``
+    column of the schedule whose rows the device takes, which the
+    :class:`Simulator` driving it binds. ``waiting`` and ``in_service``
+    hold both kinds as they are, so callers that take requests off a
+    device (``finish``, ``remove_tail``) receive rows as ints.
+
     ``qsize`` counts every pending request including the one in service.
     The in-service request can never be cancelled; queue surgery such as
     tail bypassing only reaches the waiting portion of the queue.
@@ -154,8 +171,10 @@ class Device:
         self.role = role
         self.read_latency = int(read_latency)
         self.write_latency = int(write_latency)
-        self.waiting: deque[IoRequest] = deque()
-        self.in_service: IoRequest | None = None
+        self.reads: bytes | bytearray = b""  # see the class docstring
+        self.waiting: deque[IoRequest | int] = deque()
+        self.in_service: IoRequest | int | None = None
+        self._serving_origin = 0  # Origin.index of the in-service request
         self.inqueue = [0] * len(Origin)
         self.submitted = 0
         self.busy_until = 0
@@ -167,41 +186,54 @@ class Device:
     def qsize(self) -> int:
         return len(self.waiting) + (1 if self.in_service is not None else 0)
 
-    def submit(self, req: IoRequest, now: int) -> None:
-        if req.target is not self.role:
-            raise RoutingError(
-                f"request {req.id} targets {req.target and req.target.name}, "
-                f"submitted to {self.role.name}"
-            )
-        self.inqueue[req.origin.index] += 1
+    def submit(self, req: IoRequest | int, now: int) -> None:
+        if type(req) is int:
+            read = self.reads[req]
+            index = 1 - read  # Origin declares R (index 0), then W (index 1)
+        else:
+            if req.target is not self.role:
+                raise RoutingError(
+                    f"request {req.id} targets {req.target and req.target.name}, "
+                    f"submitted to {self.role.name}"
+                )
+            read = req.origin is _R
+            index = req.origin.index
+        self.inqueue[index] += 1
         self.submitted += 1
         if self.in_service is None:
             # an idle device has an empty waiting queue: start at once
             self.in_service = req
-            service = self.read_latency if req.origin is _R else self.write_latency
+            self._serving_origin = index
+            service = self.read_latency if read else self.write_latency
             self.busy_until = now + service
             self.busy_time += service
         else:
             self.waiting.append(req)
 
-    def finish(self, now: int) -> IoRequest:
+    def finish(self, now: int) -> IoRequest | int:
         """Finish the in-service request, which the caller knows is due at ``now``.
 
         The next waiting request, if any, enters service at ``now``.
         """
         req = self.in_service
-        self.inqueue[req.origin.index] -= 1
+        self.inqueue[self._serving_origin] -= 1
         if self.waiting:
             nxt = self.waiting.popleft()
             self.in_service = nxt
-            service = self.read_latency if nxt.origin is _R else self.write_latency
+            if type(nxt) is int:
+                read = self.reads[nxt]
+                self._serving_origin = 1 - read
+            else:
+                read = nxt.origin is _R
+                self._serving_origin = nxt.origin.index
+            service = self.read_latency if read else self.write_latency
             self.busy_until = now + service
             self.busy_time += service
         else:
             self.in_service = None
         return req
 
-    def remove_tail(self, count: int) -> list[IoRequest]:
+    def remove_tail(self, count: int) -> list[IoRequest | int]:
         """Detach up to ``count`` requests from the tail of the waiting queue.
 
         The in-service request is never touched, so the removable depth is
@@ -213,9 +245,9 @@ class Device:
             return []
         removed = [self.waiting.pop() for _ in range(n)]
         removed.reverse()
-        inqueue = self.inqueue
+        inqueue, reads = self.inqueue, self.reads
         for req in removed:
-            inqueue[req.origin.index] -= 1
+            inqueue[1 - reads[req] if type(req) is int else req.origin.index] -= 1
         return removed
 
 
@@ -224,17 +256,20 @@ class Simulator:
 
     ``schedule`` holds every application arrival; it is kept as given, not
     copied, and a cursor marks the next one to surface. At that arrival's
-    instant ``step`` creates its :class:`IoRequest` (id and app id ``i``
-    for row ``i``, no target) and hands it to ``on_arrive``, so only what
-    ``on_arrive`` keeps holds the request (the runner submits it to a
-    device queue), and it is freed when it completes. The schedule itself
-    is only read, so one schedule can drive any number of simulators.
-    ``on_complete`` receives every request a device finishes and
-    ``on_arrive`` every scheduled arrival, each at its own instant; both
-    run with :attr:`clock` at that instant and may submit requests, and
-    an owner may set both to None once it is done stepping.
-    Tie-breaking at an equal timestamp is fixed: service completions are
-    handled before arrivals, SSD before HDD, and arrivals in schedule order.
+    instant ``step`` hands ``on_arrive`` the request's row ``i``, a plain
+    int, and no request object: ``on_arrive`` routes the row and submits
+    it to a device (the runner plans its access first), and the devices
+    read its op from the schedule's ``read`` column, which the simulator
+    binds to both at construction. When a device finishes a row, ``step``
+    builds its :class:`IoRequest` (id and app id ``i``, target the device
+    that finished it) and hands that to ``on_complete``, like every other
+    request a device finishes; it is freed once the handler drops it. The
+    schedule itself is only read, so one schedule can drive any number of
+    simulators. Both handlers run with :attr:`clock` at their instant and
+    may submit requests, and an owner may set both to None once it is
+    done stepping. Tie-breaking at an equal timestamp is fixed: service
+    completions are handled before arrivals, SSD before HDD, and arrivals
+    in schedule order.
     """
 
     def __init__(
@@ -242,12 +277,13 @@ class Simulator:
         ssd: Device,
         hdd: Device,
         on_complete: Callable[[IoRequest], None],
-        on_arrive: Callable[[IoRequest], None],
+        on_arrive: Callable[[int], None],
         schedule: Schedule,
     ):
         self.clock = 0
         self.ssd = ssd
         self.hdd = hdd
+        ssd.reads = hdd.reads = schedule.read
         self.on_complete = on_complete
         self.on_arrive = on_arrive
         self.schedule = schedule
@@ -255,12 +291,22 @@ class Simulator:
         # its arrival time, None once every arrival has surfaced
         self._next_arrival = schedule.arrival[0] if len(schedule) else None
 
-    def submit(self, req: IoRequest) -> None:
-        target = req.target
+    def submit(self, req: IoRequest | int, target: DeviceRole | None = None) -> None:
+        """Queue ``req`` on a device: a schedule row on ``target``, a request on its own.
+
+        A request submitted with a ``target`` must carry that target too.
+        """
+        if target is None:
+            try:
+                target = req.target
+            except AttributeError:  # a schedule row carries no target of its own
+                raise RoutingError(
+                    f"request {req} is unrouted: a schedule row needs a target"
+                ) from None
+            if target is None:
+                raise RoutingError(f"request {req.id} is unrouted: it has no target device")
         if target is _SSD:
             self.ssd.submit(req, self.clock)
-        elif target is None:
-            raise RoutingError(f"request {req.id} is unrouted: it has no target device")
         else:
             self.hdd.submit(req, self.clock)
 
@@ -300,16 +346,30 @@ class Simulator:
                     self.clock = until
                     return True
                 self.clock = t
+                # a finished schedule row becomes its request here; fields
+                # (id, arrival, lba, origin, target, app_id)
                 if ssd_due == t:
                     done = ssd.finish(t)
+                    if type(done) is int:
+                        i = done
+                        done = IoRequest(i, arrivals[i], lbas[i], _R if reads[i] else _W, _SSD, i)
                     if hdd_due == t:
                         hdd_done = hdd.finish(t)
+                        if type(hdd_done) is int:
+                            i = hdd_done
+                            hdd_done = IoRequest(
+                                i, arrivals[i], lbas[i], _R if reads[i] else _W, _HDD, i
+                            )
                         on_complete(done)
                         on_complete(hdd_done)
                     else:
                         on_complete(done)
                 elif hdd_due == t:
-                    on_complete(hdd.finish(t))
+                    done = hdd.finish(t)
+                    if type(done) is int:
+                        i = done
+                        done = IoRequest(i, arrivals[i], lbas[i], _R if reads[i] else _W, _HDD, i)
+                    on_complete(done)
                 if next_arrival == t:
                     # one arrival per pass: the next pass finds this instant
                     # again while arrivals remain at it, and no completion
@@ -318,7 +378,6 @@ class Simulator:
                     i = cursor
                     cursor += 1
                     next_arrival = arrivals[cursor] if cursor < count else None
-                    # fields (id, arrival, lba, origin, target, app_id)
-                    on_arrive(IoRequest(i, t, lbas[i], _R if reads[i] else _W, None, i))
+                    on_arrive(i)
         finally:
             self._cursor, self._next_arrival = cursor, next_arrival

@@ -3,9 +3,10 @@
 The engine owns the event loop; the :class:`Simulation` gives it the
 :class:`~lbicasim.engine.Schedule` of the application requests,
 supplies its two handlers and calls ``Simulator.step`` once per
-interval. Its arrival handler dispatches application arrivals through
-the cache engine; its completion handler materializes deferred
-promotions when their backing disk reads complete and keeps the
+interval. Its arrival handler dispatches each application arrival, a
+schedule row, through the cache engine and submits the row to the
+device the access is routed to; its completion handler materializes
+deferred promotions when their backing disk reads complete and keeps the
 per-application bookkeeping that defines request latency (a
 write-through write completes when both halves finish). Between two
 ``step`` calls, with the clock at the interval boundary, it ticks the
@@ -17,7 +18,7 @@ logged place:
 
 * ``bypass_tail`` removes requests from the cache queue tail, discarding
   promotions (the disk copy is current, nothing is lost) and resubmitting
-  application requests to the disk with origin and arrival preserved;
+  application requests, schedule rows, to the disk;
 * ``set_policy`` switches the cache policy (logged when it changes).
 
 With an event log enabled, every request lifecycle step and policy
@@ -39,8 +40,8 @@ from .engine import Device, DeviceRole, IoRequest, Origin, Schedule, Simulator
 from .telemetry import IntervalStats, IntervalTracker, take_snapshot
 from .workload import generate, load_trace
 
-_P = Origin.P
-_HDD = DeviceRole.HDD
+_R, _W = Origin.R, Origin.W
+_SSD, _HDD = DeviceRole
 
 EVENT_COLUMNS = ("time", "event", "req", "app", "origin", "op", "target", "lba", "arrival", "note")
 
@@ -53,6 +54,13 @@ class EventLog:
     * ``request`` writes one request row: ``submit``, ``complete``,
       ``remove`` or ``drop``;
     * ``policy`` writes a policy change.
+
+    ``request`` takes an :class:`IoRequest` alone, since it carries its
+    own fields and target, or an application request's schedule row (an
+    ``int``, which a device holds while the request waits) together with
+    its ``target``, the device that holds it or takes it. A row's other
+    fields come from ``schedule``, which the :class:`Simulation` writing
+    the log binds. Both give the same row for the same request.
 
     An application request's arrival has no row of its own. Its access
     is its first ``submit`` row, which carries its arrival as the row's
@@ -70,17 +78,37 @@ class EventLog:
 
     def __init__(self, fh: IO[str], scenario: str):
         self._write = fh.write
+        self.schedule = Schedule()
         fh.write(f"# scenario={scenario}\n{','.join(EVENT_COLUMNS)}\n")
 
-    def request(self, time: int, event: str, req: IoRequest, note: str = "") -> None:
+    def request(
+        self,
+        time: int,
+        event: str,
+        req: IoRequest | int,
+        target: DeviceRole | None = None,
+        note: str = "",
+    ) -> None:
+        if target is None:
+            i = req.id
+            app_id = req.app_id
+            rid = f"{i}"
+            app = rid if app_id == i else "" if app_id is None else app_id
+            origin = req.origin
+            target = req.target
+            lba = req.lba
+            arrival = req.arrival
+        else:  # a schedule row
+            schedule = self.schedule
+            rid = app = f"{req}"
+            origin = _R if schedule.read[req] else _W
+            lba = schedule.lba[req]
+            arrival = schedule.arrival[req]
         # ``_value_`` is the member's stored value; ``.value`` reaches the
         # same string through a descriptor that costs several times more
-        rid, app_id, target = req.id, req.app_id, req.target
-        i = f"{rid}"
         self._write(
-            f"{time},{event},{i},{i if app_id == rid else '' if app_id is None else app_id},"
-            f"{req.origin._value_},{req.origin.op},"
-            f"{'' if target is None else target._value_},{req.lba},{req.arrival},{note}\n"
+            f"{time},{event},{rid},{app},{origin._value_},{origin.op},"
+            f"{'' if target is None else target._value_},{lba},{arrival},{note}\n"
         )
 
     def policy(self, time: int, policy: WritePolicy) -> None:
@@ -114,9 +142,11 @@ class Simulation:
     """One run of ``config`` over ``schedule``, its application requests in arrival order.
 
     ``schedule`` becomes the simulator's arrival schedule: request ``i``
-    of it is created with id ``i`` when it arrives and freed once it
-    completes, and auxiliary requests take ids from ``len(schedule)`` on.
-    The schedule is only read, so runs may share one.
+    of it has id ``i``, and auxiliary requests take ids from
+    ``len(schedule)`` on. Request ``i`` is the row ``i`` from its arrival
+    until a device finishes it, and an :class:`IoRequest` from then until
+    the completion handler returns. The schedule is only read, so runs
+    may share one.
     """
 
     def __init__(self, config: RunConfig, schedule: Schedule, events: EventLog | None = None):
@@ -125,6 +155,9 @@ class Simulation:
         ssd = Device(DeviceRole.SSD, config.ssd_read_us, config.ssd_write_us)
         hdd = Device(DeviceRole.HDD, config.hdd_read_us, config.hdd_write_us)
         self.sim = Simulator(ssd, hdd, self._on_complete, self._dispatch, schedule)
+        self._lbas, self._reads = schedule.lba, schedule.read
+        if events:
+            events.schedule = schedule
         self._n_app = len(schedule)
         self._ids = itertools.count(self._n_app)
         self.cache = CacheEngine(config.cache_blocks, next_id=self._ids.__next__)
@@ -134,8 +167,10 @@ class Simulation:
         self.bypassed_total = 0
         self.dropped_promotions = 0
         self._deferred: dict[int, IoRequest] = {}
-        # app ids of write-through writes whose two halves are both pending
-        self._both_halves_pending: set[int] = set()
+        # per application row: 1 while both halves of its write-through
+        # write are pending; empty until the run's first write-through
+        # write, so a run without one pays no byte per row
+        self._both_halves_pending = bytearray()
         self._latencies: list[int] = []
 
     # ------------------------------------------------------------------
@@ -150,35 +185,47 @@ class Simulation:
     def bypass_tail(self, count: int) -> int:
         removed = self.sim.ssd.remove_tail(count)
         for req in removed:
+            row = type(req) is int
             if self.events:
-                self.events.request(self.sim.clock, "remove", req)
-            if req.origin is _P:
-                # a dropped promotion loses no data, the disk copy is current
+                self.events.request(self.sim.clock, "remove", req, _SSD if row else None)
+            if row:
+                self._submit(req, _HDD)
+            else:
+                # the cache queue's only cache traffic is promotions, and a
+                # dropped one loses no data: the disk copy is current
                 self.dropped_promotions += 1
                 if self.events:
                     self.events.request(self.sim.clock, "drop", req, note="bypassed promotion")
-                continue
-            req.target = _HDD
-            self._submit(req)
         self.bypassed_total += len(removed)
         return len(removed)
 
     # ------------------------------------------------------------------
     # event handling
 
-    def _submit(self, req: IoRequest) -> None:
-        self.sim.submit(req)
+    def _submit(self, req: IoRequest | int, target: DeviceRole | None = None) -> None:
+        """Submit ``req``: a schedule row to ``target``, a request to its own target."""
+        self.sim.submit(req, target)
         if self.events:
-            self.events.request(self.sim.clock, "submit", req)
+            self.events.request(self.sim.clock, "submit", req, target)
 
-    def _dispatch(self, req: IoRequest) -> None:
-        immediate, promotion, foreground = self.cache.access(req, self.sim.clock)
+    def _dispatch(self, row: int) -> None:
+        before, target, after, promotion, foreground = self.cache.access(
+            row, self._lbas[row], self._reads[row], self.sim.clock
+        )
         if foreground == 2:
-            self._both_halves_pending.add(req.id)
+            if not self._both_halves_pending:
+                self._both_halves_pending = bytearray(self._n_app)
+            self._both_halves_pending[row] = 1
         if promotion is not None:
-            self._deferred[req.id] = promotion
-        for sub in immediate:
-            self._submit(sub)
+            self._deferred[row] = promotion
+        if before is not None:
+            self._submit(before)
+        # ``_submit`` of the row, inline on the per-request path
+        self.sim.submit(row, target)
+        if self.events:
+            self.events.request(self.sim.clock, "submit", row, target)
+        if after is not None:
+            self._submit(after)
 
     def _on_complete(self, req: IoRequest) -> None:
         clock = self.sim.clock
@@ -201,8 +248,9 @@ class Simulation:
         # the WT mirror copies it and a bypassed request keeps it
         app_id = req.app_id
         if app_id is not None:
-            if app_id in self._both_halves_pending:
-                self._both_halves_pending.remove(app_id)
+            pending = self._both_halves_pending
+            if pending and pending[app_id]:
+                pending[app_id] = 0
             else:
                 self._latencies.append(clock - req.arrival)
 

@@ -142,9 +142,16 @@ def scheduled(schedule: Schedule) -> list[tuple[int, int, Origin]]:
 
 
 def recount_origins(device) -> list[int]:
-    """Per-origin counts of the device's pending requests in ``Origin`` order, by a full walk."""
-    queued = [r for r in (device.in_service, *device.waiting) if r is not None]
-    return [sum(1 for r in queued if r.origin is origin) for origin in Origin]
+    """Per-origin counts of the device's pending requests in ``Origin`` order, by a full walk.
+
+    A schedule row counts as a read or a write by the device's ``reads`` column.
+    """
+    origins = [
+        (Origin.R if device.reads[r] else Origin.W) if r.__class__ is int else r.origin
+        for r in (device.in_service, *device.waiting)
+        if r is not None
+    ]
+    return [origins.count(origin) for origin in Origin]
 
 
 def read_events(path: Path) -> tuple[str, list[dict[str, str]]]:

@@ -23,7 +23,7 @@ from lbicasim.balancer import (
     compute_bypass_depth,
 )
 from lbicasim.cache import CacheEngine, WritePolicy
-from lbicasim.engine import DeviceRole, IoRequest, Origin
+from lbicasim.engine import DeviceRole
 from lbicasim.telemetry import IntervalStats, compute_queue_times
 
 from conftest import (
@@ -157,13 +157,9 @@ def test_criterion_04_lru_matches_brute_force():
             is_read = rng.random() < 0.6
             expect_hit = oracle.touch(lba)
             assert (lba in engine.resident_lbas()) == expect_hit  # hit/miss identical
-            origin = Origin.R if is_read else Origin.W
-            immediate, _, _ = engine.access(
-                IoRequest(id=step, arrival=step, lba=lba, origin=origin, app_id=step),
-                now=step,
-            )
+            _, target, _, _, _ = engine.access(step, lba, is_read, step)
             if is_read:  # routed to the cache exactly on a hit
-                assert (immediate[0].target is DeviceRole.SSD) == expect_hit
+                assert (target is DeviceRole.SSD) == expect_hit
         assert engine.resident_lbas() == oracle.order  # same blocks, same order
         sequences += 1
     elapsed = time.monotonic() - started
@@ -395,10 +391,10 @@ def test_event_log_replay_rejects_a_double_dispatch(tmp_path):
         sim = Simulation(config, build_requests(config), events=events)
         dispatch = sim._dispatch
 
-        def dispatch_first_twice(req):
-            dispatch(req)
-            if req.id == first:
-                dispatch(req)
+        def dispatch_first_twice(row):
+            dispatch(row)
+            if row == first:
+                dispatch(row)
 
         sim.sim.on_arrive = dispatch_first_twice
         sim.run()

@@ -17,17 +17,28 @@ def make_engine(capacity=4, policy=WritePolicy.WB):
     return CacheEngine(capacity, policy=policy)
 
 
-def app_request(req_id, lba, is_read, arrival=0):
+def submit_order(row, lba, is_read, now, before, target, after):
+    """What ``access`` plans to submit at once, in order: ``before``, the row, ``after``.
+
+    The row is shown as the request it stands for, routed to ``target``.
+    """
     origin = Origin.R if is_read else Origin.W
-    return IoRequest(id=req_id, arrival=arrival, lba=lba, origin=origin, app_id=req_id)
+    access = IoRequest(row, now, lba, origin, target, row)
+    return tuple(r for r in (before, access, after) if r is not None)
+
+
+def access(engine, row, lba, is_read, now=0):
+    """Plan schedule row ``row``'s access: ``(immediate, promotion, foreground)``."""
+    before, target, after, promotion, foreground = engine.access(row, lba, is_read, now)
+    return submit_order(row, lba, is_read, now, before, target, after), promotion, foreground
 
 
 def read(engine, req_id, lba, now=0):
-    return engine.access(app_request(req_id, lba, True, arrival=now), now)
+    return access(engine, req_id, lba, True, now)
 
 
 def write(engine, req_id, lba, now=0):
-    return engine.access(app_request(req_id, lba, False, arrival=now), now)
+    return access(engine, req_id, lba, False, now)
 
 
 def shapes(immediate):
@@ -82,9 +93,11 @@ class TestWritePaths:
 
     def test_wt_write_mirrors_to_disk_with_dual_foreground(self):
         engine = make_engine(policy=WritePolicy.WT)
-        immediate, _, foreground = write(engine, 1, lba=3)
+        immediate, _, foreground = write(engine, 1, lba=3, now=40)
         assert shapes(immediate) == [(Origin.W, DeviceRole.SSD), (Origin.W, DeviceRole.HDD)]
         assert foreground == 2
+        mirror = immediate[1]  # carries the access's app id and arrival
+        assert (mirror.app_id, mirror.arrival) == (1, 40)
         assert engine.dirty_lbas() == set()
 
     def test_wt_write_over_dirty_block_cleans_it(self):
@@ -176,12 +189,6 @@ class TestSetPolicy:
 
 
 class TestContracts:
-    def test_cache_traffic_origins_rejected(self):
-        engine = make_engine()
-        promo = IoRequest(id=1, arrival=0, lba=1, origin=Origin.P)
-        with pytest.raises(ValueError):
-            engine.access(promo, now=0)
-
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             CacheEngine(0)
@@ -221,7 +228,7 @@ def replay_against_oracle(capacity, accesses):
     for step, (lba, is_read) in enumerate(accesses):
         engine_hits.append(lba in engine.resident_lbas())
         oracle_hits.append(oracle.touch(lba))
-        engine.access(app_request(step, lba, is_read, arrival=step), now=step)
+        engine.access(step, lba, is_read, step)
     assert engine.resident_lbas() == oracle.order  # same blocks, same recency order
     return engine_hits, oracle_hits
 
@@ -316,20 +323,19 @@ def test_access_matches_the_replica_and_its_documented_submit_order(capacity, op
             ro_write = not is_read and engine.policy is WritePolicy.RO
             writeback_lba = lba if ro_write else victim
 
-        req = app_request(step, lba, is_read, arrival=step)
-        immediate, promotion, foreground = engine.access(req, now=step)
+        before, target, after, promotion, foreground = engine.access(step, lba, is_read, step)
+        immediate = submit_order(step, lba, is_read, step, before, target, after)
 
         shapes, promotes, expected_foreground = documented_plan(
             engine.policy, is_read, lba, hit, writeback_lba
         )
         assert [(r.origin, r.target, r.lba) for r in immediate] == shapes
-        assert any(r is req for r in immediate)  # the access itself, not a copy
         assert foreground == expected_foreground
         assert (promotion is not None) == promotes
         if promotion is not None:
             assert (promotion.origin, promotion.target, promotion.lba) == (Origin.P, SSD, lba)
         # auxiliary ids are drawn in submit order, the deferred promotion last
-        aux_ids = [r.id for r in (*immediate, promotion) if r is not None and r is not req]
+        aux_ids = [r.id for r in (before, after, promotion) if r is not None]
         assert aux_ids == sorted(aux_ids) and all(i >= 1000 for i in aux_ids)
 
         assert engine.resident_lbas() == replica.order

@@ -20,7 +20,7 @@ def make_request(req_id, arrival=0, origin=Origin.R, target=DeviceRole.SSD, lba=
 
 
 def test_a_request_keeps_only_the_fields_the_package_reads():
-    # every request stays alive from its arrival until it completes, so
+    # cache traffic stays alive from its creation until it completes, so
     # each field costs memory per queued request
     assert [f.name for f in dataclasses.fields(IoRequest)] == [
         "id",
@@ -44,9 +44,9 @@ FOREVER = sys.maxsize
 class Recorder:
     """Recording handlers: every call as ``(clock, kind, request id)``.
 
-    With ``submit`` set, the arrival handler routes each arrival to the
-    device ``targets`` names for its schedule row and submits it there,
-    the way the runner's dispatch does once it has planned the access.
+    With ``submit`` set, the arrival handler submits each arrival's
+    schedule row to the device ``targets`` names for it, the way the
+    runner's dispatch does once it has planned the access.
     """
 
     def __init__(self, submit=True):
@@ -60,11 +60,11 @@ class Recorder:
         self.calls.append((self.sim.clock, "complete", req.id))
         self.completed.append(req)
 
-    def on_arrive(self, req):
-        self.calls.append((self.sim.clock, "arrive", req.id))
+    def on_arrive(self, row):
+        assert row.__class__ is int
+        self.calls.append((self.sim.clock, "arrive", row))
         if self.submit:
-            req.target = self.targets[req.id]
-            self.sim.submit(req)
+            self.sim.submit(row, self.targets[row])
 
     def arrived(self):
         return [req_id for _, kind, req_id in self.calls if kind == "arrive"]
@@ -120,6 +120,28 @@ class TestSubmit:
         sim, _ = new_sim()
         with pytest.raises(RoutingError, match="request 1 is unrouted"):
             sim.submit(make_request(1, target=None))
+        with pytest.raises(RoutingError, match="request 0 is unrouted"):
+            sim.submit(0)  # a schedule row without a target device
+
+    def test_a_schedule_row_is_queued_as_itself_and_served_by_its_op(self):
+        # a write row on an SSD with 100us reads and 300us writes
+        sim, rec = new_sim(ssd=(100, 300), submit=False, arrivals=[(0, 7, Origin.W, None)])
+        sim.step(0)
+        sim.submit(0, DeviceRole.SSD)
+        sim.submit(make_request(1))  # a read request behind it
+        assert sim.ssd.in_service == 0  # the row, no request object
+        assert [req.id for req in sim.ssd.waiting] == [1]
+        assert sim.ssd.inqueue == [1, 1, 0, 0]
+        drain(sim, rec)
+        assert rec.completions() == [(0, 300), (1, 400)]
+        done = rec.completed[0]
+        assert (done.arrival, done.lba, done.origin, done.target, done.app_id) == (
+            0,
+            7,
+            Origin.W,
+            DeviceRole.SSD,
+            0,
+        )
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
@@ -337,12 +359,13 @@ def test_timestamp_ordering_invariant(seed):
             previous = completed_at[req.id]
 
 
-class TestArrivalCreation:
-    def test_no_application_request_exists_before_its_arrival_instant(self):
+class TestRequestCreation:
+    def test_no_application_request_object_exists_until_a_device_finishes_it(self):
         # blocks no other test uses, so only this schedule's requests match
         base = 7 * 10**12
         rows = [(100 * k, base + k, Origin.W, DeviceRole.SSD) for k in range(1, 6)]
-        # a 1 ms write service keeps every arrived request queued to the end
+        # a 1 ms write service keeps every arrived request queued until
+        # long after the last arrival; request k - 1 finishes at 100 + 1000k
         sim, rec = new_sim(ssd=(1000, 1000), arrivals=rows)
 
         def live():
@@ -357,10 +380,16 @@ class TestArrivalCreation:
         for k in range(1, 6):
             # the instant before request k - 1 arrives, then the instant itself
             assert sim.step(100 * k - 1) is True
-            assert live() == list(range(1, k))
             sim.step(100 * k)
+            assert live() == []
+        # all five wait or are in service, each as its schedule row
+        assert (sim.ssd.in_service, *sim.ssd.waiting) == (0, 1, 2, 3, 4)
+        for k in range(1, 6):
+            # the recorder keeps every request handed to it; none other exists
+            assert sim.step(100 + 1000 * k - 1) is True
+            assert live() == list(range(1, k))
+            assert sim.step(100 + 1000 * k) is (k < 5)
             assert live() == list(range(1, k + 1))
-        drain(sim, rec)
         assert [req.id for req in rec.completed] == list(range(5))
         assert all(req.app_id == req.id for req in rec.completed)
 
@@ -463,6 +492,7 @@ def test_identical_schedules_replay_identically():
 queue_ops = st.lists(
     st.one_of(
         st.tuples(st.just("submit"), st.sampled_from(list(Origin))),
+        st.tuples(st.just("submit_row"), st.booleans()),
         st.tuples(st.just("complete"), st.none()),
         st.tuples(st.just("remove_tail"), st.integers(min_value=0, max_value=6)),
     ),
@@ -473,10 +503,14 @@ queue_ops = st.lists(
 @given(queue_ops)
 def test_per_origin_counts_match_a_recount_after_every_operation(ops):
     dev = Device(DeviceRole.SSD, 100, 300)
+    # op i may queue schedule row i, a read when the column says so
+    dev.reads = bytearray(arg if op == "submit_row" else 0 for op, arg in ops)
     now = 0
     for i, (op, arg) in enumerate(ops):
         if op == "submit":
             dev.submit(make_request(i, arrival=now, origin=arg), now)
+        elif op == "submit_row":
+            dev.submit(i, now)
         elif op == "complete":
             if dev.in_service is not None:
                 now = dev.busy_until

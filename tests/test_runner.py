@@ -54,8 +54,9 @@ def small_config(**overrides):
     return RunConfig(**fields)
 
 
-def app_write(req_id, lba, arrival=0):
-    return IoRequest(id=req_id, arrival=arrival, lba=lba, origin=Origin.W, app_id=req_id)
+def writes_at_zero(count):
+    """A schedule of ``count`` application writes arriving at 0, row ``i`` to block ``i``."""
+    return schedule_of((0, i, Origin.W) for i in range(count))
 
 
 def logged_sim(config, schedule):
@@ -158,7 +159,7 @@ class TestDeferredPromotion:
         sim = Simulation(small_config(phases=()), schedule_of([(0, 5, Origin.R)]))
         sim.set_policy(sim.balancer.initial_policy)
         assert sim.sim.step(0) is True  # the arrival is dispatched, its disk read pending
-        assert sim.sim.hdd.in_service.id == 0
+        assert sim.sim.hdd.in_service == 0  # request 0's schedule row
         sim.set_policy(WritePolicy.WO)  # flips while the disk read is in flight
         assert sim.sim.step(sys.maxsize) is False
         assert sim.dropped_promotions == 1
@@ -167,32 +168,34 @@ class TestDeferredPromotion:
 
 class TestBypassTail:
     def test_promotions_are_discarded_and_writes_move_to_disk(self):
-        sim, buffer = logged_sim(small_config(phases=()), Schedule())
-        blocker = app_write(90, lba=1)
-        blocker.target = DeviceRole.SSD
-        writes = [app_write(91 + i, lba=2 + i) for i in range(2)]
+        sim, buffer = logged_sim(small_config(phases=()), writes_at_zero(3))
         promo = IoRequest(id=99, arrival=0, lba=9, origin=Origin.P, target=DeviceRole.SSD)
-        sim._submit(blocker)  # enters service, protected from removal
-        for req in writes:
-            req.target = DeviceRole.SSD
-            sim._submit(req)
+        # row 0 enters service, protected from removal; rows 1 and 2 wait
+        for row in range(3):
+            sim._submit(row, DeviceRole.SSD)
         sim._submit(promo)
         moved = sim.bypass_tail(10)  # clamped to the waiting queue
         assert moved == 3
         assert sim.dropped_promotions == 1
         assert sim.bypassed_total == 3
-        # the application writes now sit in the disk queue, origin intact
+        # the application writes now sit in the disk queue, as their rows
         hdd = sim.sim.hdd
-        hdd_pending = [hdd.in_service, *hdd.waiting]
-        assert [r.id for r in hdd_pending] == [91, 92]
-        assert all(r.origin is Origin.W for r in hdd_pending)
-        # arrivals were preserved on resubmission
-        assert all(r.arrival == 0 for r in hdd_pending)
-        # each moved write left the cache queue, then entered the disk queue
+        assert [hdd.in_service, *hdd.waiting] == [1, 2]
+        assert hdd.inqueue == [0, 2, 0, 0]
+        # each moved write left the cache queue, then entered the disk
+        # queue, its origin and arrival intact
         rows = logged_rows(buffer)
-        for req in hdd_pending:
-            steps = [(r["event"], r["target"]) for r in rows if r["req"] == str(req.id)]
-            assert steps == [("submit", "ssd"), ("remove", "ssd"), ("submit", "hdd")]
+        for row in (1, 2):
+            steps = [
+                (r["event"], r["target"], r["origin"], r["arrival"])
+                for r in rows
+                if r["req"] == str(row)
+            ]
+            assert steps == [
+                ("submit", "ssd", "W", "0"),
+                ("remove", "ssd", "W", "0"),
+                ("submit", "hdd", "W", "0"),
+            ]
 
     def test_bypass_of_an_empty_queue_moves_nothing(self):
         sim = Simulation(small_config(phases=()), Schedule())
@@ -211,16 +214,14 @@ class FixedDecision:
 
 
 class TestApplyDecision:
-    def submit_ssd_writes(self, sim, first_id, count):
-        for i in range(count):
-            req = app_write(first_id + i, lba=first_id + i)
-            req.target = DeviceRole.SSD
-            sim._submit(req)
+    def submit_ssd_writes(self, sim, first_row, count):
+        for row in range(first_row, first_row + count):
+            sim._submit(row, DeviceRole.SSD)
 
     def test_runner_clamps_the_requested_bypass_then_switches_policy(self):
         config = small_config(phases=())
-        sim, buffer = logged_sim(config, Schedule())
-        self.submit_ssd_writes(sim, 90, 3)  # one in service, two waiting
+        sim, buffer = logged_sim(config, writes_at_zero(5))
+        self.submit_ssd_writes(sim, 0, 3)  # one in service, two waiting
         sim.balancer = FixedDecision(PolicyDecision(WritePolicy.WT, bypass_depth=10))
         sim._tick(config.interval_us)
         assert sim.rows[-1].bypassed == 2  # clamped to the waiting queue
@@ -228,7 +229,7 @@ class TestApplyDecision:
         events = [r["event"] for r in logged_rows(buffer)]
         assert events == ["submit"] * 3 + ["remove", "submit"] * 2 + ["policy"]
         # a decision without a bypass leaves the queue alone
-        self.submit_ssd_writes(sim, 93, 2)
+        self.submit_ssd_writes(sim, 3, 2)
         sim.balancer = FixedDecision(PolicyDecision(WritePolicy.WT))
         sim._tick(2 * config.interval_us)
         assert sim.rows[-1].bypassed == 0
@@ -339,7 +340,7 @@ class TestLoopCalls:
         intervals = len(result.rows)
         assert calls <= intervals + 1, (calls, intervals)
         # every write-through write saw both of its halves complete
-        assert not sim._both_halves_pending
+        assert not any(sim._both_halves_pending)
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("balancer", BALANCERS)
@@ -416,6 +417,61 @@ class TestRunLifetime:
         assert (long_peak - short_peak) / (long_n - short_n) <= 40
 
 
+class DiscardedSamples(list):
+    """A latency list that keeps no sample, so a run's memory is its queues and state."""
+
+    def append(self, sample):
+        pass
+
+
+class QueueSampling(Simulation):
+    """Records, at every tick, the application requests both devices hold.
+
+    With ``held_at`` set, it also reads the memory ``tracemalloc`` traces
+    when it ticks at that boundary. It discards its latency samples.
+    """
+
+    held_at = None
+
+    def __init__(self, config, schedule):
+        super().__init__(config, schedule)
+        self._latencies = DiscardedSamples()
+        self.queued = []
+
+    def _tick(self, boundary):
+        if boundary == self.held_at:
+            self.held = tracemalloc.get_traced_memory()[0]
+        # Origin R and W are the application requests
+        app = sum(device.inqueue[0] + device.inqueue[1] for device in (self.sim.ssd, self.sim.hdd))
+        self.queued.append((app, boundary))
+        super()._tick(boundary)
+
+
+class TestDeepQueueMemory:
+    def test_a_queued_application_request_costs_its_row_and_a_queue_slot(self):
+        # mixed_rw/none-wb queues about 30 000 application requests at its
+        # burst's peak. Each waits as its schedule row: an int (32 B) in a
+        # deque slot (8 B). A request object built at its arrival adds its
+        # 80 B and an arrival int, about 150 B in all.
+        config = scenario_config("mixed_rw", "none-wb")
+        schedule = build_requests(config)
+        probe = QueueSampling(config, schedule)
+        probe.run()
+        peak, boundary = max(probe.queued)
+        assert peak > 20_000
+        traced = QueueSampling(config, schedule)
+        traced.held_at = boundary
+        tracemalloc.start()
+        try:
+            traced.run()
+        finally:
+            tracemalloc.stop()
+        assert traced.queued == probe.queued  # the traced run repeated the first
+        # everything the run holds at the peak, its cache map and interval
+        # rows included, per queued application request
+        assert traced.held / peak <= 48, (traced.held, peak)
+
+
 class TestPolicyLog:
     def test_policy_changes_logged_once_per_transition(self):
         sim, buffer = logged_sim(small_config(phases=()), Schedule())
@@ -432,13 +488,14 @@ def logged_event_fields():
     """Every ``event`` and ``note`` literal the runner writes to a request row.
 
     Every request row is written by an ``EventLog.request`` call, which
-    takes ``(time, event, req, note)``.
+    takes ``(time, event, req, target, note)``.
     """
     events, notes = set(), set()
     for node in ast.walk(ast.parse(inspect.getsource(runner))):
         if not isinstance(node, ast.Call) or getattr(node.func, "attr", None) != "request":
             continue
-        fields = [node.args[1]] + [kw.value for kw in node.keywords if kw.arg == "note"]
+        fields = [node.args[1], *node.args[4:5]]  # the event, a positional note
+        fields += [kw.value for kw in node.keywords if kw.arg == "note"]
         assert all(isinstance(f, ast.Constant) and isinstance(f.value, str) for f in fields)
         events.add(fields[0].value)
         notes.update(f.value for f in fields[1:])
@@ -460,6 +517,9 @@ logged_requests = st.builds(
     target=st.none() | st.sampled_from(DeviceRole),
     app_id=st.none() | numbers,
 )
+
+
+LOGGED_SCHEDULE = [(0, 5, Origin.R), (7, 10**9, Origin.W), (7, 0, Origin.R)]
 
 
 def reference_row(time, event, req, note=""):
@@ -496,13 +556,22 @@ class TestEventLogFormat:
                 logged_requests,
                 st.sampled_from([""] + LOGGED_NOTES),
             )
-            | st.tuples(numbers, st.sampled_from(WritePolicy)),
+            | st.tuples(numbers, st.sampled_from(WritePolicy))
+            # a schedule row of LOGGED_SCHEDULE, the device that holds it
+            | st.tuples(
+                numbers,
+                st.sampled_from(LOGGED_EVENTS),
+                st.integers(min_value=0, max_value=len(LOGGED_SCHEDULE) - 1),
+                st.sampled_from([""] + LOGGED_NOTES),
+                st.sampled_from(DeviceRole),
+            ),
             max_size=20,
         )
     )
     def test_rows_match_a_csv_writer_byte_for_byte(self, rows):
         buffer = io.StringIO()
         log = EventLog(buffer, "abc")
+        log.schedule = schedule_of(LOGGED_SCHEDULE)
         reference = io.StringIO()
         reference.write("# scenario=abc\n")
         writer = csv.writer(reference, lineterminator="\n")
@@ -513,8 +582,16 @@ class TestEventLogFormat:
                 log.policy(time, policy)
                 writer.writerow((time, "policy", "", "", "", "", "", "", "", policy.value))
                 continue
+            if len(row) == 5:
+                # a row is logged as the request a device finishing it builds
+                time, event, i, note, target = row
+                log.request(time, event, i, target, note)
+                arrival, lba, origin = LOGGED_SCHEDULE[i]
+                req = IoRequest(i, arrival, lba, origin, target, i)
+                writer.writerow(reference_row(time, event, req, note))
+                continue
             time, event, req, note = row
-            log.request(time, event, req, note)
+            log.request(time, event, req, note=note)
             writer.writerow(reference_row(time, event, req, note))
         assert buffer.getvalue() == reference.getvalue()
 
