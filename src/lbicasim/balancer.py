@@ -67,8 +67,6 @@ class PolicyDecision:
     """What one controller tick asks the runner to do.
 
     ``policy`` is the write policy to run the next interval under.
-    ``tail_bypass`` is the write-intensive directive that pairs tail
-    bypassing with the WB policy; it is never set with any other policy.
     ``bypass_depth`` is the number of requests the controller asks to
     move from the cache queue tail to the disk. The runner clamps it to
     the waiting queue, so the count that actually moved can be smaller
@@ -77,7 +75,6 @@ class PolicyDecision:
     """
 
     policy: WritePolicy
-    tail_bypass: bool = False
     bypass_depth: int = 0
     klass: WorkloadClass | None = None
 
@@ -123,21 +120,22 @@ def assign_policy(klass: WorkloadClass) -> PolicyDecision:
     Only called during a bottleneck; outside one the cache reverts to
     write-back without classifying. Read-heavy queues stop taking
     promotions (WO), mixed queues stop taking writes (RO), and
-    write-intensive or unrecognized queues keep WB but shed their queue
-    tail to the disk. A promotion-dominated queue keeps WB: its load
-    comes from misses the disk must serve anyway.
+    write-intensive or unrecognized queues keep WB (the balancer's tick
+    also sheds their queue tail to the disk, see :data:`TAIL_CUT_CLASSES`).
+    A promotion-dominated queue keeps WB: its load comes from misses the
+    disk must serve anyway.
     """
     if klass is WorkloadClass.RANDOM_READ:
         return PolicyDecision(WritePolicy.WO, klass=klass)
     if klass is WorkloadClass.MIXED_READ_WRITE:
         return PolicyDecision(WritePolicy.RO, klass=klass)
-    if klass in (
-        WorkloadClass.RANDOM_WRITE,
-        WorkloadClass.SEQUENTIAL_WRITE,
-        WorkloadClass.UNCLASSIFIED,
-    ):
-        return PolicyDecision(WritePolicy.WB, tail_bypass=True, klass=klass)
-    return PolicyDecision(WritePolicy.WB, klass=klass)  # sequential read
+    return PolicyDecision(WritePolicy.WB, klass=klass)
+
+
+# the classes whose bottleneck LBICA answers with a tail cut under WB
+TAIL_CUT_CLASSES = frozenset(
+    (WorkloadClass.RANDOM_WRITE, WorkloadClass.SEQUENTIAL_WRITE, WorkloadClass.UNCLASSIFIED)
+)
 
 
 def compute_bypass_depth(stats: IntervalStats) -> int:
@@ -180,8 +178,9 @@ class LbicaBalancer:
     def tick(self, stats: IntervalStats, ratios: RatioVector) -> PolicyDecision:
         if not detect_bottleneck(stats):
             return PolicyDecision(WritePolicy.WB)
-        decision = assign_policy(classify(ratios, self.theta_dom))
-        if decision.tail_bypass:
+        klass = classify(ratios, self.theta_dom)
+        decision = assign_policy(klass)
+        if klass in TAIL_CUT_CLASSES:
             return replace(decision, bypass_depth=compute_bypass_depth(stats))
         return decision
 

@@ -28,6 +28,8 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, count, islice
+from operator import gt
 from typing import Callable
 
 
@@ -116,14 +118,19 @@ class Schedule:
     :class:`IoRequest` exists only from its completion on. ``lba`` is a
     list, so requests drawing the same block can share one int object
     (see ``workload._region``).
+
+    ``Schedule(n)`` allocates each column once at ``n`` rows of zeros,
+    for a caller that knows its row count to fill by index and then
+    :meth:`check_order`; a column grown by :meth:`append` reallocates
+    as it grows, and keeps its spare capacity.
     """
 
     __slots__ = ("arrival", "lba", "read")
 
-    def __init__(self) -> None:
-        self.arrival = array("q")
-        self.lba: list[int] = []
-        self.read = bytearray()
+    def __init__(self, length: int = 0) -> None:
+        self.arrival = array("q", [0]) * length
+        self.lba: list[int] = [0] * length
+        self.read = bytearray(length)
 
     def __len__(self) -> int:
         return len(self.arrival)
@@ -132,13 +139,27 @@ class Schedule:
         """Schedule the next request; its arrival may not precede the last one's."""
         arrivals = self.arrival
         if arrivals and arrival < arrivals[-1]:
-            raise ValueError(
-                f"request {len(arrivals)} arrives at {arrival}, "
-                f"before the preceding scheduled arrival at {arrivals[-1]}"
-            )
+            raise _out_of_order(len(arrivals), arrival, arrivals[-1])
         arrivals.append(arrival)
         self.lba.append(lba)
         self.read.append(read)
+
+    def check_order(self) -> None:
+        """Raise :meth:`append`'s error at the first row that arrives before its predecessor.
+
+        One pass in C over the filled arrival column; the row is looked
+        up only when the check fails.
+        """
+        arrivals = self.arrival
+        if any(map(gt, arrivals, islice(arrivals, 1, None))):
+            row = next(compress(count(1), map(gt, arrivals, islice(arrivals, 1, None))))
+            raise _out_of_order(row, arrivals[row], arrivals[row - 1])
+
+
+def _out_of_order(row: int, arrival: int, previous: int) -> ValueError:
+    return ValueError(
+        f"request {row} arrives at {arrival}, before the preceding scheduled arrival at {previous}"
+    )
 
 
 class Device:

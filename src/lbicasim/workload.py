@@ -115,11 +115,17 @@ def generate(phases: Sequence[PhaseSpec], seed: int) -> Schedule:
     ``randrange(n)`` for ``n > 0`` draws ``getrandbits(n.bit_length())``
     until the value is below ``n``, so the stream, and every output of
     a run, is the same as with the call.
+
+    The request count is known before the first draw (the phases'
+    ``request_count``), so each column is allocated once at its final
+    length and filled by row; the arrival order is checked once, after
+    the last row.
     """
     rng = random.Random(seed)
     draw, getrandbits = rng.random, rng.getrandbits
-    schedule = Schedule()
-    add = schedule.append
+    schedule = Schedule(sum(phase.request_count for phase in phases))
+    arrivals, lbas, reads = schedule.arrival, schedule.lba, schedule.read
+    row = 0
     phase_start = 0
     for phase in phases:
         slot = 1_000_000 / phase.arrival_rate
@@ -155,8 +161,12 @@ def generate(phases: Sequence[PhaseSpec], seed: int) -> Schedule:
                 while offset >= working_set:
                     offset = getrandbits(bits)
                 lba = region[offset]
-            add(arrival, lba, read)
+            arrivals[row] = arrival
+            lbas[row] = lba
+            reads[row] = read
+            row += 1
         phase_start += phase.duration_us
+    schedule.check_order()
     return schedule
 
 

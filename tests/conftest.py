@@ -126,10 +126,16 @@ def schedule_of(rows) -> Schedule:
     """A schedule of application requests from ``(arrival, lba, origin)`` rows, in order.
 
     Row ``i`` becomes request ``i``; ``origin`` is ``Origin.R`` or ``Origin.W``.
+    The columns are filled by index, as ``generate`` fills them, and the
+    order is checked once at the end.
     """
-    schedule = Schedule()
-    for arrival, lba, origin in rows:
-        schedule.append(arrival, lba, origin is Origin.R)
+    rows = list(rows)
+    schedule = Schedule(len(rows))
+    for i, (arrival, lba, origin) in enumerate(rows):
+        schedule.arrival[i] = arrival
+        schedule.lba[i] = lba
+        schedule.read[i] = origin is Origin.R
+    schedule.check_order()
     return schedule
 
 

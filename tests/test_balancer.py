@@ -153,6 +153,26 @@ class TestRatioVector:
             assert 0.0 <= value <= 1.0
 
 
+# one cache-queue mix per workload class, in ``(r, w, p, e)`` counts
+CLASS_MIXES = {
+    WorkloadClass.RANDOM_READ: (30, 0, 30, 0),
+    WorkloadClass.MIXED_READ_WRITE: (14, 70, 4, 12),
+    WorkloadClass.RANDOM_WRITE: (0, 1, 0, 0),
+    WorkloadClass.SEQUENTIAL_WRITE: (5, 30, 5, 60),
+    WorkloadClass.SEQUENTIAL_READ: (10, 5, 80, 5),
+    WorkloadClass.UNCLASSIFIED: (4, 2, 2, 2),
+}
+
+
+def lbica_burst_tick(klass):
+    """LBICA's decision on a cache-side bottleneck whose queue classifies as ``klass``."""
+    decision = LbicaBalancer(THETA_DOM).tick(
+        make_stats(60, 100, 1, 5000), RatioVector.from_counts(*CLASS_MIXES[klass])
+    )
+    assert decision.klass is klass
+    return decision
+
+
 class TestAssignPolicy:
     def test_read_heavy_burst_blocks_promotions(self):
         decision = assign_policy(WorkloadClass.RANDOM_READ)
@@ -167,19 +187,22 @@ class TestAssignPolicy:
         [WorkloadClass.RANDOM_WRITE, WorkloadClass.SEQUENTIAL_WRITE, WorkloadClass.UNCLASSIFIED],
     )
     def test_write_pressure_keeps_wb_and_sheds_the_tail(self, klass):
-        decision = assign_policy(klass)
+        assert assign_policy(klass).policy is WritePolicy.WB
+        decision = lbica_burst_tick(klass)
         assert decision.policy is WritePolicy.WB
-        assert decision.tail_bypass is True
+        assert decision.bypass_depth == 1  # the minimal cut for this state
 
     def test_sequential_read_burst_keeps_wb_without_bypass(self):
-        decision = assign_policy(WorkloadClass.SEQUENTIAL_READ)
+        assert assign_policy(WorkloadClass.SEQUENTIAL_READ).policy is WritePolicy.WB
+        decision = lbica_burst_tick(WorkloadClass.SEQUENTIAL_READ)
         assert decision.policy is WritePolicy.WB
-        assert decision.tail_bypass is False
+        assert decision.bypass_depth == 0
 
     def test_tail_bypass_only_ever_pairs_with_wb(self):
         for klass in WorkloadClass:
-            decision = assign_policy(klass)
-            if decision.tail_bypass:
+            decision = lbica_burst_tick(klass)
+            assert decision.policy is assign_policy(klass).policy
+            if decision.bypass_depth:
                 assert decision.policy is WritePolicy.WB
 
 
@@ -239,20 +262,12 @@ class TestControllers:
         assert decision == PolicyDecision(WritePolicy.WB)  # no bypass requested
 
     def test_lbica_reverts_outside_bursts(self):
-        # one cache-queue mix per workload class: without a bottleneck
-        # every one reverts to WB, unclassified and without a bypass
-        mixes = [
-            (30, 0, 30, 0),
-            (14, 70, 4, 12),
-            (0, 1, 0, 0),
-            (5, 30, 5, 60),
-            (10, 5, 80, 5),
-            (4, 2, 2, 2),
-        ]
-        classes = {classify(RatioVector.from_counts(*mix), THETA_DOM) for mix in mixes}
-        assert classes == set(WorkloadClass)
+        # without a bottleneck every class reverts to WB, unclassified
+        # and without a bypass
+        for klass, mix in CLASS_MIXES.items():
+            assert classify(RatioVector.from_counts(*mix), THETA_DOM) is klass
         balancer = LbicaBalancer(THETA_DOM)
-        for mix in mixes:
+        for mix in CLASS_MIXES.values():
             decision = balancer.tick(make_stats(1, 100, 1, 5000), RatioVector.from_counts(*mix))
             assert decision == PolicyDecision(WritePolicy.WB)
 
@@ -270,7 +285,6 @@ class TestControllers:
         decision = balancer.tick(make_stats(60, 100, 1, 5000), ratios)
         assert decision.policy is WritePolicy.WB
         assert decision.klass is WorkloadClass.RANDOM_WRITE
-        assert decision.tail_bypass is True
         assert decision.bypass_depth == 1  # requested depth for this state
 
     def test_lbica_emits_only_its_three_policies(self):
@@ -288,7 +302,7 @@ class TestControllers:
         for ratios in mixes:
             decision = balancer.tick(make_stats(60, 100, 1, 5000), ratios)
             assert decision.policy in (WritePolicy.WB, WritePolicy.WO, WritePolicy.RO)
-            if decision.tail_bypass:
+            if decision.bypass_depth:
                 assert decision.policy is WritePolicy.WB
 
     def test_sib_locks_write_through_and_never_changes_it(self):
@@ -296,7 +310,6 @@ class TestControllers:
         decision = balancer.tick(make_stats(60, 100, 1, 5000), RatioVector.from_counts(0, 1, 0, 0))
         assert balancer.initial_policy is WritePolicy.WT
         assert decision.policy is WritePolicy.WT
-        assert decision.tail_bypass is False
         assert decision.bypass_depth == 1
 
     def test_sib_idle_tick_skips_queue_surgery(self):

@@ -2,7 +2,11 @@
 
 import pytest
 
+from lbicasim import load_config
 from lbicasim.cli import main
+from lbicasim.workload import dump_trace, generate
+
+from conftest import SCENARIOS
 
 CONFIG_TEXT = """
 cache_blocks = 8
@@ -65,6 +69,39 @@ class TestRun:
         assert "line 2" in capsys.readouterr().err
         assert not (out / "events.log").exists()
         assert not out.exists()
+
+    def test_a_trace_drives_the_same_run_as_the_schedule_it_was_dumped_from(self, tmp_path):
+        # the generated schedule is filled by row into pre-sized columns, the
+        # loaded one grows row by row through ``Schedule.append``
+        scenario = SCENARIOS["mixed_rw"]
+        config = load_config(scenario)
+        dump_trace(generate(config.phases, config.seed), tmp_path / "mixed_rw.trace")
+        # mixed_rw's own keys (devices, cache, interval, seed), its phases
+        # replaced by the trace
+        keys = [
+            line
+            for line in scenario.read_text().splitlines()
+            if line.strip() and not line.startswith(("#", "phase"))
+        ]
+        traced_cfg = tmp_path / "traced.cfg"
+        traced_cfg.write_text("\n".join([*keys, "trace = mixed_rw.trace", ""]))
+        generated, traced = tmp_path / "generated", tmp_path / "traced"
+        for cfg, out in ((scenario, generated), (traced_cfg, traced)):
+            assert main(["run", str(cfg), "--out", str(out), "--events", "--quiet"]) == 0
+
+        def body(path):
+            header, *rows = path.read_text().splitlines()
+            assert header.startswith("# scenario=")
+            return rows
+
+        for name in ("intervals.csv", "events.log"):
+            assert body(traced / name) == body(generated / name), name
+        summaries = [
+            [row for row in body(out / "summary.csv") if not row.startswith("scenario,")]
+            for out in (generated, traced)
+        ]
+        assert summaries[0] == summaries[1]
+        assert "app_requests,33660" in summaries[0]
 
     def test_unwritable_output_exits_two(self, config_file, tmp_path):
         blocker = tmp_path / "blocker"

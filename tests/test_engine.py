@@ -5,6 +5,7 @@ import gc
 import heapq
 import random
 import sys
+from array import array
 
 import pytest
 from hypothesis import given
@@ -238,6 +239,35 @@ class TestArrivalOrder:
             [0, 1, 2],
             [1, 1, 1],
         )
+
+    @pytest.mark.parametrize(
+        "arrivals, row",
+        [
+            ((15, 10, 20, 30, 40), 1),  # the first row arrives after the second
+            ((0, 10, 5, 30, 40), 2),
+            ((0, 10, 20, 30, 25), 4),
+        ],
+        ids=["first", "middle", "last"],
+    )
+    def test_check_order_raises_appends_error_at_the_first_out_of_order_row(self, arrivals, row):
+        appended = Schedule()
+        with pytest.raises(ValueError) as by_append:
+            for t in arrivals:
+                appended.append(t, 0, True)
+        filled = Schedule(len(arrivals))
+        filled.arrival[:] = array("q", arrivals)
+        with pytest.raises(ValueError) as by_check:
+            filled.check_order()
+        assert str(by_check.value) == str(by_append.value) == (
+            f"request {row} arrives at {arrivals[row]}, "
+            f"before the preceding scheduled arrival at {arrivals[row - 1]}"
+        )
+
+    @pytest.mark.parametrize("arrivals", [(), (7,), (0, 0, 3, 3, 9)])
+    def test_check_order_passes_non_decreasing_arrivals(self, arrivals):
+        schedule = Schedule(len(arrivals))
+        schedule.arrival[:] = array("q", arrivals)
+        schedule.check_order()
 
 
 # sorted arrival times drawn from few distinct values, so many coincide

@@ -4,6 +4,8 @@ import csv
 import io
 import itertools
 import random
+import sys
+from array import array
 from types import SimpleNamespace
 from unittest import mock
 
@@ -129,6 +131,47 @@ class TestGenerate:
         assert len(all_reads) == len(all_writes) > 0
         assert all(all_reads.read)
         assert not any(all_writes.read)
+
+
+# steady's phase (perfbench's generated workload), and three phases that
+# mix a sequential walk with uniform draws that split reads from writes
+PRESIZED_PHASES = {
+    "steady": [
+        PhaseSpec(
+            duration_us=10_000_000,
+            arrival_rate=6000,
+            read_fraction=0.7,
+            address_model=UniformRandom(),
+            working_set_blocks=2048,
+            jitter=0.5,
+        )
+    ],
+    "three-phase": [
+        PhaseSpec(
+            duration_us=200_000,
+            arrival_rate=3000,
+            read_fraction=0.5,
+            address_model=Sequential(start=500, stride=4),
+            working_set_blocks=1,
+        ),
+        uniform_phase(duration_ms=300, rate=7000, read_fraction=0.3, write_base=4096, jitter=0.5),
+        uniform_phase(duration_ms=100, rate=1500, read_fraction=0.9, working_set=4000),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", PRESIZED_PHASES)
+def test_each_generated_column_is_allocated_at_its_length(name):
+    # one allocation per column: a column grown row by row keeps the
+    # spare capacity of its last reallocation
+    phases = PRESIZED_PHASES[name]
+    schedule = generate(phases, seed=1)
+    n = sum(phase.request_count for phase in phases)
+    assert len(schedule) == n > 0
+    assert sys.getsizeof(schedule.arrival) == sys.getsizeof(array("q", [0]) * n)
+    assert sys.getsizeof(schedule.lba) == sys.getsizeof([0] * n)
+    assert sys.getsizeof(schedule.read) == sys.getsizeof(bytearray(n))
+    assert scheduled(schedule) == reference_generate(phases, seed=1)
 
 
 class TestLoadTrace:
