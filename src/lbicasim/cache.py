@@ -4,7 +4,8 @@ The cache engine owns the block map (residency, dirty bits, LRU recency)
 and decides, per application access, which device requests realize it.
 Metadata updates synchronously when the access is planned; the tuple
 :meth:`CacheEngine.access` returns models the device traffic the access
-costs. Hit and miss behaviour therefore matches a pure LRU run over the
+costs, as the ids of the cache requests it creates in its run's
+:class:`~lbicasim.engine.Requests` table. Hit and miss behaviour therefore matches a pure LRU run over the
 access sequence, independent of device timing.
 
 Four write policies steer where writes and promotions go:
@@ -22,12 +23,10 @@ Four write policies steer where writes and promotions go:
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from enum import Enum
-from typing import Callable
 
-from .engine import DeviceRole, IoRequest, Origin
+from .engine import DeviceRole, Origin, Requests, Schedule
 
 
 class WritePolicy(Enum):
@@ -37,8 +36,8 @@ class WritePolicy(Enum):
     RO = "RO"
 
 
-# members bound once, so planning an access makes no enum class lookups
-_W, _P, _E = Origin.W, Origin.P, Origin.E
+# bound once, so planning an access makes no enum class lookups
+_W, _P, _E = Origin.W.index, Origin.P.index, Origin.E.index
 _SSD, _HDD = DeviceRole
 _WB, _WT, _WO, _RO = WritePolicy
 
@@ -49,16 +48,16 @@ class CacheEngine:
     Assigning ``policy`` switches it: resident blocks and dirty bits
     survive, nothing is flushed, and later accesses follow the new policy.
 
-    ``next_id`` allocates ids for the auxiliary requests the engine
-    creates; the runner passes its global counter so ids stay unique
-    across application and cache traffic.
+    ``requests`` is the run's request table: the engine adds each cache
+    request it creates there, so ids stay unique across application and
+    cache traffic. Without one, the engine keeps a table of its own.
     """
 
     def __init__(
         self,
         capacity_blocks: int,
         policy: WritePolicy = WritePolicy.WB,
-        next_id: Callable[[], int] | None = None,
+        requests: Requests | None = None,
     ):
         if capacity_blocks < 1:
             raise ValueError("cache capacity must be at least one block")
@@ -66,7 +65,8 @@ class CacheEngine:
         self.policy = policy
         # lba -> dirty; insertion order is recency order, first entry is the LRU victim
         self._entries: OrderedDict[int, bool] = OrderedDict()
-        self._next_id = next_id or itertools.count(1_000_000).__next__
+        self.requests = requests if requests is not None else Requests(Schedule())
+        self._add = self.requests.add
         self.read_hits = 0
         self.read_misses = 0
         self.dirty_writebacks = 0  # every origin-E request ever emitted
@@ -90,7 +90,7 @@ class CacheEngine:
 
     def access(
         self, row: int, lba: int, is_read: int, now: int
-    ) -> tuple[IoRequest | None, DeviceRole, IoRequest | None, IoRequest | None, int]:
+    ) -> tuple[int | None, DeviceRole, int | None, int | None, int]:
         """Plan the device traffic for one application access, at its arrival ``now``.
 
         The access is schedule row ``row``, a read of block ``lba`` when
@@ -98,7 +98,9 @@ class CacheEngine:
         columns). Returns ``(before, target, after, promotion,
         foreground)``: the row itself is to be submitted to ``target``,
         right after the request ``before`` and right before the request
-        ``after``, when these are set; each is routed on its own. Under WT
+        ``after``, when these are set. ``before``, ``after`` and
+        ``promotion`` are ids of cache requests the engine created, in that
+        order; ``before`` and ``after`` always go to the disk. Under WT
         and RO a write-back comes ``before``: under RO it persists a stale
         dirty copy before the invalidating disk write, and under WT the
         evicted victim's write-back precedes the cache write and its
@@ -106,16 +108,16 @@ class CacheEngine:
         write-back comes ``after``. ``foreground`` counts the requests
         whose completion completes the application access: 1, or 2 for a
         write-through write (the cache write and its disk mirror, which
-        carries ``row`` as its app id). Other traffic (promotions,
-        eviction write-backs) is background.
+        carries ``row`` as its app). Other traffic (promotions, eviction
+        write-backs) is background.
 
         ``promotion``, set by a read miss that admits its block, is held
         back until the access's own disk read completes: a promotion
         installs data fetched from disk, so it cannot enter the cache queue
-        earlier. When it is submitted the active policy is checked again;
-        if the cache switched to WO while the read was in flight, the
-        promotion is dropped. The runner refreshes its ``arrival`` to the
-        submission instant.
+        earlier, and it always enters the cache queue. When it is submitted
+        the active policy is checked again; if the cache switched to WO
+        while the read was in flight, the promotion is dropped. The runner
+        refreshes its ``arrival`` to the submission instant.
         """
         entries = self._entries
         policy = self.policy
@@ -151,17 +153,14 @@ class CacheEngine:
                 writeback = self._writeback(victim, now)
         entries[lba] = dirty
 
-        # positional fields (id, arrival, lba, origin, target, app_id): the
-        # dataclass __init__ takes them at half the cost of keywords
         if is_read:
-            promotion = IoRequest(self._next_id(), now, lba, _P, _SSD)
+            promotion = self._add(_P, now, lba)
         elif policy is _WT:
-            mirror = IoRequest(self._next_id(), now, lba, _W, _HDD, row)
-            return writeback, _SSD, mirror, None, 2
+            return writeback, _SSD, self._add(_W, now, lba, row), None, 2
         else:
             promotion = None
         return None, target, writeback, promotion, 1
 
-    def _writeback(self, lba: int, now: int) -> IoRequest:
+    def _writeback(self, lba: int, now: int) -> int:
         self.dirty_writebacks += 1
-        return IoRequest(self._next_id(), now, lba, _E, _HDD)
+        return self._add(_E, now, lba)

@@ -5,10 +5,15 @@ service latencies. Time is integer microseconds and moves to the
 earliest pending event (a scheduled arrival or an in-service
 completion). Arrivals are given once, at construction, as a
 :class:`Schedule` of plain columns in non-decreasing time order. The
-loop walks them with a cursor. An application request stays its
-schedule row, an ``int``, from its arrival until a device finishes it:
-the arrival handler and the device queues take the row itself, and the
-loop builds the request's :class:`IoRequest` only at its completion.
+loop walks them with a cursor.
+
+Every request is an ``int`` id from its arrival or creation to its
+completion, and no request object exists: application requests are
+their schedule rows, ``0 .. n-1``, and the cache traffic of a run takes
+``n, n+1, ...`` in creation order. A run's :class:`Requests` table maps
+each id to its origin, and each cache request in flight to its arrival,
+block and application. Device queues, the arrival and completion
+handlers and the event log all take ids.
 
 The engine owns the event loop: :meth:`Simulator.step` processes every
 event up to a given time and hands each completion and each arrival to
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count, islice
 from operator import gt
@@ -65,44 +69,10 @@ class DeviceRole(Enum):
 
 # Members bound once: reading one off its class costs a metaclass lookup,
 # which the per-request paths below would otherwise pay on every call.
-_R, _W = Origin.R, Origin.W
 _SSD, _HDD = DeviceRole
 
-
-class RoutingError(ValueError):
-    """A request was submitted to a device that does not match its target."""
-
-
-@dataclass(slots=True)
-class IoRequest:
-    """One block-granular device access.
-
-    Application requests (origin R/W) carry ``app_id == id``; auxiliary
-    requests created by the cache engine (promotions, eviction
-    write-backs, the disk half of a write-through write) either link back
-    through ``app_id`` or carry ``None``. ``target`` is unset until the
-    cache engine routes the request. The op is not stored: it is
-    ``origin.op``, a read for origin R and a write for every other.
-
-    A request's completion time is not stored either. A device finishes
-    it exactly its op's service latency after it entered service, and the
-    completion handler reads that instant from the simulator's clock. It
-    entered service no earlier than its arrival and no earlier than the
-    previous completion on its device, so ``arrival <= clock - latency``
-    when it completes. Cache traffic is an ``IoRequest`` from its
-    creation to its completion. An application request is one only from
-    its completion on: it waits and is served as its row of the
-    :class:`Schedule`, and :meth:`Simulator.step` builds its object,
-    target set to the device that finished it, just before handing it to
-    the completion handler.
-    """
-
-    id: int
-    arrival: int
-    lba: int
-    origin: Origin
-    target: DeviceRole | None = None
-    app_id: int | None = None
+# ``Schedule.read`` byte -> ``Origin.index``: a read (1) is R (0), a write (0) is W (1)
+_ORIGIN_OF_READ = bytes([Origin.W.index, Origin.R.index]) + bytes(254)
 
 
 class Schedule:
@@ -114,10 +84,10 @@ class Schedule:
     device finishes it, the request is the int ``i`` (the simulator hands
     it to its arrival handler, and device queues hold it), so a scheduled
     request costs a slot in each column (8 B of ``array('q')``, one list
-    slot and one byte) and, while it waits, an int and a queue slot. Its
-    :class:`IoRequest` exists only from its completion on. ``lba`` is a
-    list, so requests drawing the same block can share one int object
-    (see ``workload._region``).
+    slot and one byte), a byte of its run's :class:`Requests` table and,
+    while it waits, an int and a queue slot. ``lba`` is a list, so
+    requests drawing the same block can share one int object (see
+    ``workload._region``).
 
     ``Schedule(n)`` allocates each column once at ``n`` rows of zeros,
     for a caller that knows its row count to fill by index and then
@@ -162,17 +132,43 @@ def _out_of_order(row: int, arrival: int, previous: int) -> ValueError:
     )
 
 
+class Requests:
+    """Every request of one run, by id: its origin, and each cache request's fields.
+
+    ``origin[i]`` is request ``i``'s ``Origin.index``. Its first
+    ``rows`` bytes are the schedule's ``read`` column, translated once;
+    each cache request appends one byte. ``live`` maps each cache request
+    not yet finished to its ``(arrival, lba, app)``, ``app`` being the
+    application request it completes or -1 for background traffic. Its
+    owner pops an entry when the request completes or is dropped. An
+    application request's fields are its schedule row's, and its app is
+    itself.
+    """
+
+    __slots__ = ("schedule", "rows", "origin", "live")
+
+    def __init__(self, schedule: Schedule) -> None:
+        self.schedule = schedule
+        self.rows = len(schedule)
+        self.origin = schedule.read.translate(_ORIGIN_OF_READ)
+        self.live: dict[int, tuple[int, int, int]] = {}
+
+    def add(self, origin: int, arrival: int, lba: int, app: int = -1) -> int:
+        """Create a cache request of ``Origin.index`` ``origin``; return its id."""
+        i = len(self.origin)
+        self.origin.append(origin)
+        self.live[i] = (arrival, lba, app)
+        return i
+
+
 class Device:
     """Single-server FIFO queue with per-op service latencies (microseconds).
 
-    A pending request is either an :class:`IoRequest` routed to this
-    device (cache traffic, or a request built by hand) or an application
-    request's schedule row, an ``int``. A row's target is the device that
-    holds it, and its op is ``reads[row]``: ``reads`` is the ``read``
-    column of the schedule whose rows the device takes, which the
-    :class:`Simulator` driving it binds. ``waiting`` and ``in_service``
-    hold both kinds as they are, so callers that take requests off a
-    device (``finish``, ``remove_tail``) receive rows as ints.
+    A pending request is an id. Its origin is ``origins[i]``, the
+    ``Requests.origin`` column of its run, which the :class:`Simulator`
+    driving the device binds, and its service time is the op's latency
+    for that origin: an application read reads, every other origin
+    writes. Its target is the device it was submitted to.
 
     ``qsize`` counts every pending request including the one in service.
     The in-service request can never be cancelled; queue surgery such as
@@ -192,10 +188,11 @@ class Device:
         self.role = role
         self.read_latency = int(read_latency)
         self.write_latency = int(write_latency)
-        self.reads: bytes | bytearray = b""  # see the class docstring
-        self.waiting: deque[IoRequest | int] = deque()
-        self.in_service: IoRequest | int | None = None
-        self._serving_origin = 0  # Origin.index of the in-service request
+        # service time by Origin.index: R reads, W, P and E write
+        self._service = (self.read_latency, self.write_latency, self.write_latency, self.write_latency)
+        self.origins: bytes | bytearray = b""  # see the class docstring
+        self.waiting: deque[int] = deque()
+        self.in_service: int | None = None
         self.inqueue = [0] * len(Origin)
         self.submitted = 0
         self.busy_until = 0
@@ -207,54 +204,37 @@ class Device:
     def qsize(self) -> int:
         return len(self.waiting) + (1 if self.in_service is not None else 0)
 
-    def submit(self, req: IoRequest | int, now: int) -> None:
-        if type(req) is int:
-            read = self.reads[req]
-            index = 1 - read  # Origin declares R (index 0), then W (index 1)
-        else:
-            if req.target is not self.role:
-                raise RoutingError(
-                    f"request {req.id} targets {req.target and req.target.name}, "
-                    f"submitted to {self.role.name}"
-                )
-            read = req.origin is _R
-            index = req.origin.index
-        self.inqueue[index] += 1
+    def submit(self, req: int, now: int) -> None:
+        origin = self.origins[req]
+        self.inqueue[origin] += 1
         self.submitted += 1
         if self.in_service is None:
             # an idle device has an empty waiting queue: start at once
             self.in_service = req
-            self._serving_origin = index
-            service = self.read_latency if read else self.write_latency
+            service = self._service[origin]
             self.busy_until = now + service
             self.busy_time += service
         else:
             self.waiting.append(req)
 
-    def finish(self, now: int) -> IoRequest | int:
+    def finish(self, now: int) -> int:
         """Finish the in-service request, which the caller knows is due at ``now``.
 
         The next waiting request, if any, enters service at ``now``.
         """
         req = self.in_service
-        self.inqueue[self._serving_origin] -= 1
+        origins = self.origins
+        self.inqueue[origins[req]] -= 1
         if self.waiting:
-            nxt = self.waiting.popleft()
-            self.in_service = nxt
-            if type(nxt) is int:
-                read = self.reads[nxt]
-                self._serving_origin = 1 - read
-            else:
-                read = nxt.origin is _R
-                self._serving_origin = nxt.origin.index
-            service = self.read_latency if read else self.write_latency
+            nxt = self.in_service = self.waiting.popleft()
+            service = self._service[origins[nxt]]
             self.busy_until = now + service
             self.busy_time += service
         else:
             self.in_service = None
         return req
 
-    def remove_tail(self, count: int) -> list[IoRequest | int]:
+    def remove_tail(self, count: int) -> list[int]:
         """Detach up to ``count`` requests from the tail of the waiting queue.
 
         The in-service request is never touched, so the removable depth is
@@ -266,9 +246,9 @@ class Device:
             return []
         removed = [self.waiting.pop() for _ in range(n)]
         removed.reverse()
-        inqueue, reads = self.inqueue, self.reads
+        inqueue, origins = self.inqueue, self.origins
         for req in removed:
-            inqueue[1 - reads[req] if type(req) is int else req.origin.index] -= 1
+            inqueue[origins[req]] -= 1
         return removed
 
 
@@ -277,34 +257,33 @@ class Simulator:
 
     ``schedule`` holds every application arrival; it is kept as given, not
     copied, and a cursor marks the next one to surface. At that arrival's
-    instant ``step`` hands ``on_arrive`` the request's row ``i``, a plain
-    int, and no request object: ``on_arrive`` routes the row and submits
-    it to a device (the runner plans its access first), and the devices
-    read its op from the schedule's ``read`` column, which the simulator
-    binds to both at construction. When a device finishes a row, ``step``
-    builds its :class:`IoRequest` (id and app id ``i``, target the device
-    that finished it) and hands that to ``on_complete``, like every other
-    request a device finishes; it is freed once the handler drops it. The
-    schedule itself is only read, so one schedule can drive any number of
-    simulators. Both handlers run with :attr:`clock` at their instant and
-    may submit requests, and an owner may set both to None once it is
-    done stepping. Tie-breaking at an equal timestamp is fixed: service
-    completions are handled before arrivals, SSD before HDD, and arrivals
-    in schedule order.
+    instant ``step`` hands ``on_arrive`` the request's row ``i``, its id:
+    ``on_arrive`` routes it and submits it to a device (the runner plans
+    its access first). ``requests``, the run's :class:`Requests` table,
+    is built from the schedule, and both devices read their requests'
+    origins from it. When a device finishes a request, ``step`` hands
+    ``on_complete`` its id and the device's role. The schedule itself is
+    only read, so one schedule can drive any number of simulators. Both
+    handlers run with :attr:`clock` at their instant and may submit
+    requests, and an owner may set both to None once it is done stepping.
+    Tie-breaking at an equal timestamp is fixed: service completions are
+    handled before arrivals, SSD before HDD, and arrivals in schedule
+    order.
     """
 
     def __init__(
         self,
         ssd: Device,
         hdd: Device,
-        on_complete: Callable[[IoRequest], None],
+        on_complete: Callable[[int, DeviceRole], None],
         on_arrive: Callable[[int], None],
         schedule: Schedule,
     ):
         self.clock = 0
         self.ssd = ssd
         self.hdd = hdd
-        ssd.reads = hdd.reads = schedule.read
+        self.requests = Requests(schedule)
+        ssd.origins = hdd.origins = self.requests.origin
         self.on_complete = on_complete
         self.on_arrive = on_arrive
         self.schedule = schedule
@@ -312,20 +291,8 @@ class Simulator:
         # its arrival time, None once every arrival has surfaced
         self._next_arrival = schedule.arrival[0] if len(schedule) else None
 
-    def submit(self, req: IoRequest | int, target: DeviceRole | None = None) -> None:
-        """Queue ``req`` on a device: a schedule row on ``target``, a request on its own.
-
-        A request submitted with a ``target`` must carry that target too.
-        """
-        if target is None:
-            try:
-                target = req.target
-            except AttributeError:  # a schedule row carries no target of its own
-                raise RoutingError(
-                    f"request {req} is unrouted: a schedule row needs a target"
-                ) from None
-            if target is None:
-                raise RoutingError(f"request {req.id} is unrouted: it has no target device")
+    def submit(self, req: int, target: DeviceRole) -> None:
+        """Queue request ``req`` on the ``target`` device."""
         if target is _SSD:
             self.ssd.submit(req, self.clock)
         else:
@@ -344,8 +311,7 @@ class Simulator:
         """
         ssd, hdd = self.ssd, self.hdd
         on_complete, on_arrive = self.on_complete, self.on_arrive
-        schedule = self.schedule
-        arrivals, lbas, reads = schedule.arrival, schedule.lba, schedule.read
+        arrivals = self.schedule.arrival
         count = len(arrivals)
         # only this method moves the cursor, so it lives in locals while
         # the loop runs and is stored back however the loop is left
@@ -367,30 +333,16 @@ class Simulator:
                     self.clock = until
                     return True
                 self.clock = t
-                # a finished schedule row becomes its request here; fields
-                # (id, arrival, lba, origin, target, app_id)
                 if ssd_due == t:
                     done = ssd.finish(t)
-                    if type(done) is int:
-                        i = done
-                        done = IoRequest(i, arrivals[i], lbas[i], _R if reads[i] else _W, _SSD, i)
                     if hdd_due == t:
                         hdd_done = hdd.finish(t)
-                        if type(hdd_done) is int:
-                            i = hdd_done
-                            hdd_done = IoRequest(
-                                i, arrivals[i], lbas[i], _R if reads[i] else _W, _HDD, i
-                            )
-                        on_complete(done)
-                        on_complete(hdd_done)
+                        on_complete(done, _SSD)
+                        on_complete(hdd_done, _HDD)
                     else:
-                        on_complete(done)
+                        on_complete(done, _SSD)
                 elif hdd_due == t:
-                    done = hdd.finish(t)
-                    if type(done) is int:
-                        i = done
-                        done = IoRequest(i, arrivals[i], lbas[i], _R if reads[i] else _W, _HDD, i)
-                    on_complete(done)
+                    on_complete(hdd.finish(t), _HDD)
                 if next_arrival == t:
                     # one arrival per pass: the next pass finds this instant
                     # again while arrivals remain at it, and no completion

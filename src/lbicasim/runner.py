@@ -3,10 +3,12 @@
 The engine owns the event loop; the :class:`Simulation` gives it the
 :class:`~lbicasim.engine.Schedule` of the application requests,
 supplies its two handlers and calls ``Simulator.step`` once per
-interval. Its arrival handler dispatches each application arrival, a
-schedule row, through the cache engine and submits the row to the
-device the access is routed to; its completion handler materializes
-deferred promotions when their backing disk reads complete and keeps the
+interval. Every request is an ``int`` id (see :mod:`lbicasim.engine`).
+The arrival handler dispatches each application arrival, a schedule
+row, through the cache engine, which creates the access's cache
+traffic in the run's request table, and submits the row and that
+traffic to their devices. The completion handler submits deferred
+promotions when their backing disk reads complete and keeps the
 per-application bookkeeping that defines request latency (a
 write-through write completes when both halves finish). Between two
 ``step`` calls, with the clock at the interval boundary, it ticks the
@@ -18,7 +20,7 @@ logged place:
 
 * ``bypass_tail`` removes requests from the cache queue tail, discarding
   promotions (the disk copy is current, nothing is lost) and resubmitting
-  application requests, schedule rows, to the disk;
+  application requests to the disk;
 * ``set_policy`` switches the cache policy (logged when it changes).
 
 With an event log enabled, every request lifecycle step and policy
@@ -28,7 +30,6 @@ metadata and re-derive interval statistics.
 
 from __future__ import annotations
 
-import itertools
 import statistics
 from dataclasses import dataclass
 from typing import IO
@@ -36,12 +37,13 @@ from typing import IO
 from .balancer import RatioVector, detect_bottleneck, make_balancer
 from .cache import CacheEngine, WritePolicy
 from .config import RunConfig
-from .engine import Device, DeviceRole, IoRequest, Origin, Schedule, Simulator
+from .engine import Device, DeviceRole, Origin, Requests, Schedule, Simulator
 from .telemetry import IntervalStats, IntervalTracker, take_snapshot
 from .workload import generate, load_trace
 
-_R, _W = Origin.R, Origin.W
 _SSD, _HDD = DeviceRole
+# the origin and op fields of a request row, by Origin.index
+_ORIGIN_FIELDS = tuple(f"{origin.value},{origin.op}" for origin in Origin)
 
 EVENT_COLUMNS = ("time", "event", "req", "app", "origin", "op", "target", "lba", "arrival", "note")
 
@@ -55,12 +57,10 @@ class EventLog:
       ``remove`` or ``drop``;
     * ``policy`` writes a policy change.
 
-    ``request`` takes an :class:`IoRequest` alone, since it carries its
-    own fields and target, or an application request's schedule row (an
-    ``int``, which a device holds while the request waits) together with
-    its ``target``, the device that holds it or takes it. A row's other
-    fields come from ``schedule``, which the :class:`Simulation` writing
-    the log binds. Both give the same row for the same request.
+    ``request`` takes a request's id and its ``target``, the device that
+    holds it or takes it. The row's other fields come from ``requests``,
+    the run's request table, which the :class:`Simulation` writing the
+    log binds: a cache request's must still be in its ``live`` map.
 
     An application request's arrival has no row of its own. Its access
     is its first ``submit`` row, which carries its arrival as the row's
@@ -78,37 +78,21 @@ class EventLog:
 
     def __init__(self, fh: IO[str], scenario: str):
         self._write = fh.write
-        self.schedule = Schedule()
+        self.requests = Requests(Schedule())
         fh.write(f"# scenario={scenario}\n{','.join(EVENT_COLUMNS)}\n")
 
-    def request(
-        self,
-        time: int,
-        event: str,
-        req: IoRequest | int,
-        target: DeviceRole | None = None,
-        note: str = "",
-    ) -> None:
-        if target is None:
-            i = req.id
-            app_id = req.app_id
-            rid = f"{i}"
-            app = rid if app_id == i else "" if app_id is None else app_id
-            origin = req.origin
-            target = req.target
-            lba = req.lba
-            arrival = req.arrival
-        else:  # a schedule row
-            schedule = self.schedule
-            rid = app = f"{req}"
-            origin = _R if schedule.read[req] else _W
-            lba = schedule.lba[req]
-            arrival = schedule.arrival[req]
+    def request(self, time: int, event: str, i: int, target: DeviceRole, note: str = "") -> None:
+        requests = self.requests
+        if i < requests.rows:
+            schedule = requests.schedule
+            arrival, lba, app = schedule.arrival[i], schedule.lba[i], i
+        else:
+            arrival, lba, app = requests.live[i]
         # ``_value_`` is the member's stored value; ``.value`` reaches the
         # same string through a descriptor that costs several times more
         self._write(
-            f"{time},{event},{rid},{app},{origin._value_},{origin.op},"
-            f"{'' if target is None else target._value_},{lba},{arrival},{note}\n"
+            f"{time},{event},{i},{'' if app < 0 else app},{_ORIGIN_FIELDS[requests.origin[i]]},"
+            f"{target._value_},{lba},{arrival},{note}\n"
         )
 
     def policy(self, time: int, policy: WritePolicy) -> None:
@@ -142,11 +126,9 @@ class Simulation:
     """One run of ``config`` over ``schedule``, its application requests in arrival order.
 
     ``schedule`` becomes the simulator's arrival schedule: request ``i``
-    of it has id ``i``, and auxiliary requests take ids from
-    ``len(schedule)`` on. Request ``i`` is the row ``i`` from its arrival
-    until a device finishes it, and an :class:`IoRequest` from then until
-    the completion handler returns. The schedule is only read, so runs
-    may share one.
+    of it has id ``i``, and cache traffic takes ids from ``len(schedule)``
+    on, in the simulator's request table. The schedule is only read, so
+    runs may share one.
     """
 
     def __init__(self, config: RunConfig, schedule: Schedule, events: EventLog | None = None):
@@ -155,18 +137,20 @@ class Simulation:
         ssd = Device(DeviceRole.SSD, config.ssd_read_us, config.ssd_write_us)
         hdd = Device(DeviceRole.HDD, config.hdd_read_us, config.hdd_write_us)
         self.sim = Simulator(ssd, hdd, self._on_complete, self._dispatch, schedule)
-        self._lbas, self._reads = schedule.lba, schedule.read
+        requests = self.sim.requests
+        self._arrivals, self._lbas, self._reads = schedule.arrival, schedule.lba, schedule.read
+        self._origins, self._live = requests.origin, requests.live
         if events:
-            events.schedule = schedule
+            events.requests = requests
         self._n_app = len(schedule)
-        self._ids = itertools.count(self._n_app)
-        self.cache = CacheEngine(config.cache_blocks, next_id=self._ids.__next__)
+        self.cache = CacheEngine(config.cache_blocks, requests=requests)
         self.tracker = IntervalTracker(config.ssd_latency_avg, config.hdd_latency_avg)
         self.balancer = make_balancer(config.balancer, config.theta_dom)
         self.rows: list[IntervalRow] = []
         self.bypassed_total = 0
         self.dropped_promotions = 0
-        self._deferred: dict[int, IoRequest] = {}
+        # an application read's row -> the id of its deferred promotion
+        self._deferred: dict[int, int] = {}
         # per application row: 1 while both halves of its write-through
         # write are pending; empty until the run's first write-through
         # write, so a run without one pays no byte per row
@@ -184,26 +168,26 @@ class Simulation:
 
     def bypass_tail(self, count: int) -> int:
         removed = self.sim.ssd.remove_tail(count)
+        events, clock = self.events, self.sim.clock
         for req in removed:
-            row = type(req) is int
-            if self.events:
-                self.events.request(self.sim.clock, "remove", req, _SSD if row else None)
-            if row:
+            if events:
+                events.request(clock, "remove", req, _SSD)
+            if req < self._n_app:
                 self._submit(req, _HDD)
             else:
                 # the cache queue's only cache traffic is promotions, and a
                 # dropped one loses no data: the disk copy is current
                 self.dropped_promotions += 1
-                if self.events:
-                    self.events.request(self.sim.clock, "drop", req, note="bypassed promotion")
+                if events:
+                    events.request(clock, "drop", req, _SSD, "bypassed promotion")
+                del self._live[req]
         self.bypassed_total += len(removed)
         return len(removed)
 
     # ------------------------------------------------------------------
     # event handling
 
-    def _submit(self, req: IoRequest | int, target: DeviceRole | None = None) -> None:
-        """Submit ``req``: a schedule row to ``target``, a request to its own target."""
+    def _submit(self, req: int, target: DeviceRole) -> None:
         self.sim.submit(req, target)
         if self.events:
             self.events.request(self.sim.clock, "submit", req, target)
@@ -218,41 +202,47 @@ class Simulation:
             self._both_halves_pending[row] = 1
         if promotion is not None:
             self._deferred[row] = promotion
+        # cache traffic other than a promotion goes to the disk
         if before is not None:
-            self._submit(before)
+            self._submit(before, _HDD)
         # ``_submit`` of the row, inline on the per-request path
         self.sim.submit(row, target)
         if self.events:
             self.events.request(self.sim.clock, "submit", row, target)
         if after is not None:
-            self._submit(after)
+            self._submit(after, _HDD)
 
-    def _on_complete(self, req: IoRequest) -> None:
+    def _on_complete(self, req: int, role: DeviceRole) -> None:
         clock = self.sim.clock
-        self.tracker.record_completion(req, clock)
         events = self.events
         if events:
-            events.request(clock, "complete", req)
+            events.request(clock, "complete", req, role)
+        if req < self._n_app:
+            arrival = self._arrivals[req]
+            app = req
+        else:
+            arrival, _lba, app = self._live.pop(req)
+        self.tracker.record_completion(role.index, self._origins[req], clock - arrival)
         if self._deferred:
-            promotion = self._deferred.pop(req.id, None)
+            promotion = self._deferred.pop(req, None)
             if promotion is not None:
                 if self.cache.admits_promotion:
-                    promotion.arrival = clock
-                    self._submit(promotion)
+                    # it enters the cache queue now, for the row's block
+                    self._live[promotion] = (clock, self._lbas[req], -1)
+                    self._submit(promotion, _SSD)
                 else:
                     self.dropped_promotions += 1
                     if events:
-                        events.request(clock, "drop", promotion, note="write-only policy")
-        # every request carrying an app id is foreground (cache traffic
-        # carries none), and every one carries its application's arrival:
-        # the WT mirror copies it and a bypassed request keeps it
-        app_id = req.app_id
-        if app_id is not None:
+                        events.request(clock, "drop", promotion, _SSD, "write-only policy")
+                    del self._live[promotion]
+        # an application request and its WT mirror are foreground, and
+        # both carry the application's arrival: the mirror is created at it
+        if app >= 0:
             pending = self._both_halves_pending
-            if pending and pending[app_id]:
-                pending[app_id] = 0
+            if pending and pending[app]:
+                pending[app] = 0
             else:
-                self._latencies.append(clock - req.arrival)
+                self._latencies.append(clock - arrival)
 
     def _tick(self, boundary: int) -> None:
         ssd, hdd = self.sim.ssd, self.sim.hdd

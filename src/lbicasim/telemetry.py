@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Device, DeviceRole, IoRequest, Origin
+from .engine import Device, DeviceRole, Origin
 
 
 def compute_queue_times(
@@ -100,11 +100,9 @@ class IntervalTracker:
         self._served = [[0] * len(Origin) for _role in DeviceRole]
         self._max_latency = [0] * len(DeviceRole)
 
-    def record_completion(self, req: IoRequest, now: int) -> None:
-        """Count ``req``, which its device finished at ``now``."""
-        role = req.target.index
-        self._served[role][req.origin.index] += 1
-        latency = now - req.arrival
+    def record_completion(self, role: int, origin: int, latency: int) -> None:
+        """Count one completion: its device's and origin's indices, and its latency."""
+        self._served[role][origin] += 1
         if latency > self._max_latency[role]:
             self._max_latency[role] = latency
 

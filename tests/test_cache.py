@@ -1,36 +1,52 @@
 """Cache policy semantics and LRU equivalence against a brute-force oracle."""
 
-import itertools
 import random
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lbicasim.cache import CacheEngine, WritePolicy
-from lbicasim.engine import DeviceRole, IoRequest, Origin
+from lbicasim.engine import DeviceRole, Origin
 
 from conftest import CacheReplica
+
+SSD, HDD = DeviceRole.SSD, DeviceRole.HDD
+ORIGINS = list(Origin)
+
+# a planned request, its fields read back from the engine's request table
+Planned = namedtuple("Planned", "id origin target lba arrival app")
 
 
 def make_engine(capacity=4, policy=WritePolicy.WB):
     return CacheEngine(capacity, policy=policy)
 
 
-def submit_order(row, lba, is_read, now, before, target, after):
+def planned(engine, req, target):
+    """Cache request ``req`` (an id, or None) as the engine created it, routed to ``target``."""
+    if req is None:
+        return None
+    arrival, lba, app = engine.requests.live[req]
+    return Planned(req, ORIGINS[engine.requests.origin[req]], target, lba, arrival, app)
+
+
+def submit_order(engine, row, lba, is_read, now, before, target, after):
     """What ``access`` plans to submit at once, in order: ``before``, the row, ``after``.
 
-    The row is shown as the request it stands for, routed to ``target``.
+    The row is shown as the request it stands for, routed to ``target``;
+    ``before`` and ``after`` go to the disk, as the runner routes them.
     """
-    origin = Origin.R if is_read else Origin.W
-    access = IoRequest(row, now, lba, origin, target, row)
-    return tuple(r for r in (before, access, after) if r is not None)
+    access = Planned(row, Origin.R if is_read else Origin.W, target, lba, now, row)
+    requests = (planned(engine, before, HDD), access, planned(engine, after, HDD))
+    return tuple(r for r in requests if r is not None)
 
 
 def access(engine, row, lba, is_read, now=0):
     """Plan schedule row ``row``'s access: ``(immediate, promotion, foreground)``."""
     before, target, after, promotion, foreground = engine.access(row, lba, is_read, now)
-    return submit_order(row, lba, is_read, now, before, target, after), promotion, foreground
+    immediate = submit_order(engine, row, lba, is_read, now, before, target, after)
+    return immediate, planned(engine, promotion, SSD), foreground
 
 
 def read(engine, req_id, lba, now=0):
@@ -97,7 +113,7 @@ class TestWritePaths:
         assert shapes(immediate) == [(Origin.W, DeviceRole.SSD), (Origin.W, DeviceRole.HDD)]
         assert foreground == 2
         mirror = immediate[1]  # carries the access's app id and arrival
-        assert (mirror.app_id, mirror.arrival) == (1, 40)
+        assert (mirror.app, mirror.arrival) == (1, 40)
         assert engine.dirty_lbas() == set()
 
     def test_wt_write_over_dirty_block_cleans_it(self):
@@ -270,9 +286,6 @@ def test_dirty_episode_accounting_small_scale():
     assert all(r.target is DeviceRole.HDD for r in evictions)
 
 
-SSD, HDD = DeviceRole.SSD, DeviceRole.HDD
-
-
 def documented_plan(policy, is_read, lba, hit, writeback_lba):
     """What ``access`` documents for one access: shapes, promotion, foreground.
 
@@ -305,7 +318,7 @@ cache_ops = st.lists(
 @settings(derandomize=True, max_examples=300)
 @given(st.integers(min_value=1, max_value=4), cache_ops)
 def test_access_matches_the_replica_and_its_documented_submit_order(capacity, ops):
-    engine = CacheEngine(capacity, next_id=itertools.count(1000).__next__)
+    engine = CacheEngine(capacity)
     replica = CacheReplica(capacity)
     for step, (kind, arg) in enumerate(ops):
         if kind == "policy":
@@ -323,8 +336,9 @@ def test_access_matches_the_replica_and_its_documented_submit_order(capacity, op
             ro_write = not is_read and engine.policy is WritePolicy.RO
             writeback_lba = lba if ro_write else victim
 
+        first_id = len(engine.requests.origin)
         before, target, after, promotion, foreground = engine.access(step, lba, is_read, step)
-        immediate = submit_order(step, lba, is_read, step, before, target, after)
+        immediate = submit_order(engine, step, lba, is_read, step, before, target, after)
 
         shapes, promotes, expected_foreground = documented_plan(
             engine.policy, is_read, lba, hit, writeback_lba
@@ -333,10 +347,12 @@ def test_access_matches_the_replica_and_its_documented_submit_order(capacity, op
         assert foreground == expected_foreground
         assert (promotion is not None) == promotes
         if promotion is not None:
-            assert (promotion.origin, promotion.target, promotion.lba) == (Origin.P, SSD, lba)
-        # auxiliary ids are drawn in submit order, the deferred promotion last
-        aux_ids = [r.id for r in (before, after, promotion) if r is not None]
-        assert aux_ids == sorted(aux_ids) and all(i >= 1000 for i in aux_ids)
+            promoted = planned(engine, promotion, SSD)
+            assert (promoted.origin, promoted.lba, promoted.app) == (Origin.P, lba, -1)
+        # cache request ids are drawn in submit order, the deferred promotion
+        # last, each the next id of the engine's table
+        aux_ids = [r for r in (before, after, promotion) if r is not None]
+        assert aux_ids == list(range(first_id, len(engine.requests.origin)))
 
         assert engine.resident_lbas() == replica.order
         assert engine.dirty_lbas() == replica.dirty

@@ -1,36 +1,39 @@
 """Event loop and device queue semantics."""
 
-import dataclasses
-import gc
 import heapq
 import random
 import sys
 from array import array
+from collections import namedtuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbicasim.engine import Device, DeviceRole, IoRequest, Origin, RoutingError, Schedule, Simulator
+from lbicasim.engine import Device, DeviceRole, Origin, Requests, Schedule, Simulator
 
 from conftest import recount_origins, schedule_of
 
-
-def make_request(req_id, arrival=0, origin=Origin.R, target=DeviceRole.SSD, lba=0):
-    return IoRequest(id=req_id, arrival=arrival, lba=lba, origin=origin, target=target)
+ORIGINS = list(Origin)
 
 
-def test_a_request_keeps_only_the_fields_the_package_reads():
-    # cache traffic stays alive from its creation until it completes, so
-    # each field costs memory per queued request
-    assert [f.name for f in dataclasses.fields(IoRequest)] == [
-        "id",
-        "arrival",
-        "lba",
-        "origin",
-        "target",
-        "app_id",
-    ]
+def submit_new(sim, origin=Origin.R, target=DeviceRole.SSD, arrival=0, lba=0):
+    """Create a cache-traffic request in ``sim``'s table, submit it to ``target``; its id."""
+    req = sim.requests.add(origin.index, arrival, lba)
+    sim.submit(req, target)
+    return req
+
+
+def bound_device(read=100, write=100):
+    """An SSD whose requests live in a table of their own, and that table."""
+    dev = Device(DeviceRole.SSD, read, write)
+    requests = Requests(Schedule())
+    dev.origins = requests.origin
+    return dev, requests
+
+
+def add_read(requests, arrival=0):
+    return requests.add(Origin.R.index, arrival, 0)
 
 
 @pytest.mark.parametrize("origin", list(Origin))
@@ -42,12 +45,19 @@ def test_a_request_reads_exactly_when_its_origin_is_an_application_read(origin):
 FOREVER = sys.maxsize
 
 
+# a finished request as the recorder reads it back from its run's table
+Done = namedtuple("Done", "id target origin arrival lba")
+
+
 class Recorder:
     """Recording handlers: every call as ``(clock, kind, request id)``.
 
     With ``submit`` set, the arrival handler submits each arrival's
     schedule row to the device ``targets`` names for it, the way the
-    runner's dispatch does once it has planned the access.
+    runner's dispatch does once it has planned the access. Each finished
+    request is kept as a :class:`Done`, its fields read from the
+    simulator's request table; a cache request's entry is popped then,
+    as the runner pops it.
     """
 
     def __init__(self, submit=True):
@@ -57,9 +67,14 @@ class Recorder:
         self.calls = []
         self.completed = []
 
-    def on_complete(self, req):
-        self.calls.append((self.sim.clock, "complete", req.id))
-        self.completed.append(req)
+    def on_complete(self, req, role):
+        self.calls.append((self.sim.clock, "complete", req))
+        requests = self.sim.requests
+        if req < requests.rows:
+            arrival, lba = requests.schedule.arrival[req], requests.schedule.lba[req]
+        else:
+            arrival, lba, _app = requests.live.pop(req)
+        self.completed.append(Done(req, role, ORIGINS[requests.origin[req]], arrival, lba))
 
     def on_arrive(self, row):
         assert row.__class__ is int
@@ -101,48 +116,31 @@ def drain(sim, rec):
 
 class TestSubmit:
     def test_empty_queue_accepts_one_read(self):
-        dev = Device(DeviceRole.SSD, 100, 100)
-        dev.submit(make_request(1), now=0)
+        dev, requests = bound_device()
+        dev.submit(add_read(requests), now=0)
         assert dev.qsize == 1
 
     def test_back_to_back_submissions_keep_fifo_order(self):
-        dev = Device(DeviceRole.SSD, 100, 100)
-        for i in range(5):
-            dev.submit(make_request(i), now=0)
+        dev, requests = bound_device()
+        for _ in range(5):
+            dev.submit(add_read(requests), now=0)
         assert dev.qsize == 5
-        assert [r.id for r in (dev.in_service, *dev.waiting)] == [0, 1, 2, 3, 4]
-
-    def test_target_mismatch_is_a_routing_error(self):
-        hdd = Device(DeviceRole.HDD, 5000, 5000)
-        with pytest.raises(RoutingError):
-            hdd.submit(make_request(1, target=DeviceRole.SSD), now=0)
-
-    def test_unrouted_request_is_a_routing_error(self):
-        sim, _ = new_sim()
-        with pytest.raises(RoutingError, match="request 1 is unrouted"):
-            sim.submit(make_request(1, target=None))
-        with pytest.raises(RoutingError, match="request 0 is unrouted"):
-            sim.submit(0)  # a schedule row without a target device
+        assert [dev.in_service, *dev.waiting] == [0, 1, 2, 3, 4]
 
     def test_a_schedule_row_is_queued_as_itself_and_served_by_its_op(self):
         # a write row on an SSD with 100us reads and 300us writes
         sim, rec = new_sim(ssd=(100, 300), submit=False, arrivals=[(0, 7, Origin.W, None)])
         sim.step(0)
         sim.submit(0, DeviceRole.SSD)
-        sim.submit(make_request(1))  # a read request behind it
-        assert sim.ssd.in_service == 0  # the row, no request object
-        assert [req.id for req in sim.ssd.waiting] == [1]
+        read = submit_new(sim)  # a read request behind it, the first cache request
+        assert read == 1
+        assert sim.ssd.in_service == 0  # the row is its own id
+        assert list(sim.ssd.waiting) == [1]
         assert sim.ssd.inqueue == [1, 1, 0, 0]
         drain(sim, rec)
         assert rec.completions() == [(0, 300), (1, 400)]
-        done = rec.completed[0]
-        assert (done.arrival, done.lba, done.origin, done.target, done.app_id) == (
-            0,
-            7,
-            Origin.W,
-            DeviceRole.SSD,
-            0,
-        )
+        assert rec.completed[0] == Done(0, DeviceRole.SSD, Origin.W, 0, 7)
+        assert sim.requests.live == {}
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
@@ -152,24 +150,24 @@ class TestSubmit:
 class TestStep:
     def test_single_read_completes_after_service_latency(self):
         sim, rec = new_sim()
-        sim.submit(make_request(1))
+        submit_new(sim)
         drain(sim, rec)
-        assert rec.completions() == [(1, 100)]
+        assert rec.completions() == [(0, 100)]
 
     def test_two_reads_serialize_fifo(self):
         sim, rec = new_sim()
-        sim.submit(make_request(1))
-        sim.submit(make_request(2))
+        submit_new(sim)
+        submit_new(sim)
         drain(sim, rec)
-        assert rec.completions() == [(1, 100), (2, 200)]
+        assert rec.completions() == [(0, 100), (1, 200)]
 
     def test_mixed_read_then_write_schedule(self):
         # read 100us then write 200us, both queued at t=0 -> 100 and 300
         sim, rec = new_sim(ssd=(100, 200))
-        sim.submit(make_request(1))
-        sim.submit(make_request(2, origin=Origin.W))
+        submit_new(sim)
+        submit_new(sim, origin=Origin.W)
         drain(sim, rec)
-        assert rec.completions() == [(1, 100), (2, 300)]
+        assert rec.completions() == [(0, 100), (1, 300)]
 
     def test_no_pending_events_signals_end(self):
         sim, rec = new_sim()
@@ -187,7 +185,7 @@ class TestStep:
 
     def test_same_instant_completions_precede_arrivals(self):
         sim, rec = new_sim(submit=False, arrivals=[(100, 0, Origin.R, None)])
-        sim.submit(make_request(1))
+        submit_new(sim)  # request 1: the schedule holds request 0
         assert sim.step(100) is False
         assert sim.clock == 100
         assert rec.calls == [(100, "complete", 1), (100, "arrive", 0)]
@@ -195,21 +193,21 @@ class TestStep:
     def test_both_due_completions_leave_their_devices_before_either_handler(self):
         seen = []
 
-        def on_complete(req):
-            seen.append((req.id, sim.ssd.in_service, sim.hdd.in_service))
+        def on_complete(req, role):
+            seen.append((req, role, sim.ssd.in_service, sim.hdd.in_service))
 
         ssd, hdd = Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 100, 100)
         sim = Simulator(ssd, hdd, on_complete, seen.append, Schedule())
-        sim.submit(make_request(1))
-        sim.submit(make_request(2, target=DeviceRole.HDD))
+        submit_new(sim)
+        submit_new(sim, target=DeviceRole.HDD)
         assert sim.step(100) is False
         # SSD first; when its handler runs the HDD is already idle
-        assert seen == [(1, None, None), (2, None, None)]
+        assert seen == [(0, DeviceRole.SSD, None, None), (1, DeviceRole.HDD, None, None)]
 
     def test_step_stops_at_until_and_resumes_there(self):
         sim, rec = new_sim()
-        for i in range(3):
-            sim.submit(make_request(i))
+        for _ in range(3):
+            submit_new(sim)
         assert sim.step(150) is True
         assert sim.clock == 150  # left at ``until`` while events remain past it
         assert rec.calls == [(100, "complete", 0)]
@@ -306,28 +304,28 @@ def test_arrival_cursor_matches_a_heap_reference(times, rng):
 
 class TestRemoveTail:
     def setup_method(self):
-        self.dev = Device(DeviceRole.SSD, 100, 100)
+        self.dev, self.requests = bound_device()
 
     def test_removes_tail_in_queue_order(self):
         # build a waiting-only queue: nothing has entered service
-        self.dev.waiting.extend(make_request(i) for i in (1, 2, 3))
+        self.dev.waiting.extend(add_read(self.requests) for _ in range(3))
         removed = self.dev.remove_tail(2)
-        assert [r.id for r in removed] == [2, 3]
-        assert [r.id for r in self.dev.waiting] == [1]
+        assert removed == [1, 2]
+        assert list(self.dev.waiting) == [0]
 
     def test_remove_zero_is_identity(self):
-        self.dev.submit(make_request(1), now=0)
+        self.dev.submit(add_read(self.requests), now=0)
         assert self.dev.remove_tail(0) == []
         assert self.dev.qsize == 1
 
     def test_in_service_request_is_protected(self):
-        for i in (1, 2, 3):
-            self.dev.submit(make_request(i), now=0)
-        assert self.dev.in_service.id == 1
+        for _ in range(3):
+            self.dev.submit(add_read(self.requests), now=0)
+        assert self.dev.in_service == 0
         removed = self.dev.remove_tail(3)  # clamped to the waiting portion
-        assert [r.id for r in removed] == [2, 3]
+        assert removed == [1, 2]
         assert self.dev.qsize == 1
-        assert self.dev.in_service.id == 1
+        assert self.dev.in_service == 0
 
 
 def random_schedule(seed, n=60):
@@ -391,60 +389,38 @@ def test_timestamp_ordering_invariant(seed):
 
 class TestRequestCreation:
     def test_no_application_request_object_exists_until_a_device_finishes_it(self):
-        # blocks no other test uses, so only this schedule's requests match
-        base = 7 * 10**12
-        rows = [(100 * k, base + k, Origin.W, DeviceRole.SSD) for k in range(1, 6)]
+        # nor after: the simulator hands each handler a row id and a role
+        rows = [(100 * k, k, Origin.W, DeviceRole.SSD) for k in range(1, 6)]
         # a 1 ms write service keeps every arrived request queued until
         # long after the last arrival; request k - 1 finishes at 100 + 1000k
         sim, rec = new_sim(ssd=(1000, 1000), arrivals=rows)
-
-        def live():
-            gc.collect()
-            return sorted(
-                obj.lba - base
-                for obj in gc.get_objects()
-                if type(obj) is IoRequest and obj.lba > base
-            )
-
-        assert live() == []
         for k in range(1, 6):
             # the instant before request k - 1 arrives, then the instant itself
             assert sim.step(100 * k - 1) is True
             sim.step(100 * k)
-            assert live() == []
+            # only cache requests have an entry in the request table
+            assert sim.requests.live == {}
         # all five wait or are in service, each as its schedule row
         assert (sim.ssd.in_service, *sim.ssd.waiting) == (0, 1, 2, 3, 4)
-        for k in range(1, 6):
-            # the recorder keeps every request handed to it; none other exists
-            assert sim.step(100 + 1000 * k - 1) is True
-            assert live() == list(range(1, k))
-            assert sim.step(100 + 1000 * k) is (k < 5)
-            assert live() == list(range(1, k + 1))
-        assert [req.id for req in rec.completed] == list(range(5))
-        assert all(req.app_id == req.id for req in rec.completed)
+        assert drain(sim, rec) == [
+            Done(k - 1, DeviceRole.SSD, Origin.W, 100 * k, k) for k in range(1, 6)
+        ]
+        assert sim.requests.live == {}
 
 
 class PromotingRecorder(Recorder):
     """Recording handlers that also submit work from inside the loop.
 
     Each completed HDD read of a scheduled request is followed, at its
-    completion instant, by a cache write with id ``FOLLOW_UP + id``, the
-    way the runner submits a deferred promotion.
+    completion instant, by a promotion of its block to the cache, the way
+    the runner submits a deferred promotion.
     """
 
-    FOLLOW_UP = 1_000
-
-    def on_complete(self, req):
-        super().on_complete(req)
-        if req.target is DeviceRole.HDD and req.origin is Origin.R and req.id < self.FOLLOW_UP:
-            self.sim.submit(
-                make_request(
-                    self.FOLLOW_UP + req.id,
-                    arrival=self.sim.clock,
-                    origin=Origin.P,
-                    lba=req.lba,
-                )
-            )
+    def on_complete(self, req, role):
+        super().on_complete(req, role)
+        done = self.completed[-1]
+        if role is DeviceRole.HDD and done.origin is Origin.R and req < self.sim.requests.rows:
+            submit_new(self.sim, Origin.P, arrival=self.sim.clock, lba=done.lba)
 
 
 # (arrival on a 100us grid, target, origin R or W): arrivals coincide with
@@ -532,20 +508,30 @@ queue_ops = st.lists(
 
 @given(queue_ops)
 def test_per_origin_counts_match_a_recount_after_every_operation(ops):
+    # op i may queue schedule row i, a read when its column says so, or
+    # create a cache request of any origin: the device sees a mix of both
+    schedule = Schedule(len(ops))
+    schedule.read[:] = bytes(arg is True for _op, arg in ops)
+    requests = Requests(schedule)
     dev = Device(DeviceRole.SSD, 100, 300)
-    # op i may queue schedule row i, a read when the column says so
-    dev.reads = bytearray(arg if op == "submit_row" else 0 for op, arg in ops)
+    dev.origins = requests.origin
+    service = {Origin.R: 100, Origin.W: 300, Origin.P: 300, Origin.E: 300}
+    served = []  # every request that entered service
     now = 0
     for i, (op, arg) in enumerate(ops):
-        if op == "submit":
-            dev.submit(make_request(i, arrival=now, origin=arg), now)
-        elif op == "submit_row":
-            dev.submit(i, now)
+        if op in ("submit", "submit_row"):
+            req = i if op == "submit_row" else requests.add(arg.index, now, 0)
+            if dev.in_service is None:
+                served.append(req)
+            dev.submit(req, now)
         elif op == "complete":
             if dev.in_service is not None:
                 now = dev.busy_until
                 dev.finish(now)
+                if dev.in_service is not None:
+                    served.append(dev.in_service)
         else:
             dev.remove_tail(arg)
         assert dev.inqueue == recount_origins(dev)
         assert sum(dev.inqueue) == dev.qsize
+        assert dev.busy_time == sum(service[ORIGINS[requests.origin[r]]] for r in served)

@@ -28,7 +28,7 @@ from lbicasim import (
 )
 from lbicasim.balancer import BALANCERS, PolicyDecision
 from lbicasim.cache import WritePolicy
-from lbicasim.engine import DeviceRole, IoRequest, Origin, Schedule, Simulator
+from lbicasim.engine import DeviceRole, Origin, Requests, Schedule, Simulator
 from lbicasim.report import read_intervals, read_summary
 from lbicasim.workload import PhaseSpec, UniformRandom, dump_trace
 
@@ -169,11 +169,11 @@ class TestDeferredPromotion:
 class TestBypassTail:
     def test_promotions_are_discarded_and_writes_move_to_disk(self):
         sim, buffer = logged_sim(small_config(phases=()), writes_at_zero(3))
-        promo = IoRequest(id=99, arrival=0, lba=9, origin=Origin.P, target=DeviceRole.SSD)
+        promo = sim.sim.requests.add(Origin.P.index, 0, 9)
         # row 0 enters service, protected from removal; rows 1 and 2 wait
         for row in range(3):
             sim._submit(row, DeviceRole.SSD)
-        sim._submit(promo)
+        sim._submit(promo, DeviceRole.SSD)
         moved = sim.bypass_tail(10)  # clamped to the waiting queue
         assert moved == 3
         assert sim.dropped_promotions == 1
@@ -182,6 +182,8 @@ class TestBypassTail:
         hdd = sim.sim.hdd
         assert [hdd.in_service, *hdd.waiting] == [1, 2]
         assert hdd.inqueue == [0, 2, 0, 0]
+        # the dropped promotion left the table of cache requests in flight
+        assert sim.sim.requests.live == {}
         # each moved write left the cache queue, then entered the disk
         # queue, its origin and arrival intact
         rows = logged_rows(buffer)
@@ -504,36 +506,32 @@ def logged_event_fields():
 
 LOGGED_EVENTS, LOGGED_NOTES = logged_event_fields()
 
-# small values collide often, so rows where an app id equals its
-# request id are drawn as often as the rest
+# small values collide often, so rows where an app equals its request's
+# id are drawn as often as the rest
 numbers = st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=10**9)
 
-logged_requests = st.builds(
-    IoRequest,
-    id=numbers,
-    arrival=numbers,
-    lba=numbers,
-    origin=st.sampled_from(Origin),
-    target=st.none() | st.sampled_from(DeviceRole),
-    app_id=st.none() | numbers,
+# a cache request's (origin, arrival, lba, app), -1 for background traffic
+logged_requests = st.tuples(
+    st.sampled_from(Origin), numbers, numbers, st.just(-1) | numbers
 )
 
 
 LOGGED_SCHEDULE = [(0, 5, Origin.R), (7, 10**9, Origin.W), (7, 0, Origin.R)]
 
 
-def reference_row(time, event, req, note=""):
-    """The row ``csv.writer`` writes for ``req``."""
+def reference_row(time, event, req, target, note, fields):
+    """The row ``csv.writer`` writes for request ``req``, given its ``(origin, arrival, lba, app)``."""
+    origin, arrival, lba, app = fields[req]
     return (
         time,
         event,
-        req.id,
-        "" if req.app_id is None else req.app_id,
-        req.origin.value,
-        "read" if req.origin is Origin.R else "write",
-        "" if req.target is None else req.target.value,
-        req.lba,
-        req.arrival,
+        req,
+        "" if app < 0 else app,
+        origin.value,
+        "read" if origin is Origin.R else "write",
+        target.value,
+        lba,
+        arrival,
         note,
     )
 
@@ -549,29 +547,30 @@ class TestEventLogFormat:
             assert not set(text) & set(',"\r\n'), text
 
     @given(
+        st.lists(logged_requests, max_size=5),
         st.lists(
+            # a request by position among LOGGED_SCHEDULE's rows and the
+            # cache requests, and the device that holds it
             st.tuples(
                 numbers,
                 st.sampled_from(LOGGED_EVENTS),
-                logged_requests,
-                st.sampled_from([""] + LOGGED_NOTES),
-            )
-            | st.tuples(numbers, st.sampled_from(WritePolicy))
-            # a schedule row of LOGGED_SCHEDULE, the device that holds it
-            | st.tuples(
-                numbers,
-                st.sampled_from(LOGGED_EVENTS),
-                st.integers(min_value=0, max_value=len(LOGGED_SCHEDULE) - 1),
+                st.integers(min_value=0, max_value=7),
                 st.sampled_from([""] + LOGGED_NOTES),
                 st.sampled_from(DeviceRole),
-            ),
+            )
+            | st.tuples(numbers, st.sampled_from(WritePolicy)),
             max_size=20,
-        )
+        ),
     )
-    def test_rows_match_a_csv_writer_byte_for_byte(self, rows):
+    def test_rows_match_a_csv_writer_byte_for_byte(self, cache_requests, rows):
         buffer = io.StringIO()
         log = EventLog(buffer, "abc")
-        log.schedule = schedule_of(LOGGED_SCHEDULE)
+        log.requests = Requests(schedule_of(LOGGED_SCHEDULE))
+        # each request's fields by id: a row's app is itself
+        fields = [(origin, arrival, lba, i) for i, (arrival, lba, origin) in enumerate(LOGGED_SCHEDULE)]
+        for origin, arrival, lba, app in cache_requests:
+            assert log.requests.add(origin.index, arrival, lba, app) == len(fields)
+            fields.append((origin, arrival, lba, app))
         reference = io.StringIO()
         reference.write("# scenario=abc\n")
         writer = csv.writer(reference, lineterminator="\n")
@@ -582,17 +581,10 @@ class TestEventLogFormat:
                 log.policy(time, policy)
                 writer.writerow((time, "policy", "", "", "", "", "", "", "", policy.value))
                 continue
-            if len(row) == 5:
-                # a row is logged as the request a device finishing it builds
-                time, event, i, note, target = row
-                log.request(time, event, i, target, note)
-                arrival, lba, origin = LOGGED_SCHEDULE[i]
-                req = IoRequest(i, arrival, lba, origin, target, i)
-                writer.writerow(reference_row(time, event, req, note))
-                continue
-            time, event, req, note = row
-            log.request(time, event, req, note=note)
-            writer.writerow(reference_row(time, event, req, note))
+            time, event, position, note, target = row
+            req = position % len(fields)
+            log.request(time, event, req, target, note)
+            writer.writerow(reference_row(time, event, req, target, note, fields))
         assert buffer.getvalue() == reference.getvalue()
 
 
@@ -639,8 +631,8 @@ class TestWriteThroughRun:
         config = small_config(phases=(), ssd_write_us=20_000)
         sim = Simulation(config, schedule_of([(0, 1, Origin.W)]))
         sim.balancer = FixedDecision(PolicyDecision(WritePolicy.WT, bypass_depth=1))
-        blocker = IoRequest(id=99, arrival=0, lba=9, origin=Origin.P, target=DeviceRole.SSD)
-        sim._submit(blocker)
+        blocker = sim.sim.requests.add(Origin.P.index, 0, 9)
+        sim._submit(blocker, DeviceRole.SSD)
         result = sim.run()
         assert result.rows[0].bypassed == 1
         assert result.summary["hdd_completed_w"] == 2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lbicasim.engine import Device, DeviceRole, IoRequest, Origin
+from lbicasim.engine import Device, DeviceRole, Origin, Requests, Schedule
 from lbicasim.telemetry import IntervalTracker, compute_queue_times, take_snapshot
 
 qsizes = st.integers(min_value=0, max_value=1_000_000)
@@ -36,16 +36,15 @@ class TestComputeQueueTimes:
         assert (cq2, dq2) == (2 * cq, 2 * dq)
 
 
-def enqueue(device, req_id, origin, now=0):
-    req = IoRequest(id=req_id, arrival=now, lba=0, origin=origin, target=device.role)
-    device.submit(req, now)
-    return req
-
-
 class TestSnapshot:
     def setup_method(self):
         self.ssd = Device(DeviceRole.SSD, 100, 100)
         self.hdd = Device(DeviceRole.HDD, 5000, 5000)
+        self.requests = Requests(Schedule())
+        self.ssd.origins = self.hdd.origins = self.requests.origin
+
+    def enqueue(self, device, origin, now=0):
+        device.submit(self.requests.add(origin.index, now, 0), now)
 
     def test_empty_queues_snapshot_empty(self):
         snap = take_snapshot(self.ssd, self.hdd)
@@ -54,25 +53,21 @@ class TestSnapshot:
 
     def test_origin_counts_copied_per_device(self):
         # counts are in Origin order (r, w, p, e), the in-service request included
-        enqueue(self.ssd, 1, Origin.R)
-        enqueue(self.ssd, 2, Origin.P)
-        enqueue(self.ssd, 3, Origin.P)
-        enqueue(self.hdd, 4, Origin.R)
+        self.enqueue(self.ssd, Origin.R)
+        self.enqueue(self.ssd, Origin.P)
+        self.enqueue(self.ssd, Origin.P)
+        self.enqueue(self.hdd, Origin.R)
         snap = take_snapshot(self.ssd, self.hdd)
         assert snap.ssd_inqueue == (1, 0, 2, 0)
         assert snap.hdd_inqueue == (1, 0, 0, 0)
 
     def test_snapshot_unaffected_by_later_completions(self):
-        enqueue(self.ssd, 1, Origin.R)
+        self.enqueue(self.ssd, Origin.R)
         snap = take_snapshot(self.ssd, self.hdd)
         before = snap.ssd_inqueue
         self.ssd.finish(self.ssd.busy_until)  # drain the device
         assert self.ssd.qsize == 0
         assert snap.ssd_inqueue == before
-
-
-def routed_request(req_id, origin, target, arrival):
-    return IoRequest(id=req_id, arrival=arrival, lba=0, origin=origin, target=target)
 
 
 class TestIntervalTracker:
@@ -88,17 +83,13 @@ class TestIntervalTracker:
         assert (stats.cache_qtime, stats.disk_qtime) == (0, 0)
 
     def test_single_completion_sets_max_latency(self):
-        self.tracker.record_completion(
-            routed_request(1, Origin.R, DeviceRole.SSD, arrival=0), now=250
-        )
+        self.tracker.record_completion(DeviceRole.SSD.index, Origin.R.index, 250)
         stats = self.tracker.close_interval(1000, 0, 0)
         assert stats.ssd_max_latency == 250
         assert stats.ssd_served == (1, 0, 0, 0)
 
     def test_windowed_counters_reset_between_windows(self):
-        self.tracker.record_completion(
-            routed_request(1, Origin.W, DeviceRole.HDD, arrival=0), now=400
-        )
+        self.tracker.record_completion(DeviceRole.HDD.index, Origin.W.index, 400)
         first = self.tracker.close_interval(1000, 0, 0)
         stats = self.tracker.close_interval(2000, 0, 0)
         assert first.hdd_served == (0, 1, 0, 0)
@@ -115,16 +106,16 @@ class TestIntervalTracker:
             self.tracker.close_interval(1000, 0, 0)
 
     def test_served_counts_partition_completions(self):
-        # (request, completion instant)
+        # (device, origin, latency)
         requests = [
-            (routed_request(1, Origin.R, DeviceRole.SSD, 0), 100),
-            (routed_request(2, Origin.P, DeviceRole.SSD, 0), 200),
-            (routed_request(3, Origin.R, DeviceRole.HDD, 0), 5000),
-            (routed_request(4, Origin.E, DeviceRole.HDD, 0), 9000),
-            (routed_request(5, Origin.W, DeviceRole.SSD, 50), 300),
+            (DeviceRole.SSD, Origin.R, 100),
+            (DeviceRole.SSD, Origin.P, 200),
+            (DeviceRole.HDD, Origin.R, 5000),
+            (DeviceRole.HDD, Origin.E, 9000),
+            (DeviceRole.SSD, Origin.W, 250),
         ]
-        for req, completed_at in requests:
-            self.tracker.record_completion(req, completed_at)
+        for role, origin, latency in requests:
+            self.tracker.record_completion(role.index, origin.index, latency)
         stats = self.tracker.close_interval(10_000, 0, 0)
         assert sum(stats.ssd_served) + sum(stats.hdd_served) == len(requests)
         # (r, w, p, e) per device
