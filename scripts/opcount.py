@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import sys
 from collections import Counter
@@ -57,7 +58,11 @@ class Count:
 
 
 def counted(body, count: Count):
-    """Call ``body()`` with every bytecode it executes added to ``count``; return its result."""
+    """Call ``body()`` with every bytecode it executes added to ``count``; return its result.
+
+    The cyclic collector is off meanwhile, so that a ``gc.callbacks``
+    hook, which runs whenever a collection happens to fall, adds none.
+    """
     tallies: dict = {}  # code object -> [bytecodes, frames]
 
     def on_call(frame, event, arg):
@@ -76,11 +81,15 @@ def counted(body, count: Count):
         return on_opcode
 
     previous = sys.gettrace()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.settrace(on_call)
     try:
         return body()
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
         for code, (opcodes, frames) in tallies.items():
             count.opcodes += opcodes
             count.frames += frames

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import time
+from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,6 +70,20 @@ class CacheReplica:
 
     An access is an application request's first ``submit`` row
     (``req == app``); its ``op`` and ``lba`` drive ``read`` or ``write``.
+
+    The replica also follows the data the cache is to hold. Every
+    admission of a block starts a residency, numbered in admission
+    order; ``residencies[n]`` maps each cache-bound write of residency
+    ``n`` (the writing request's id) to the version of the block it
+    carries, in submit order. A buffered or write-through write joins
+    its block's residency at its access, and a promotion when it is
+    submitted (``promote``). ``cancel`` applies a ``remove`` or ``drop``
+    row: the request's data never reaches the cache, so it leaves its
+    residency. Neither changes the metadata, as neither does in the
+    package. ``copy(lba)`` is the version the cache holds once its queue
+    drains: the last write of the block's residency that survives, or
+    None when none does. A dirty block's eviction or invalidation queues
+    ``(lba, copy)`` on ``writebacks``, the data its write-back carries.
     """
 
     def __init__(self, capacity):
@@ -78,35 +93,51 @@ class CacheReplica:
         self.policy = "WB"
         self.evict_writes = 0
         self.read_hits = 0
+        self.residencies = []  # residency number -> {request id: version}
+        self.resident = {}  # lba -> its residency number, while resident
+        self.writebacks = deque()  # (lba, version) per write-back, oldest first
+
+    def copy(self, lba):
+        data = self.residencies[self.resident[lba]]
+        return next(reversed(data.values())) if data else None
 
     def _touch(self, lba):
         self.order.remove(lba)
         self.order.append(lba)
 
+    def _leave(self, lba):
+        """Drop ``lba`` from the cache, writing back its copy if dirty."""
+        self.order.remove(lba)
+        if lba in self.dirty:
+            self.dirty.discard(lba)
+            self.evict_writes += 1
+            self.writebacks.append((lba, self.copy(lba)))
+        del self.resident[lba]
+
     def _admit(self, lba, dirty):
         if len(self.order) == self.capacity:
-            victim = self.order.pop(0)
-            if victim in self.dirty:
-                self.dirty.discard(victim)
-                self.evict_writes += 1
+            self._leave(self.order[0])
         self.order.append(lba)
         if dirty:
             self.dirty.add(lba)
+        self.resident[lba] = len(self.residencies)
+        self.residencies.append({})
 
     def read(self, lba):
+        """Access ``lba`` for a read; returns whether it hit."""
         if lba in self.order:
             self.read_hits += 1
             self._touch(lba)
-        elif self.policy != "WO":
+            return True
+        if self.policy != "WO":
             self._admit(lba, dirty=False)
+        return False
 
-    def write(self, lba):
+    def write(self, lba, req=None, version=None):
+        """Access ``lba`` for request ``req``'s write of ``version``."""
         if self.policy == "RO":
             if lba in self.order:
-                self.order.remove(lba)
-                if lba in self.dirty:
-                    self.dirty.discard(lba)
-                    self.evict_writes += 1
+                self._leave(lba)
             return
         if self.policy == "WT":
             if lba in self.order:
@@ -114,12 +145,167 @@ class CacheReplica:
                 self.dirty.discard(lba)
             else:
                 self._admit(lba, dirty=False)
-            return
-        if lba in self.order:  # WB and WO buffer the write
+        elif lba in self.order:  # WB and WO buffer the write
             self._touch(lba)
             self.dirty.add(lba)
         else:
             self._admit(lba, dirty=True)
+        self.residencies[self.resident[lba]][req] = version
+
+    def promote(self, req, lba, version):
+        """A promotion of ``lba`` entered the cache queue; it joins the block's residency."""
+        if lba in self.resident:
+            self.residencies[self.resident[lba]][req] = version
+
+    def cancel(self, req, lba):
+        """Apply a ``remove`` or ``drop`` row; returns whether cache-bound data left the cache."""
+        data = self.residencies[self.resident[lba]] if lba in self.resident else {}
+        if req not in data:
+            return False
+        del data[req]
+        return True
+
+
+class VersionOracle:
+    """Replays an event log with a version per block write: stale disk writes and phantom hits.
+
+    Each application write gives its block a new version, at its access;
+    version 0 is the disk's initial contents. A write request's data is
+    fixed when it is first submitted: an application write carries its
+    version and its write-through mirror the same, a promotion the
+    disk's version at its submit (the instant its disk read completed),
+    and an eviction write-back the cache's copy, from the
+    :class:`CacheReplica`. The disk's version changes when a disk write
+    completes, in the log's order.
+
+    * A **stale disk write** completes with an older version than the
+      disk holds. It is charged to the path that put the newer version
+      on the disk and not in the cache: ``buffered_write`` for a bypassed
+      WB or WO write, ``wt_half`` for a bypassed write-through cache
+      half. The bypassed write itself landing late is charged to its own
+      path, and a write-back carrying an older copy than the disk to the
+      path of the disk's version.
+    * A **phantom hit** is a read hit served by the cache from a
+      residency that no write ever reaches. It is charged to the read
+      miss that started the residency: ``dropped_promotion`` when its
+      promotion was dropped, ``late_promotion`` when its promotion
+      entered the cache queue only after the residency had ended.
+
+    Anything else lands in ``other_stale`` or ``other_phantom``.
+    """
+
+    PATHS = (
+        "buffered_write",
+        "wt_half",
+        "dropped_promotion",
+        "late_promotion",
+        "other_stale",
+        "other_phantom",
+    )
+
+    def __init__(self, cache_blocks):
+        self.replica = CacheReplica(cache_blocks)
+        self.latest = Counter()  # lba -> newest application version
+        self.disk = Counter()  # lba -> version on the disk
+        self.data = {}  # write request id -> (lba, version, path if bypassed)
+        self.bypassed = set()  # application writes a bypass took out of the cache
+        self.path_of = {}  # (lba, version) -> path of the bypassed write that carried it
+        self.hits = {}  # read hit id -> residency it reads
+        self.served = Counter()  # residency -> read hits the cache served from it
+        self.admitted = {}  # read miss id -> the residency its access started
+        self.promoting = {}  # promotion id -> the residency its read miss started
+        self.dropped = set()  # residencies whose promotion was dropped
+        self.late = set()  # residencies whose promotion came after they ended
+        self.counts = dict.fromkeys(self.PATHS, 0)
+
+    def replay(self, rows):
+        rows = list(rows)
+        accessed = set()
+        for k, row in enumerate(rows):
+            event = row["event"]
+            if event == "policy":
+                self.replica.policy = row["note"]
+                continue
+            req, lba, origin = int(row["req"]), int(row["lba"]), row["origin"]
+            if event == "submit":
+                if row["app"] == row["req"]:
+                    if req not in accessed:
+                        accessed.add(req)
+                        self._access(req, lba, origin)
+                elif origin == "W":  # a write-through mirror
+                    self.data[req] = (lba, self.data[int(row["app"])][1], None)
+                elif origin == "E":
+                    if not self.replica.writebacks:
+                        # a write-back before its access: the next row is that access
+                        nxt = rows[k + 1]
+                        assert nxt["event"] == "submit" and nxt["req"] == nxt["app"], nxt
+                        accessed.add(int(nxt["req"]))
+                        self._access(int(nxt["req"]), int(nxt["lba"]), nxt["origin"])
+                    written, version = self.replica.writebacks.popleft()
+                    assert written == lba, (row, written)
+                    self.data[req] = (lba, -1 if version is None else version, None)
+                elif origin == "P" and req not in self.data:
+                    residency = self._promoting(req, rows[k - 1])
+                    if self.replica.resident.get(lba) != residency:
+                        self.late.add(residency)
+                    self.data[req] = (lba, self.disk[lba], None)
+                    self.replica.promote(req, lba, self.disk[lba])
+            elif event in ("remove", "drop"):
+                if event == "drop":
+                    self.dropped.add(self._promoting(req, rows[k - 1]))
+                if self.replica.cancel(req, lba) and origin == "W":
+                    self.bypassed.add(req)
+                    _lba, version, path = self.data[req]
+                    self.path_of[lba, version] = path
+            elif event == "complete":
+                if row["target"] == "hdd" and req in self.data:
+                    self._disk_write(req)
+                elif row["target"] == "ssd" and req in self.hits:
+                    self.served[self.hits[req]] += 1
+        assert not self.replica.writebacks
+        for residency, hits in self.served.items():
+            if not self.replica.residencies[residency]:
+                if residency in self.dropped:
+                    self.counts["dropped_promotion"] += hits
+                elif residency in self.late:
+                    self.counts["late_promotion"] += hits
+                else:
+                    self.counts["other_phantom"] += hits
+        return self.counts
+
+    def _promoting(self, req, previous):
+        """The residency promotion ``req`` is for; ``previous`` is the row before its first.
+
+        A promotion is first logged, submitted or dropped, right after
+        its read miss's ``complete`` row.
+        """
+        if req not in self.promoting:
+            assert previous["event"] == "complete" and previous["origin"] == "R", previous
+            self.promoting[req] = self.admitted[int(previous["req"])]
+        return self.promoting[req]
+
+    def _access(self, req, lba, origin):
+        if origin == "R":
+            if self.replica.read(lba):
+                self.hits[req] = self.replica.resident[lba]
+            elif lba in self.replica.resident:
+                self.admitted[req] = self.replica.resident[lba]
+            return
+        self.latest[lba] += 1
+        version = self.latest[lba]
+        policy = self.replica.policy
+        path = "wt_half" if policy == "WT" else None if policy == "RO" else "buffered_write"
+        self.data[req] = (lba, version, path)
+        self.replica.write(lba, req, version)
+
+    def _disk_write(self, req):
+        lba, version, path = self.data[req]
+        newer = self.disk[lba]
+        if version < newer:
+            if req not in self.bypassed:  # else the bypassed write lands late itself
+                path = self.path_of.get((lba, newer))
+            self.counts[path or "other_stale"] += 1
+        self.disk[lba] = version
 
 
 def schedule_of(rows) -> Schedule:
