@@ -63,39 +63,79 @@ def counted(body, count: Count):
     The cyclic collector is off meanwhile, so that a ``gc.callbacks``
     hook, which runs whenever a collection happens to fall, adds none.
     """
-    tallies: dict = {}  # code object -> [bytecodes, frames]
+    opcodes: Counter = Counter()  # code object -> bytecodes executed
+    frames: Counter = Counter()  # code object -> frames entered
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return (_monitored if hasattr(sys, "monitoring") else _traced)(body, opcodes, frames)
+    finally:
+        if collecting:
+            gc.enable()
+        for code, n in opcodes.items():
+            name = getattr(code, "co_qualname", code.co_name)  # co_qualname is 3.11+
+            count.by_function[f"{Path(code.co_filename).stem}:{name}"] += n
+        count.opcodes += sum(opcodes.values())
+        count.frames += sum(frames.values())
+
+
+def _traced(body, opcodes: Counter, frames: Counter):
+    """``body()`` under ``sys.settrace``, every frame tracing its opcodes (Python 3.10, 3.11)."""
 
     def on_call(frame, event, arg):
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
-        tally = tallies.get(frame.f_code)
-        if tally is None:
-            tally = tallies[frame.f_code] = [0, 0]
-        tally[1] += 1
+        code = frame.f_code
+        frames[code] += 1
 
         def on_opcode(frame, event, arg):
             if event == "opcode":
-                tally[0] += 1
+                opcodes[code] += 1
             return on_opcode
 
         return on_opcode
 
     previous = sys.gettrace()
-    collecting = gc.isenabled()
-    gc.disable()
     sys.settrace(on_call)
     try:
         return body()
     finally:
         sys.settrace(previous)
-        if collecting:
-            gc.enable()
-        for code, (opcodes, frames) in tallies.items():
-            count.opcodes += opcodes
-            count.frames += frames
-            name = getattr(code, "co_qualname", code.co_name)  # co_qualname is 3.11+
-            module = Path(code.co_filename).stem
-            count.by_function[f"{module}:{name}"] += opcodes
+
+
+def _monitored(body, opcodes: Counter, frames: Counter):
+    """``body()`` under ``sys.monitoring`` instruction events (Python 3.12 on).
+
+    There ``sys.settrace`` misses the opcodes of the first frame of each
+    code object, so its count rises between repeats.
+    """
+
+    def on_frame(code, offset):
+        frames[code] += 1
+
+    def on_instruction(code, offset):
+        opcodes[code] += 1
+
+    monitoring = sys.monitoring
+    tool, events = monitoring.PROFILER_ID, monitoring.events
+    callbacks = {
+        events.PY_START: on_frame,
+        events.PY_RESUME: on_frame,
+        events.INSTRUCTION: on_instruction,
+    }
+    monitoring.use_tool_id(tool, "opcount")
+    for event, callback in callbacks.items():
+        monitoring.register_callback(tool, event, callback)
+    monitoring.set_events(tool, sum(callbacks))
+    try:
+        return body()
+    finally:
+        monitoring.set_events(tool, 0)
+        for event in callbacks:
+            monitoring.register_callback(tool, event, None)
+        monitoring.free_tool_id(tool)
+        # the instructions of this frame after ``set_events`` are not the body's
+        del opcodes[_monitored.__code__]
 
 
 def workload_configs(workload: str) -> list[tuple[object, bool]]:

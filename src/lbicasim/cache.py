@@ -5,8 +5,9 @@ and decides, per application access, which device requests realize it.
 Metadata updates synchronously when the access is planned; the tuple
 :meth:`CacheEngine.access` returns models the device traffic the access
 costs, as the ids of the cache requests it creates in its run's
-:class:`~lbicasim.engine.Requests` table. Hit and miss behaviour therefore matches a pure LRU run over the
-access sequence, independent of device timing.
+:class:`~lbicasim.engine.Requests` table. Hit and miss behaviour
+therefore matches a pure LRU run over the access sequence, independent
+of device timing.
 
 Four write policies steer where writes and promotions go:
 

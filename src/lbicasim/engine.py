@@ -189,7 +189,7 @@ class Device:
         self.read_latency = int(read_latency)
         self.write_latency = int(write_latency)
         # service time by Origin.index: R reads, W, P and E write
-        self._service = (self.read_latency, self.write_latency, self.write_latency, self.write_latency)
+        self._service = (self.read_latency, *[self.write_latency] * (len(Origin) - 1))
         self.origins: bytes | bytearray = b""  # see the class docstring
         self.waiting: deque[int] = deque()
         self.in_service: int | None = None

@@ -40,4 +40,5 @@ def test_two_counts_of_the_same_pairs_are_identical():
     assert run.opcodes > build.opcodes > 0
     assert run.frames > 0
     assert sum(run.by_function.values()) == run.opcodes
-    assert run.by_function.most_common(1)[0][0] == "engine:Simulator.step"
+    # a function is keyed by its qualified name from Python 3.11 on
+    assert run.by_function.most_common(1)[0][0] in ("engine:Simulator.step", "engine:step")

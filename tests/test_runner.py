@@ -511,16 +511,17 @@ LOGGED_EVENTS, LOGGED_NOTES = logged_event_fields()
 numbers = st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=10**9)
 
 # a cache request's (origin, arrival, lba, app), -1 for background traffic
-logged_requests = st.tuples(
-    st.sampled_from(Origin), numbers, numbers, st.just(-1) | numbers
-)
+logged_requests = st.tuples(st.sampled_from(Origin), numbers, numbers, st.just(-1) | numbers)
 
 
 LOGGED_SCHEDULE = [(0, 5, Origin.R), (7, 10**9, Origin.W), (7, 0, Origin.R)]
 
 
 def reference_row(time, event, req, target, note, fields):
-    """The row ``csv.writer`` writes for request ``req``, given its ``(origin, arrival, lba, app)``."""
+    """The row ``csv.writer`` writes for request ``req``, given each id's fields.
+
+    ``fields[req]`` is ``(origin, arrival, lba, app)``.
+    """
     origin, arrival, lba, app = fields[req]
     return (
         time,
@@ -567,7 +568,9 @@ class TestEventLogFormat:
         log = EventLog(buffer, "abc")
         log.requests = Requests(schedule_of(LOGGED_SCHEDULE))
         # each request's fields by id: a row's app is itself
-        fields = [(origin, arrival, lba, i) for i, (arrival, lba, origin) in enumerate(LOGGED_SCHEDULE)]
+        fields = [
+            (origin, arrival, lba, i) for i, (arrival, lba, origin) in enumerate(LOGGED_SCHEDULE)
+        ]
         for origin, arrival, lba, app in cache_requests:
             assert log.requests.add(origin.index, arrival, lba, app) == len(fields)
             fields.append((origin, arrival, lba, app))
