@@ -7,7 +7,8 @@ Usage, from the root of a checkout::
 Wall time on a shared host moves by more than most changes do; the
 number of bytecodes a run executes does not move at all between repeats
 on one interpreter. For each workload of the benchmark (perfbench's
-``harness.WORKLOADS``, read, not changed) the probe first builds every
+``harness.WORKLOADS``, read, not changed) the probe loads each pair's
+config as the benchmark does (``harness.load_pairs``), builds every
 pair's schedule with ``build_requests``, then runs each pair's
 ``Simulation.run`` (with ``events.log`` where the workload writes one,
 to the null device; no reports), both under ``sys.settrace`` with
@@ -36,6 +37,7 @@ import dataclasses
 import gc
 import os
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -44,8 +46,8 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import harness  # noqa: E402
-from lbicasim import EventLog, Simulation, build_requests, load_config  # noqa: E402
-from lbicasim.config import parse_config_text  # noqa: E402
+import lbicasim  # noqa: E402
+from lbicasim import EventLog, Simulation, build_requests  # noqa: E402
 
 
 @dataclasses.dataclass
@@ -138,20 +140,6 @@ def _monitored(body, opcodes: Counter, frames: Counter):
         del opcodes[_monitored.__code__]
 
 
-def workload_configs(workload: str) -> list[tuple[object, bool]]:
-    """Each pair of ``workload`` as ``(config, writes events.log)``, as perfbench loads it."""
-    pairs = []
-    for pair in harness.WORKLOADS[workload]:
-        if pair.scenario == "steady":
-            config = parse_config_text(harness.STEADY_CONFIG, "steady")
-        else:
-            config = load_config(ROOT / "scenarios" / f"{pair.scenario}.cfg")
-        config = dataclasses.replace(config, balancer=pair.balancer)
-        config.validate()
-        pairs.append((config, pair.events))
-    return pairs
-
-
 def count_pairs(pairs) -> tuple[Count, Count, int]:
     """``(build, run, application requests)`` counts over ``pairs`` of ``(config, events)``.
 
@@ -182,7 +170,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     print(f"python {sys.version.split()[0]} ({sys.version})")
     for workload in args.workload or list(harness.WORKLOADS):
-        build, run, requests = count_pairs(workload_configs(workload))
+        pairs = harness.WORKLOADS[workload]
+        with tempfile.TemporaryDirectory() as workdir:  # where steady's config is written
+            configs = harness.load_pairs(lbicasim, pairs, Path(workdir), seed=None)
+        build, run, requests = count_pairs(
+            [(config, pair.events) for config, pair in zip(configs, pairs)]
+        )
         print(
             f"{workload}: {requests} requests; run {run.opcodes} bytecodes"
             f" ({run.opcodes / requests:.1f} per request), {run.frames} frames;"

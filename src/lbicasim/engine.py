@@ -91,8 +91,9 @@ class Schedule:
 
     ``Schedule(n)`` allocates each column once at ``n`` rows of zeros,
     for a caller that knows its row count to fill by index and then
-    :meth:`check_order`; a column grown by :meth:`append` reallocates
-    as it grows, and keeps its spare capacity.
+    :meth:`check_order`. ``load_trace`` grows ``Schedule()``'s columns
+    line by line instead, and checks each line's order as it reads it; a
+    grown column reallocates as it grows, and keeps its spare capacity.
     """
 
     __slots__ = ("arrival", "lba", "read")
@@ -105,17 +106,8 @@ class Schedule:
     def __len__(self) -> int:
         return len(self.arrival)
 
-    def append(self, arrival: int, lba: int, read: bool) -> None:
-        """Schedule the next request; its arrival may not precede the last one's."""
-        arrivals = self.arrival
-        if arrivals and arrival < arrivals[-1]:
-            raise _out_of_order(len(arrivals), arrival, arrivals[-1])
-        arrivals.append(arrival)
-        self.lba.append(lba)
-        self.read.append(read)
-
     def check_order(self) -> None:
-        """Raise :meth:`append`'s error at the first row that arrives before its predecessor.
+        """Raise ValueError at the first row that arrives before its predecessor.
 
         One pass in C over the filled arrival column; the row is looked
         up only when the check fails.
@@ -123,13 +115,10 @@ class Schedule:
         arrivals = self.arrival
         if any(map(gt, arrivals, islice(arrivals, 1, None))):
             row = next(compress(count(1), map(gt, arrivals, islice(arrivals, 1, None))))
-            raise _out_of_order(row, arrivals[row], arrivals[row - 1])
-
-
-def _out_of_order(row: int, arrival: int, previous: int) -> ValueError:
-    return ValueError(
-        f"request {row} arrives at {arrival}, before the preceding scheduled arrival at {previous}"
-    )
+            raise ValueError(
+                f"request {row} arrives at {arrivals[row]},"
+                f" before the preceding scheduled arrival at {arrivals[row - 1]}"
+            )
 
 
 class Requests:

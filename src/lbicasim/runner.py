@@ -147,7 +147,6 @@ class Simulation:
         self.tracker = IntervalTracker(config.ssd_latency_avg, config.hdd_latency_avg)
         self.balancer = make_balancer(config.balancer, config.theta_dom)
         self.rows: list[IntervalRow] = []
-        self.bypassed_total = 0
         self.dropped_promotions = 0
         # an application read's row -> the id of its deferred promotion
         self._deferred: dict[int, int] = {}
@@ -181,7 +180,6 @@ class Simulation:
                 if events:
                     events.request(clock, "drop", req, _SSD, "bypassed promotion")
                 del self._live[req]
-        self.bypassed_total += len(removed)
         return len(removed)
 
     # ------------------------------------------------------------------
@@ -317,7 +315,7 @@ class Simulation:
             "cache_read_misses": self.cache.read_misses,
             "ssd_submitted": self.sim.ssd.submitted,
             "hdd_submitted": self.sim.hdd.submitted,
-            "bypassed_total": self.bypassed_total,
+            "bypassed_total": sum(row.bypassed for row in self.rows),
             "dropped_promotions": self.dropped_promotions,
             "dirty_writebacks": self.cache.dirty_writebacks,
             "dirty_resident_end": len(self.cache.dirty_lbas()),

@@ -31,10 +31,6 @@ def compute_queue_times(
     ssd_qsize: int, ssd_latency_avg: int, hdd_qsize: int, hdd_latency_avg: int
 ) -> tuple[int, int]:
     """Worst-case time to drain each queue: depth times average latency."""
-    if ssd_latency_avg <= 0 or hdd_latency_avg <= 0:
-        raise ValueError("average latencies must be positive")
-    if ssd_qsize < 0 or hdd_qsize < 0:
-        raise ValueError("queue sizes must be non-negative")
     return ssd_qsize * ssd_latency_avg, hdd_qsize * hdd_latency_avg
 
 

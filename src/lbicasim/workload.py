@@ -209,9 +209,9 @@ def load_trace(source: str | Path | Iterable[str]) -> Schedule:
                 f"line {lineno}: arrivals not sorted ({arrival} after {last_arrival})"
             )
         last_arrival = arrival
-        read = op_field == "R"
-        for offset in range(blocks):
-            schedule.append(arrival, lba + offset, read)
+        schedule.arrival.extend([arrival] * blocks)
+        schedule.lba.extend(range(lba, lba + blocks))
+        schedule.read.extend([op_field == "R"] * blocks)
     return schedule
 
 

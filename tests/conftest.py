@@ -4,7 +4,8 @@ The acceptance tests measure full runs of the committed scenarios under
 several balancers. Runs are deterministic, so they execute once per
 session and every test reads from the cache. Each cached run keeps the
 in-memory result, the written report directory (with events.log), and
-the wall-clock duration of the run itself.
+the wall-clock duration of the run itself. Each run's events.log is
+replayed once, by the version oracle, and the tests read that replay.
 """
 
 from __future__ import annotations
@@ -63,6 +64,17 @@ def scenario_runs(tmp_path_factory) -> dict[tuple[str, str], CachedRun]:
             out = root / f"{scenario}-{balancer}"
             runs[(scenario, balancer)] = execute_run(config_path, balancer, out)
     return runs
+
+
+@pytest.fixture(scope="session")
+def scenario_replays(scenario_runs) -> dict[tuple[str, str], VersionOracle]:
+    """Every scenario x balancer pair's events.log, replayed once by the version oracle."""
+    replays = {}
+    for pair, run in scenario_runs.items():
+        _, rows = read_events(run.out_dir / "events.log")
+        replays[pair] = oracle = VersionOracle(run.result.config.cache_blocks)
+        oracle.replay(rows)
+    return replays
 
 
 class CacheReplica:
@@ -192,6 +204,18 @@ class VersionOracle:
       entered the cache queue only after the residency had ended.
 
     Anything else lands in ``other_stale`` or ``other_phantom``.
+
+    The replay also checks each request's lifecycle: an access's submit
+    is at its arrival; every ``submit`` is closed by a ``complete`` or
+    ``remove`` row (a ``drop`` closes none) before the same id is
+    submitted again, and no id is submitted after its ``complete`` row,
+    so an application request is submitted again only after a bypass
+    removed it. It records the accessed application ids in order
+    (``accessed``), the ``complete`` rows per id (``completions``), the
+    eviction write-backs submitted (``evict_submits``), the rows setting
+    each policy (``policies``) and the submits to the cache device, per
+    policy and origin (``cache_submits``) and per time
+    (``cache_submit_times``).
     """
 
     PATHS = (
@@ -217,30 +241,46 @@ class VersionOracle:
         self.dropped = set()  # residencies whose promotion was dropped
         self.late = set()  # residencies whose promotion came after they ended
         self.counts = dict.fromkeys(self.PATHS, 0)
+        self.accessed = {}  # application request id -> None, in access order
+        self.completions = Counter()  # request id -> its complete rows
+        self.evict_submits = 0
+        self.policies = Counter()  # policy -> rows that set it
+        self.cache_submits = Counter()  # (policy, origin) -> submits to the cache device
+        self.cache_submit_times = Counter()  # time -> submits to the cache device
 
     def replay(self, rows):
         rows = list(rows)
-        accessed = set()
+        pending = set()  # ids submitted and not yet completed or removed
         for k, row in enumerate(rows):
             event = row["event"]
             if event == "policy":
                 self.replica.policy = row["note"]
+                self.policies[row["note"]] += 1
                 continue
             req, lba, origin = int(row["req"]), int(row["lba"]), row["origin"]
+            if event in ("complete", "remove"):
+                assert req in pending, f"{event} of request {req} at {row['time']} closes no submit"
+                pending.remove(req)
             if event == "submit":
+                again = f"request {req} submitted again at {row['time']}"
+                assert req not in pending, f"{again} before its complete or remove row"
+                assert req not in self.completions, f"{again} after its complete row"
+                pending.add(req)
+                if row["target"] == "ssd":
+                    self.cache_submits[self.replica.policy, origin] += 1
+                    self.cache_submit_times[int(row["time"])] += 1
                 if row["app"] == row["req"]:
-                    if req not in accessed:
-                        accessed.add(req)
-                        self._access(req, lba, origin)
+                    if req not in self.accessed:
+                        self._access(row)
                 elif origin == "W":  # a write-through mirror
                     self.data[req] = (lba, self.data[int(row["app"])][1], None)
                 elif origin == "E":
+                    self.evict_submits += 1
                     if not self.replica.writebacks:
                         # a write-back before its access: the next row is that access
                         nxt = rows[k + 1]
                         assert nxt["event"] == "submit" and nxt["req"] == nxt["app"], nxt
-                        accessed.add(int(nxt["req"]))
-                        self._access(int(nxt["req"]), int(nxt["lba"]), nxt["origin"])
+                        self._access(nxt)
                     written, version = self.replica.writebacks.popleft()
                     assert written == lba, (row, written)
                     self.data[req] = (lba, -1 if version is None else version, None)
@@ -258,10 +298,15 @@ class VersionOracle:
                     _lba, version, path = self.data[req]
                     self.path_of[lba, version] = path
             elif event == "complete":
+                self.completions[req] += 1
                 if row["target"] == "hdd" and req in self.data:
                     self._disk_write(req)
                 elif row["target"] == "ssd" and req in self.hits:
                     self.served[self.hits[req]] += 1
+        assert not pending, (
+            f"{len(pending)} submit rows never end in a complete or remove row"
+            f" (e.g. request {min(pending)})"
+        )
         assert not self.replica.writebacks
         for residency, hits in self.served.items():
             if not self.replica.residencies[residency]:
@@ -284,7 +329,11 @@ class VersionOracle:
             self.promoting[req] = self.admitted[int(previous["req"])]
         return self.promoting[req]
 
-    def _access(self, req, lba, origin):
+    def _access(self, row):
+        """Apply the access of the application request whose first ``submit`` is ``row``."""
+        req, lba, origin = int(row["req"]), int(row["lba"]), row["origin"]
+        assert row["time"] == row["arrival"], f"request {req}'s access is not at its arrival"
+        self.accessed[req] = None
         if origin == "R":
             if self.replica.read(lba):
                 self.hits[req] = self.replica.resident[lba]
@@ -352,17 +401,3 @@ def burst_window_indices(result: RunResult) -> set[int]:
     """Interval indices the run flagged as cache-side bottlenecks."""
     return {row.stats.interval_index for row in result.rows if row.burst}
 
-
-def ssd_submits_per_window(rows: list[dict[str, str]], interval_us: int) -> dict[int, int]:
-    """Count cache-queue submissions per interval window from an event log.
-
-    Window k covers times ((k-1)*L, k*L]; a submission at t lands in
-    window ceil(t / L).
-    """
-    counts: dict[int, int] = {}
-    for row in rows:
-        if row["event"] == "submit" and row["target"] == "ssd":
-            t = int(row["time"])
-            window = -(-t // interval_us)
-            counts[window] = counts.get(window, 0) + 1
-    return counts

@@ -3,13 +3,12 @@
 Each test is one criterion; the `pytest -v` status line is the pass/fail
 line, and every test also prints a one-line result with the measured
 values. Full-run criteria read the session-cached scenario runs from
-conftest.
+conftest, and their event logs' session-cached replays.
 """
 
 import filecmp
 import random
 import time
-from collections import Counter
 from statistics import fmean
 
 import pytest
@@ -25,15 +24,16 @@ from lbicasim.balancer import (
 )
 from lbicasim.cache import CacheEngine, WritePolicy
 from lbicasim.engine import DeviceRole
+from lbicasim.runner import EVENT_COLUMNS
 from lbicasim.telemetry import IntervalStats, compute_queue_times
 
 from conftest import (
     SCENARIOS,
     CacheReplica,
+    VersionOracle,
     burst_window_indices,
     execute_run,
     read_events,
-    ssd_submits_per_window,
 )
 
 
@@ -84,64 +84,22 @@ def test_criterion_02_reference_mixes_classify_exactly():
 # criterion 3: zero-traffic guarantees while WO / RO are active
 
 
-def policy_violations(rows, policy, offending):
-    """Replay the event log; count offending submissions while a policy holds."""
-    active = "WB"
-    activations = 0
-    violations = 0
-    for row in rows:
-        if row["event"] == "policy":
-            if row["note"] == policy and active != policy:
-                activations += 1
-            active = row["note"]
-        elif row["event"] == "submit" and active == policy and offending(row):
-            violations += 1
-    return activations, violations
-
-
-def test_criterion_03_policy_zero_traffic_guarantees(scenario_runs):
-    wo_run = scenario_runs[("random_read", "lbica")]
-    _, rows = read_events(wo_run.out_dir / "events.log")
-    wo_windows, promo_submits = policy_violations(
-        rows, "WO", lambda r: r["origin"] == "P" and r["target"] == "ssd"
-    )
-    assert wo_windows >= 1  # the policy actually engaged
-    assert promo_submits == 0  # zero tolerance
-
-    ro_run = scenario_runs[("mixed_rw", "lbica")]
-    _, rows = read_events(ro_run.out_dir / "events.log")
-    ro_windows, cache_writes = policy_violations(
-        rows, "RO", lambda r: r["origin"] == "W" and r["target"] == "ssd"
-    )
-    assert ro_windows >= 1
-    assert cache_writes == 0  # zero tolerance
+def test_criterion_03_policy_zero_traffic_guarantees(scenario_replays):
+    wo = scenario_replays[("random_read", "lbica")]
+    assert wo.policies["WO"] >= 1  # the policy actually engaged
+    assert wo.cache_submits["WO", "P"] == 0  # zero tolerance: no promotion enters the cache
+    ro = scenario_replays[("mixed_rw", "lbica")]
+    assert ro.policies["RO"] >= 1
+    assert ro.cache_submits["RO", "W"] == 0  # zero tolerance: no write enters the cache
     report(
         3,
-        f"WO active {wo_windows}x with 0 promote submits;"
-        f" RO active {ro_windows}x with 0 cache write submits",
+        f"WO active {wo.policies['WO']}x with 0 promote submits;"
+        f" RO active {ro.policies['RO']}x with 0 cache write submits",
     )
 
 
 # ----------------------------------------------------------------------
-# criterion 4: LRU equivalence against a brute-force oracle
-
-
-class BruteForceLru:
-    """List-based reference: index 0 is always the next victim."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.order = []
-
-    def touch(self, lba):
-        if lba in self.order:
-            self.order.remove(lba)
-            self.order.append(lba)
-            return True
-        if len(self.order) == self.capacity:
-            self.order.pop(0)
-        self.order.append(lba)
-        return False
+# criterion 4: LRU equivalence against the event-log replay's cache replica
 
 
 def test_criterion_04_lru_matches_brute_force():
@@ -152,15 +110,16 @@ def test_criterion_04_lru_matches_brute_force():
         capacity = rng.randint(1, 16)
         length = rng.randint(1, 1000)
         engine = CacheEngine(capacity)
-        oracle = BruteForceLru(capacity)
+        oracle = CacheReplica(capacity)  # write-back, a list with the next victim first
         for step in range(length):
             lba = rng.randrange(3 * capacity)
             is_read = rng.random() < 0.6
-            expect_hit = oracle.touch(lba)
+            expect_hit = lba in oracle.order
             assert (lba in engine.resident_lbas()) == expect_hit  # hit/miss identical
             _, target, _, _, _ = engine.access(step, lba, is_read, step)
             if is_read:  # routed to the cache exactly on a hit
                 assert (target is DeviceRole.SSD) == expect_hit
+            (oracle.read if is_read else oracle.write)(lba)
         assert engine.resident_lbas() == oracle.order  # same blocks, same order
         sequences += 1
     elapsed = time.monotonic() - started
@@ -172,27 +131,30 @@ def test_criterion_04_lru_matches_brute_force():
 # criterion 5: random-read burst, promote-heavy queue, cache load drops >= 40%
 
 
-def submits_in_windows(run, windows):
-    _, rows = read_events(run.out_dir / "events.log")
-    per_window = ssd_submits_per_window(rows, run.result.config.interval_us)
-    return sum(per_window.get(w, 0) for w in windows)
+def burst_reduction(scenario_runs, scenario_replays, scenario):
+    """Cache submits in none-wb's burst windows, under none-wb and under lbica, and their drop.
+
+    Window k covers times ((k-1)*L, k*L].
+    """
+    baseline = scenario_runs[(scenario, "none-wb")].result
+    windows = burst_window_indices(baseline)
+    assert windows, "scenario never saturated the cache queue"
+    interval = baseline.config.interval_us
+    counts = [scenario_replays[(scenario, b)].cache_submit_times for b in ("none-wb", "lbica")]
+    before, after = (sum(n for t, n in c.items() if -(-t // interval) in windows) for c in counts)
+    assert before > 0
+    return before, after, 1.0 - after / before
 
 
-def test_criterion_05_random_read_burst_reduction(scenario_runs):
+def test_criterion_05_random_read_burst_reduction(scenario_runs, scenario_replays):
     baseline = scenario_runs[("random_read", "none-wb")]
     lbica = scenario_runs[("random_read", "lbica")]
     assert baseline.elapsed_s < 60 and lbica.elapsed_s < 60
 
-    windows = burst_window_indices(baseline.result)
-    assert windows, "scenario never saturated the cache queue"
+    before, after, reduction = burst_reduction(scenario_runs, scenario_replays, "random_read")
     promote_ratios = [row.ratios.p for row in baseline.result.rows if row.burst]
     mean_p = fmean(promote_ratios)
     assert 0.45 <= mean_p <= 0.55  # tuned promote share, +/- 0.05
-
-    before = submits_in_windows(baseline, windows)
-    after = submits_in_windows(lbica, windows)
-    assert before > 0
-    reduction = 1.0 - after / before
     assert reduction >= 0.40
     report(
         5,
@@ -205,7 +167,7 @@ def test_criterion_05_random_read_burst_reduction(scenario_runs):
 # criterion 6: mixed burst at write fraction 0.70, cache load drops >= 60%
 
 
-def test_criterion_06_mixed_burst_reduction(scenario_runs):
+def test_criterion_06_mixed_burst_reduction(scenario_runs, scenario_replays):
     baseline = scenario_runs[("mixed_rw", "none-wb")]
     lbica = scenario_runs[("mixed_rw", "lbica")]
     assert baseline.elapsed_s < 60 and lbica.elapsed_s < 60
@@ -213,12 +175,7 @@ def test_criterion_06_mixed_burst_reduction(scenario_runs):
     for phase in baseline.result.config.phases:
         assert abs((1.0 - phase.read_fraction) - 0.70) < 1e-9  # stated write fraction
 
-    windows = burst_window_indices(baseline.result)
-    assert windows
-    before = submits_in_windows(baseline, windows)
-    after = submits_in_windows(lbica, windows)
-    assert before > 0
-    reduction = 1.0 - after / before
+    before, after, reduction = burst_reduction(scenario_runs, scenario_replays, "mixed_rw")
     assert reduction >= 0.60
     report(6, f"cache submissions {before} -> {after} ({reduction:.1%} >= 60%)")
 
@@ -314,67 +271,25 @@ def test_criterion_09_repeat_runs_byte_identical(scenario_runs, tmp_path):
 # criterion 10: event-log conservation and dirty-block accounting
 
 
-def replay_events(rows, cache_blocks):
-    """Replay an event log's rows through a ``CacheReplica``.
-
-    An access is the first ``submit`` row of an application request
-    (``req == app``), and its time is the request's arrival. A later
-    ``submit`` of that id must follow a ``remove`` of it: a bypass moves
-    the request to the disk. Any other repeat is a second dispatch.
-    """
-    replica = CacheReplica(cache_blocks)
-    access_ids = []
-    last_edit = {}  # application request id -> "submit" or "remove"
-    completions = Counter()
-    evict_submits = 0
-    for row in rows:
-        event, req = row["event"], row["req"]
-        if event == "policy":
-            replica.policy = row["note"]
-        elif event == "submit":
-            if row["origin"] == "E":
-                evict_submits += 1
-            if req != row["app"]:
-                continue
-            if req in last_edit:
-                again = f"request {req} dispatched again at {row['time']}"
-                assert last_edit[req] == "remove", again
-            else:
-                assert row["time"] == row["arrival"], row
-                access_ids.append(req)
-                if row["op"] == "read":
-                    replica.read(int(row["lba"]))
-                else:
-                    replica.write(int(row["lba"]))
-            last_edit[req] = "submit"
-        elif event == "remove" and req in last_edit:
-            last_edit[req] = "remove"
-        elif event == "complete":
-            completions[req] += 1
-    return replica, access_ids, completions, evict_submits
-
-
-def test_criterion_10_event_log_conservation(scenario_runs):
+def test_criterion_10_event_log_conservation(scenario_replays, scenario_runs):
+    # the version oracle's replay checks each request's lifecycle on every
+    # row: an access at its arrival, every submit closed by one complete or
+    # remove row, no id submitted again before then or after its complete
     checked = 0
-    for (scenario, balancer), run in scenario_runs.items():
-        _, rows = read_events(run.out_dir / "events.log")
-        replica, access_ids, completions, evict_submits = replay_events(
-            rows, run.result.config.cache_blocks
-        )
-        summary = run.summary
+    for (scenario, balancer), replay in scenario_replays.items():
+        summary = scenario_runs[(scenario, balancer)].summary
+        replica = replay.replica
 
-        # each application request is accessed exactly once and completes exactly once
-        assert len(access_ids) == len(set(access_ids)) == summary["app_requests"]
-        for req_id in access_ids:
-            assert completions[req_id] == 1, (scenario, balancer, req_id)
-        # nothing in the system ever completes twice
-        assert all(count == 1 for count in completions.values())
+        # each application request is accessed once and completes once
+        assert len(replay.accessed) == summary["app_requests"]
+        for req_id in replay.accessed:
+            assert replay.completions[req_id] == 1, (scenario, balancer, req_id)
 
         # every dirty block still resident, or exactly one eviction write:
         # the replayed eviction-write count matches the logged origin-E
         # submissions, and the replayed dirty set matches the reported
         # end-of-run state, so no dirty block was lost or written twice
-        assert replica.evict_writes == evict_submits == summary["dirty_writebacks"]
+        assert replica.evict_writes == replay.evict_submits == summary["dirty_writebacks"]
         assert len(replica.dirty) == summary["dirty_resident_end"]
         assert replica.read_hits == summary["cache_read_hits"]
         checked += 1
@@ -382,8 +297,8 @@ def test_criterion_10_event_log_conservation(scenario_runs):
 
 
 def test_event_log_replay_rejects_a_double_dispatch(tmp_path):
-    # criterion 10 reads each access off its first submit row, so a
-    # request dispatched twice must still fail the replay
+    # the replay reads each access off its first submit row, so a
+    # request dispatched twice must still fail it
     config = load_config(SCENARIOS["write_intensive"])
     first = 0  # the first scheduled request's id
     path = tmp_path / "events.log"
@@ -400,5 +315,44 @@ def test_event_log_replay_rejects_a_double_dispatch(tmp_path):
         sim.sim.on_arrive = dispatch_first_twice
         sim.run()
     _, rows = read_events(path)
-    with pytest.raises(AssertionError, match=f"request {first} dispatched again"):
-        replay_events(rows, config.cache_blocks)
+    with pytest.raises(AssertionError, match=rf"request {first} submitted again at \d+ before"):
+        VersionOracle(config.cache_blocks).replay(rows)
+
+
+# hand-written logs, one "time,event,req,app,origin,op,target,lba" row a line:
+# request 0 reads block 1 from the disk
+ACCESS = ["0,submit,0,0,R,read,hdd,1", "5000,complete,0,0,R,read,hdd,1"]
+
+
+@pytest.mark.parametrize(
+    "lines, problem",
+    [
+        # a late second dispatch, which passes a check that forgets a completed id
+        (
+            [*ACCESS, "5000,submit,0,0,R,read,hdd,1", "10000,complete,0,0,R,read,hdd,1"],
+            "request 0 submitted again at 5000 after its complete row",
+        ),
+        (
+            [
+                *ACCESS,
+                "5000,submit,1,0,P,write,ssd,1",
+                "5100,complete,1,0,P,write,ssd,1",
+                "5100,submit,1,0,P,write,ssd,1",
+            ],
+            "request 1 submitted again at 5100 after its complete row",
+        ),
+        (ACCESS[:1], "1 submit rows never end in a complete or remove row"),
+        # a drop discards a request; only a remove takes it off its device
+        (
+            [*ACCESS, "5000,submit,1,0,P,write,ssd,1", "6000,drop,1,0,P,write,ssd,1"],
+            r"never end .* \(e\.g\. request 1\)",
+        ),
+        (["7,submit,0,0,W,write,ssd,1"], "request 0's access is not at its arrival"),
+    ],
+    ids=["late-dispatch", "promotion-after-complete", "no-end", "drop-no-end", "late-access"],
+)
+def test_event_log_replay_rejects_a_broken_lifecycle(lines, problem):
+    # every row arrived at 0 and has no note
+    rows = [dict(zip(EVENT_COLUMNS, f"{line},0,".split(","))) for line in lines]
+    with pytest.raises(AssertionError, match=problem):
+        VersionOracle(4).replay(rows)

@@ -72,7 +72,7 @@ class TestRun:
 
     def test_a_trace_drives_the_same_run_as_the_schedule_it_was_dumped_from(self, tmp_path):
         # the generated schedule is filled by row into pre-sized columns, the
-        # loaded one grows row by row through ``Schedule.append``
+        # loaded one grows its columns line by line
         scenario = SCENARIOS["mixed_rw"]
         config = load_config(scenario)
         dump_trace(generate(config.phases, config.seed), tmp_path / "mixed_rw.trace")

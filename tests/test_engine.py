@@ -226,18 +226,6 @@ class TestArrivalOrder:
         ):
             schedule_of([(500, 0, Origin.R), (400, 1, Origin.R)])
 
-    def test_batch_names_the_first_out_of_order_request_and_schedules_nothing(self):
-        schedule = Schedule()
-        with pytest.raises(ValueError, match=r"request 3 arrives at 5,"):
-            for i, t in enumerate((0, 10, 10, 5, 3)):
-                schedule.append(t, i, True)
-        # the rejected request left no trace in any column
-        assert (list(schedule.arrival), schedule.lba, list(schedule.read)) == (
-            [0, 10, 10],
-            [0, 1, 2],
-            [1, 1, 1],
-        )
-
     @pytest.mark.parametrize(
         "arrivals, row",
         [
@@ -247,16 +235,12 @@ class TestArrivalOrder:
         ],
         ids=["first", "middle", "last"],
     )
-    def test_check_order_raises_appends_error_at_the_first_out_of_order_row(self, arrivals, row):
-        appended = Schedule()
-        with pytest.raises(ValueError) as by_append:
-            for t in arrivals:
-                appended.append(t, 0, True)
+    def test_check_order_names_the_first_out_of_order_row(self, arrivals, row):
         filled = Schedule(len(arrivals))
         filled.arrival[:] = array("q", arrivals)
         with pytest.raises(ValueError) as by_check:
             filled.check_order()
-        assert str(by_check.value) == str(by_append.value) == (
+        assert str(by_check.value) == (
             f"request {row} arrives at {arrivals[row]}, "
             f"before the preceding scheduled arrival at {arrivals[row - 1]}"
         )
