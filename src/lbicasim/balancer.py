@@ -70,18 +70,13 @@ class PolicyDecision:
     ``bypass_depth`` is the number of requests the controller asks to
     move from the cache queue tail to the disk. The runner clamps it to
     the waiting queue, so the count that actually moved can be smaller
-    (``IntervalRow.bypassed``). ``klass`` is None when the tick did not
+    (``IntervalStats.bypassed``). ``klass`` is None when the tick did not
     classify (no bottleneck, or a controller that never classifies).
     """
 
     policy: WritePolicy
     bypass_depth: int = 0
     klass: WorkloadClass | None = None
-
-
-def detect_bottleneck(stats: IntervalStats) -> bool:
-    """True when the cache queue would take strictly longer to drain."""
-    return stats.cache_qtime > stats.disk_qtime
 
 
 def classify(ratios: RatioVector, theta_dom: float) -> WorkloadClass:
@@ -93,10 +88,9 @@ def classify(ratios: RatioVector, theta_dom: float) -> WorkloadClass:
     pressure, r+w is a mixed foreground. Ties go to the more specific
     signature (r+p, then w+e) so a pure-read or pure-write queue is not
     absorbed into the mixed class. Below the threshold the queue stays
-    unclassified.
+    unclassified. ``theta_dom`` must lie in (0.5, 1.0], which
+    :class:`LbicaBalancer` checks once.
     """
-    if not 0.5 < theta_dom <= 1.0:
-        raise ValueError("theta_dom must be in (0.5, 1.0]")
     if ratios.p >= theta_dom:
         return WorkloadClass.SEQUENTIAL_READ
     groups: list[tuple[float, int, WorkloadClass | None]] = [
@@ -173,10 +167,12 @@ class LbicaBalancer:
     initial_policy = WritePolicy.WB
 
     def __init__(self, theta_dom: float):
+        if not 0.5 < theta_dom <= 1.0:
+            raise ValueError("theta_dom must be in (0.5, 1.0]")
         self.theta_dom = theta_dom
 
     def tick(self, stats: IntervalStats, ratios: RatioVector) -> PolicyDecision:
-        if not detect_bottleneck(stats):
+        if not stats.burst:
             return PolicyDecision(WritePolicy.WB)
         klass = classify(ratios, self.theta_dom)
         decision = assign_policy(klass)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import ConfigError
-from .runner import IntervalRow, RunResult
+from .runner import RunResult
+from .telemetry import IntervalStats
 
 INTERVAL_COLUMNS = (
     "interval",
@@ -46,16 +47,15 @@ INTERVAL_COLUMNS = (
 )
 
 
-def _interval_record(row: IntervalRow) -> tuple:
-    stats = row.stats
+def _interval_record(row: IntervalStats) -> tuple:
     return (
-        stats.interval_index,
-        stats.window_start,
-        stats.window_end,
-        stats.ssd_qsize,
-        stats.hdd_qsize,
-        stats.cache_qtime,
-        stats.disk_qtime,
+        row.interval_index,
+        row.window_start,
+        row.window_end,
+        row.ssd_qsize,
+        row.hdd_qsize,
+        row.cache_qtime,
+        row.disk_qtime,
         f"{row.ratios.r:.6f}",
         f"{row.ratios.w:.6f}",
         f"{row.ratios.p:.6f}",
@@ -64,16 +64,16 @@ def _interval_record(row: IntervalRow) -> tuple:
         row.klass,
         row.policy,
         row.bypassed,
-        *stats.ssd_served,
-        *stats.hdd_served,
-        stats.ssd_max_latency,
-        stats.hdd_max_latency,
+        *row.ssd_served,
+        *row.hdd_served,
+        row.ssd_max_latency,
+        row.hdd_max_latency,
     )
 
 
 def write_intervals(result: RunResult, path: Path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(f"# scenario={result.config.scenario_hash()}\n")
+        fh.write(f"# scenario={result.summary['scenario']}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(INTERVAL_COLUMNS)
         for row in result.rows:
@@ -82,7 +82,7 @@ def write_intervals(result: RunResult, path: Path) -> None:
 
 def write_summary(result: RunResult, path: Path) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(f"# scenario={result.config.scenario_hash()}\n")
+        fh.write(f"# scenario={result.summary['scenario']}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("metric", "value"))
         for key, value in result.summary.items():

@@ -34,7 +34,7 @@ import statistics
 from dataclasses import dataclass
 from typing import IO
 
-from .balancer import RatioVector, detect_bottleneck, make_balancer
+from .balancer import RatioVector, make_balancer
 from .cache import CacheEngine, WritePolicy
 from .config import RunConfig
 from .engine import Device, DeviceRole, Origin, Requests, Schedule, Simulator
@@ -100,25 +100,9 @@ class EventLog:
 
 
 @dataclass
-class IntervalRow:
-    """One intervals.csv row: closed stats plus the controller outcome.
-
-    ``bypassed`` is the number of requests that actually left the cache
-    queue; the depth the controller requested may be larger.
-    """
-
-    stats: IntervalStats
-    ratios: RatioVector
-    burst: bool
-    klass: str
-    policy: str
-    bypassed: int
-
-
-@dataclass
 class RunResult:
     config: RunConfig
-    rows: list[IntervalRow]
+    rows: list[IntervalStats]
     summary: dict
 
 
@@ -146,7 +130,7 @@ class Simulation:
         self.cache = CacheEngine(config.cache_blocks, requests=requests)
         self.tracker = IntervalTracker(config.ssd_latency_avg, config.hdd_latency_avg)
         self.balancer = make_balancer(config.balancer, config.theta_dom)
-        self.rows: list[IntervalRow] = []
+        self.rows: list[IntervalStats] = []
         self.dropped_promotions = 0
         # an application read's row -> the id of its deferred promotion
         self._deferred: dict[int, int] = {}
@@ -247,18 +231,13 @@ class Simulation:
         ratios = RatioVector.from_snapshot(take_snapshot(ssd, hdd))
         stats = self.tracker.close_interval(boundary, ssd.qsize, hdd.qsize)
         decision = self.balancer.tick(stats, ratios)
-        moved = self.bypass_tail(decision.bypass_depth) if decision.bypass_depth else 0
+        if decision.bypass_depth:
+            stats.bypassed = self.bypass_tail(decision.bypass_depth)
         self.set_policy(decision.policy)
-        self.rows.append(
-            IntervalRow(
-                stats=stats,
-                ratios=ratios,
-                burst=detect_bottleneck(stats),
-                klass=decision.klass.value if decision.klass is not None else "",
-                policy=decision.policy.value,
-                bypassed=moved,
-            )
-        )
+        stats.ratios = ratios
+        stats.klass = decision.klass.value if decision.klass is not None else ""
+        stats.policy = decision.policy.value
+        self.rows.append(stats)
 
     # ------------------------------------------------------------------
 
@@ -321,15 +300,15 @@ class Simulation:
             "dirty_resident_end": len(self.cache.dirty_lbas()),
             "burst_intervals": len(burst_rows),
             "mean_ssd_qsize_burst": (
-                statistics.fmean(row.stats.ssd_qsize for row in burst_rows) if burst_rows else 0.0
+                statistics.fmean(row.ssd_qsize for row in burst_rows) if burst_rows else 0.0
             ),
             "mean_hdd_qsize": (
-                statistics.fmean(row.stats.hdd_qsize for row in self.rows) if self.rows else 0.0
+                statistics.fmean(row.hdd_qsize for row in self.rows) if self.rows else 0.0
             ),
         }
         for device, served in (
-            ("ssd", [row.stats.ssd_served for row in self.rows]),
-            ("hdd", [row.stats.hdd_served for row in self.rows]),
+            ("ssd", [row.ssd_served for row in self.rows]),
+            ("hdd", [row.hdd_served for row in self.rows]),
         ):
             for origin in Origin:
                 summary[f"{device}_completed_{origin.value.lower()}"] = sum(

@@ -1,4 +1,4 @@
-"""Queue statistics: queue-time products, snapshots, per-interval counters.
+"""Queue statistics: snapshots and the per-interval record.
 
 The balancers act on two views of the system, both produced here:
 
@@ -7,8 +7,7 @@ The balancers act on two views of the system, both produced here:
   counts (constant cost at any queue depth), which the runner reduces to
   the cache queue's origin mix to characterize the queued workload;
 * an :class:`IntervalStats` record closed at every interval boundary,
-  carrying sampled queue depths and the queue-time products
-  ``qsize * latency_avg`` that drive bottleneck detection.
+  which becomes one row of ``intervals.csv``.
 
 Per-origin counts are 4-tuples in ``Origin`` order ``(r, w, p, e)``,
 the format ``Device.inqueue`` keeps. The open window counts completions
@@ -22,16 +21,13 @@ products of that and the sampled depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .engine import Device, DeviceRole, Origin
 
-
-def compute_queue_times(
-    ssd_qsize: int, ssd_latency_avg: int, hdd_qsize: int, hdd_latency_avg: int
-) -> tuple[int, int]:
-    """Worst-case time to drain each queue: depth times average latency."""
-    return ssd_qsize * ssd_latency_avg, hdd_qsize * hdd_latency_avg
+if TYPE_CHECKING:
+    from .balancer import RatioVector
 
 
 @dataclass(frozen=True)
@@ -53,13 +49,18 @@ def take_snapshot(ssd: Device, hdd: Device) -> QueueSnapshot:
 
 @dataclass
 class IntervalStats:
-    """One closed reporting interval.
+    """One closed reporting interval: one row of ``intervals.csv``.
 
-    Queue depths are sampled at the window end. ``ssd_served`` and
-    ``hdd_served`` count each device's completions inside the window per
-    origin, in ``Origin`` order ``(r, w, p, e)``; ``ssd_max_latency`` and
-    ``hdd_max_latency`` are the largest completion time less arrival
-    that each device saw in the window (zero when idle).
+    Queue depths are sampled at the window end. Construction derives
+    ``cache_qtime`` and ``disk_qtime``, each depth times its latency
+    term, and ``burst``, true when the cache queue would take strictly
+    longer to drain. ``ssd_served`` and ``hdd_served`` count each
+    device's completions inside the window per origin, in ``Origin``
+    order ``(r, w, p, e)``; ``ssd_max_latency`` and ``hdd_max_latency``
+    are the largest completion time less arrival that each device saw in
+    the window (zero when idle). The runner sets the last four fields
+    after the balancer's tick; ``bypassed`` counts the requests that
+    actually left the cache queue, which may be fewer than requested.
     """
 
     interval_index: int
@@ -69,12 +70,22 @@ class IntervalStats:
     hdd_qsize: int
     ssd_latency_avg: int
     hdd_latency_avg: int
-    cache_qtime: int
-    disk_qtime: int
+    cache_qtime: int = field(init=False)
+    disk_qtime: int = field(init=False)
+    burst: bool = field(init=False)
     ssd_served: tuple[int, int, int, int]
     hdd_served: tuple[int, int, int, int]
     ssd_max_latency: int
     hdd_max_latency: int
+    ratios: RatioVector | None = None
+    klass: str = ""
+    policy: str = ""
+    bypassed: int = 0
+
+    def __post_init__(self) -> None:
+        self.cache_qtime = self.ssd_qsize * self.ssd_latency_avg
+        self.disk_qtime = self.hdd_qsize * self.hdd_latency_avg
+        self.burst = self.cache_qtime > self.disk_qtime
 
 
 class IntervalTracker:
@@ -109,9 +120,6 @@ class IntervalTracker:
                 f"interval windows must not overlap: "
                 f"close at {end} after window start {self._window_start}"
             )
-        cache_qtime, disk_qtime = compute_queue_times(
-            ssd_qsize, self.ssd_latency_avg, hdd_qsize, self.hdd_latency_avg
-        )
         self._index += 1
         ssd_served, hdd_served = self._served  # DeviceRole order
         ssd_max_latency, hdd_max_latency = self._max_latency
@@ -123,8 +131,6 @@ class IntervalTracker:
             hdd_qsize=hdd_qsize,
             ssd_latency_avg=self.ssd_latency_avg,
             hdd_latency_avg=self.hdd_latency_avg,
-            cache_qtime=cache_qtime,
-            disk_qtime=disk_qtime,
             ssd_served=tuple(ssd_served),
             hdd_served=tuple(hdd_served),
             ssd_max_latency=ssd_max_latency,

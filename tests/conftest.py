@@ -22,6 +22,7 @@ import pytest
 from lbicasim import EventLog, RunResult, load_config, run_simulation, write_run
 from lbicasim.balancer import BALANCERS
 from lbicasim.engine import Origin, Schedule
+from lbicasim.telemetry import IntervalStats
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -374,6 +375,12 @@ def schedule_of(rows) -> Schedule:
     return schedule
 
 
+def make_stats(ssd_qsize, ssd_lat, hdd_qsize, hdd_lat) -> IntervalStats:
+    """An idle interval's record with these queue depths and latency terms."""
+    zeros = (0, 0, 0, 0)
+    return IntervalStats(1, 0, 100_000, ssd_qsize, hdd_qsize, ssd_lat, hdd_lat, zeros, zeros, 0, 0)
+
+
 def scheduled(schedule: Schedule) -> list[tuple[int, int, Origin]]:
     """Each scheduled request as an ``(arrival, lba, origin)`` row, request 0 first."""
     return [
@@ -399,5 +406,5 @@ def read_events(path: Path) -> tuple[str, list[dict[str, str]]]:
 
 def burst_window_indices(result: RunResult) -> set[int]:
     """Interval indices the run flagged as cache-side bottlenecks."""
-    return {row.stats.interval_index for row in result.rows if row.burst}
+    return {row.interval_index for row in result.rows if row.burst}
 

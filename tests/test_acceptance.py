@@ -25,7 +25,6 @@ from lbicasim.balancer import (
 from lbicasim.cache import CacheEngine, WritePolicy
 from lbicasim.engine import DeviceRole
 from lbicasim.runner import EVENT_COLUMNS
-from lbicasim.telemetry import IntervalStats, compute_queue_times
 
 from conftest import (
     SCENARIOS,
@@ -33,6 +32,7 @@ from conftest import (
     VersionOracle,
     burst_window_indices,
     execute_run,
+    make_stats,
     read_events,
 )
 
@@ -51,7 +51,8 @@ def test_criterion_01_queue_time_equation_exact():
     for _ in range(1000):
         s, h = rng.randrange(0, 1_000_000), rng.randrange(0, 1_000_000)
         ls, lh = rng.randrange(1, 100_000), rng.randrange(1, 100_000)
-        assert compute_queue_times(s, ls, h, lh) == (s * ls, h * lh)  # zero tolerance
+        stats = make_stats(s, ls, h, lh)
+        assert (stats.cache_qtime, stats.disk_qtime) == (s * ls, h * lh)  # zero tolerance
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
     report(1, f"1000 random queue states, exact products, {elapsed * 1000:.0f}ms")
@@ -220,22 +221,7 @@ def test_criterion_08_bypass_depth_minimality():
     for _ in range(1000):
         s, h = rng.randrange(0, 5000), rng.randrange(0, 5000)
         ls, lh = rng.randrange(1, 10_000), rng.randrange(1, 10_000)
-        stats = IntervalStats(
-            interval_index=1,
-            window_start=0,
-            window_end=1,
-            ssd_qsize=s,
-            hdd_qsize=h,
-            ssd_latency_avg=ls,
-            hdd_latency_avg=lh,
-            cache_qtime=s * ls,
-            disk_qtime=h * lh,
-            ssd_served=(0, 0, 0, 0),
-            hdd_served=(0, 0, 0, 0),
-            ssd_max_latency=0,
-            hdd_max_latency=0,
-        )
-        k = compute_bypass_depth(stats)
+        k = compute_bypass_depth(make_stats(s, ls, h, lh))
         assert k >= 0
         assert (s - k) * ls <= (h + k) * lh  # k rebalances
         if k >= 1:

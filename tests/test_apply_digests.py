@@ -51,7 +51,7 @@ def applied_run(tmp_path_factory):
 def test_a_tick_bypasses_and_switches_policy(applied_run):
     result, ticks, _ = applied_run
     switched = [
-        row.stats.interval_index
+        row.interval_index
         for row, (before, decision) in zip(result.rows, ticks)
         if row.bypassed > 0 and decision.policy is not before
     ]
@@ -61,7 +61,7 @@ def test_a_tick_bypasses_and_switches_policy(applied_run):
 def test_a_tick_asks_for_more_than_the_waiting_queue_holds(applied_run):
     result, ticks, _ = applied_run
     clamped = [
-        row.stats.interval_index
+        row.interval_index
         for row, (_before, decision) in zip(result.rows, ticks)
         if decision.bypass_depth > row.bypassed
     ]

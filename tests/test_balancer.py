@@ -1,4 +1,4 @@
-"""Bottleneck detection, workload classification, policy mapping, bypass depth."""
+"""Workload classification, policy mapping, bypass depth, the controllers' ticks."""
 
 import pytest
 from hypothesis import example, given
@@ -14,54 +14,14 @@ from lbicasim.balancer import (
     assign_policy,
     classify,
     compute_bypass_depth,
-    detect_bottleneck,
     make_balancer,
 )
 from lbicasim.cache import WritePolicy
-from lbicasim.telemetry import IntervalStats, QueueSnapshot
+from lbicasim.telemetry import QueueSnapshot
+
+from conftest import make_stats
 
 THETA_DOM = 0.8  # the dominance threshold every committed scenario runs at
-
-
-def make_stats(ssd_qsize, ssd_lat, hdd_qsize, hdd_lat, index=1):
-    cache_qtime = ssd_qsize * ssd_lat
-    disk_qtime = hdd_qsize * hdd_lat
-    return IntervalStats(
-        interval_index=index,
-        window_start=0,
-        window_end=100_000,
-        ssd_qsize=ssd_qsize,
-        hdd_qsize=hdd_qsize,
-        ssd_latency_avg=ssd_lat,
-        hdd_latency_avg=hdd_lat,
-        cache_qtime=cache_qtime,
-        disk_qtime=disk_qtime,
-        ssd_served=(0, 0, 0, 0),
-        hdd_served=(0, 0, 0, 0),
-        ssd_max_latency=0,
-        hdd_max_latency=0,
-    )
-
-
-class TestDetectBottleneck:
-    def test_cache_side_strictly_larger(self):
-        assert detect_bottleneck(make_stats(60, 100, 1, 5000)) is True
-
-    def test_equal_queue_times_are_not_a_bottleneck(self):
-        assert detect_bottleneck(make_stats(50, 100, 1, 5000)) is False
-
-    def test_idle_system(self):
-        assert detect_bottleneck(make_stats(0, 100, 0, 5000)) is False
-
-    @given(
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=1, max_value=10_000),
-        st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=1, max_value=10_000),
-    )
-    def test_detection_matches_strict_product_comparison(self, s, ls, h, lh):
-        stats = make_stats(s, ls, h, lh)
-        assert detect_bottleneck(stats) == (s * ls > h * lh)
 
 
 class TestClassify:
@@ -94,10 +54,11 @@ class TestClassify:
         assert classify(RatioVector(0.0, 1.0, 0.0, 0.0), THETA_DOM) is WorkloadClass.RANDOM_WRITE
 
     def test_threshold_bounds_enforced(self):
+        # checked once, when the balancer is built, not on every tick
         with pytest.raises(ValueError):
-            classify(RatioVector(1.0, 0.0, 0.0, 0.0), theta_dom=0.5)
+            LbicaBalancer(theta_dom=0.5)
         with pytest.raises(ValueError):
-            classify(RatioVector(1.0, 0.0, 0.0, 0.0), theta_dom=1.1)
+            LbicaBalancer(theta_dom=1.1)
 
     @given(
         st.integers(min_value=0, max_value=500),

@@ -55,9 +55,9 @@ class TestWriteAndRead:
         result, out = run_dir
         _, rows = read_intervals(out / "intervals.csv")
         for written, row in zip(rows, result.rows):
-            assert int(written["interval"]) == row.stats.interval_index
-            assert int(written["ssd_qsize"]) == row.stats.ssd_qsize
-            assert int(written["cache_qtime_us"]) == row.stats.cache_qtime
+            assert int(written["interval"]) == row.interval_index
+            assert int(written["ssd_qsize"]) == row.ssd_qsize
+            assert int(written["cache_qtime_us"]) == row.cache_qtime
             assert written["policy"] == row.policy
             assert int(written["burst"]) == int(row.burst)
 

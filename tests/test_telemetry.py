@@ -1,31 +1,34 @@
-"""Queue-time products, snapshots, and interval bookkeeping."""
+"""The interval record, snapshots, and interval bookkeeping."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lbicasim.engine import Device, DeviceRole, Origin, Requests, Schedule
-from lbicasim.telemetry import IntervalTracker, compute_queue_times, take_snapshot
+from lbicasim.telemetry import IntervalStats, IntervalTracker, take_snapshot
+
+from conftest import make_stats
 
 qsizes = st.integers(min_value=0, max_value=1_000_000)
 latencies = st.integers(min_value=1, max_value=100_000)
 
 
-class TestComputeQueueTimes:
-    def test_empty_queues(self):
-        assert compute_queue_times(0, 100, 0, 5000) == (0, 0)
-
-    def test_direct_products(self):
-        assert compute_queue_times(10, 100, 1, 5000) == (1000, 5000)
-
-    def test_cache_side_crossing_the_disk_side(self):
-        assert compute_queue_times(60, 100, 1, 5000) == (6000, 5000)
-
+class TestIntervalStats:
     @given(qsizes, latencies, qsizes, latencies)
-    def test_linearity(self, s, ls, h, lh):
-        cq, dq = compute_queue_times(s, ls, h, lh)
-        cq2, dq2 = compute_queue_times(2 * s, ls, 2 * h, lh)
-        assert (cq2, dq2) == (2 * cq, 2 * dq)
+    @example(0, 100, 0, 5000)  # an idle system: both empty, no burst
+    @example(10, 100, 1, 5000)  # the disk side dominates
+    @example(50, 100, 1, 5000)  # equal queue times are not a burst
+    @example(60, 100, 1, 5000)  # the cache side strictly larger
+    def test_queue_times_and_burst_derive_from_the_depths(self, s, ls, h, lh):
+        stats = make_stats(s, ls, h, lh)
+        assert (stats.cache_qtime, stats.disk_qtime) == (s * ls, h * lh)
+        assert stats.burst is (s * ls > h * lh)
+
+    @pytest.mark.parametrize("derived", ["cache_qtime", "disk_qtime", "burst"])
+    def test_derived_fields_are_not_arguments(self, derived):
+        zeros = (0, 0, 0, 0)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            IntervalStats(1, 0, 1, 0, 0, 100, 5000, zeros, zeros, 0, 0, **{derived: 0})
 
 
 class TestSnapshot:
