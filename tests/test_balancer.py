@@ -1,4 +1,4 @@
-"""Workload classification, policy mapping, bypass depth, the controllers' ticks."""
+"""Bottleneck detection, classification, policy mapping, bypass depth, the ticks."""
 
 import pytest
 from hypothesis import example, given
@@ -22,6 +22,28 @@ from lbicasim.telemetry import QueueSnapshot
 from conftest import make_stats
 
 THETA_DOM = 0.8  # the dominance threshold every committed scenario runs at
+
+
+class TestDetectBottleneck:
+    """The burst flag LBICA acts on, as the interval record derives it."""
+
+    def test_cache_side_strictly_larger(self):
+        assert make_stats(60, 100, 1, 5000).burst is True
+
+    def test_equal_queue_times_are_not_a_bottleneck(self):
+        assert make_stats(50, 100, 1, 5000).burst is False
+
+    def test_idle_system(self):
+        assert make_stats(0, 100, 0, 5000).burst is False
+
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=10_000),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=10_000),
+    )
+    def test_detection_matches_strict_product_comparison(self, s, ls, h, lh):
+        assert make_stats(s, ls, h, lh).burst is (s * ls > h * lh)
 
 
 class TestClassify:

@@ -1,4 +1,4 @@
-"""Cache policy semantics, counters, and each access planned against the cache replica."""
+"""Cache policy semantics, counters, LRU against a list oracle and the cache replica."""
 
 import random
 from collections import namedtuple
@@ -214,6 +214,52 @@ class TestContracts:
         for i in range(20):
             read(engine, i, lba=i, now=i)
             assert len(engine.resident_lbas()) <= 3
+
+
+class LruOracle:
+    """Independent list-based LRU: index 0 is the victim."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.order = []
+
+    def touch(self, lba):
+        """Access one block; returns whether it was a hit."""
+        if lba in self.order:
+            self.order.remove(lba)
+            self.order.append(lba)
+            return True
+        if len(self.order) == self.capacity:
+            self.order.pop(0)
+        self.order.append(lba)
+        return False
+
+
+def replay_against_oracle(capacity, accesses):
+    """Drive engine and oracle in lockstep; returns per-access hit flags."""
+    engine = make_engine(capacity=capacity)
+    oracle = LruOracle(capacity)
+    engine_hits = []
+    oracle_hits = []
+    for step, (lba, is_read) in enumerate(accesses):
+        engine_hits.append(lba in engine.resident_lbas())
+        oracle_hits.append(oracle.touch(lba))
+        engine.access(step, lba, is_read, step)
+    assert engine.resident_lbas() == oracle.order  # same blocks, same recency order
+    return engine_hits, oracle_hits
+
+
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=48), st.booleans()),
+        max_size=200,
+    ),
+)
+def test_lru_equivalence_property(capacity, accesses):
+    engine_hits, oracle_hits = replay_against_oracle(capacity, accesses)
+    assert engine_hits == oracle_hits
+
 
 
 def test_read_hit_miss_counters():

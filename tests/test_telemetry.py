@@ -13,6 +13,28 @@ qsizes = st.integers(min_value=0, max_value=1_000_000)
 latencies = st.integers(min_value=1, max_value=100_000)
 
 
+class TestComputeQueueTimes:
+    """The queue-time products the interval record derives from its depths."""
+
+    def test_empty_queues(self):
+        stats = make_stats(0, 100, 0, 5000)
+        assert (stats.cache_qtime, stats.disk_qtime) == (0, 0)
+
+    def test_direct_products(self):
+        stats = make_stats(10, 100, 1, 5000)
+        assert (stats.cache_qtime, stats.disk_qtime) == (1000, 5000)
+
+    def test_cache_side_crossing_the_disk_side(self):
+        stats = make_stats(60, 100, 1, 5000)
+        assert (stats.cache_qtime, stats.disk_qtime) == (6000, 5000)
+
+    @given(qsizes, latencies, qsizes, latencies)
+    def test_linearity(self, s, ls, h, lh):
+        once = make_stats(s, ls, h, lh)
+        twice = make_stats(2 * s, ls, 2 * h, lh)
+        assert (twice.cache_qtime, twice.disk_qtime) == (2 * once.cache_qtime, 2 * once.disk_qtime)
+
+
 class TestIntervalStats:
     @given(qsizes, latencies, qsizes, latencies)
     @example(0, 100, 0, 5000)  # an idle system: both empty, no burst
