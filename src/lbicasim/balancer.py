@@ -93,12 +93,13 @@ def classify(ratios: RatioVector, theta_dom: float) -> WorkloadClass:
     """
     if ratios.p >= theta_dom:
         return WorkloadClass.SEQUENTIAL_READ
-    groups: list[tuple[float, int, WorkloadClass | None]] = [
-        (ratios.r + ratios.p, 2, WorkloadClass.RANDOM_READ),
-        (ratios.w + ratios.e, 1, None),  # split on w vs e below
-        (ratios.r + ratios.w, 0, WorkloadClass.MIXED_READ_WRITE),
+    groups: list[tuple[float, WorkloadClass | None]] = [
+        (ratios.r + ratios.p, WorkloadClass.RANDOM_READ),
+        (ratios.w + ratios.e, None),  # split on w vs e below
+        (ratios.r + ratios.w, WorkloadClass.MIXED_READ_WRITE),
     ]
-    score, _prio, klass = max(groups, key=lambda g: (g[0], g[1]))
+    # ``max`` keeps the first of equal scores, so ties go in list order
+    score, klass = max(groups, key=lambda g: g[0])
     if score < theta_dom:
         return WorkloadClass.UNCLASSIFIED
     if klass is None:

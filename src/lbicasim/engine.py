@@ -231,8 +231,6 @@ class Device:
         requests are returned in queue order (closest-to-service first).
         """
         n = min(count, len(self.waiting))
-        if n <= 0:
-            return []
         removed = [self.waiting.pop() for _ in range(n)]
         removed.reverse()
         inqueue, origins = self.inqueue, self.origins

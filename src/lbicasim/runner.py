@@ -272,7 +272,7 @@ class Simulation:
                 median_lat = latencies[half]
             else:
                 median_lat = (latencies[half - 1] + latencies[half]) / 2
-            p99_lat = latencies[max(0, -(-99 * len(latencies) // 100) - 1)]
+            p99_lat = latencies[-(-99 * len(latencies) // 100) - 1]
             max_lat = latencies[-1]
         else:
             mean_lat = median_lat = 0.0

@@ -206,6 +206,14 @@ class VersionOracle:
 
     Anything else lands in ``other_stale`` or ``other_phantom``.
 
+    An **early hit** is a read hit that the cache serves before the first
+    install of its residency completes: before a cache-bound write that
+    joined the residency (a buffered or write-through cache write, or a
+    promotion) completes on the cache device. A hit queued while its
+    block's promotion still waits for its disk read is one, and so is
+    every phantom hit, whose residency is never installed.
+    ``early_hits`` counts them, apart from ``counts``.
+
     The replay also checks each request's lifecycle: an access's submit
     is at its arrival; every ``submit`` is closed by a ``complete`` or
     ``remove`` row (a ``drop`` closes none) before the same id is
@@ -239,6 +247,9 @@ class VersionOracle:
         self.served = Counter()  # residency -> read hits the cache served from it
         self.admitted = {}  # read miss id -> the residency its access started
         self.promoting = {}  # promotion id -> the residency its read miss started
+        self.install_of = {}  # cache-bound write id -> the residency it joined
+        self.installed = set()  # residencies whose first install completed
+        self.early_hits = 0
         self.dropped = set()  # residencies whose promotion was dropped
         self.late = set()  # residencies whose promotion came after they ended
         self.counts = dict.fromkeys(self.PATHS, 0)
@@ -291,6 +302,7 @@ class VersionOracle:
                         self.late.add(residency)
                     self.data[req] = (lba, self.disk[lba], None)
                     self.replica.promote(req, lba, self.disk[lba])
+                    self._joined(req, lba)
             elif event in ("remove", "drop"):
                 if event == "drop":
                     self.dropped.add(self._promoting(req, rows[k - 1]))
@@ -304,6 +316,9 @@ class VersionOracle:
                     self._disk_write(req)
                 elif row["target"] == "ssd" and req in self.hits:
                     self.served[self.hits[req]] += 1
+                    self.early_hits += self.hits[req] not in self.installed
+                elif row["target"] == "ssd" and req in self.install_of:
+                    self.installed.add(self.install_of[req])
         assert not pending, (
             f"{len(pending)} submit rows never end in a complete or remove row"
             f" (e.g. request {min(pending)})"
@@ -347,6 +362,12 @@ class VersionOracle:
         path = "wt_half" if policy == "WT" else None if policy == "RO" else "buffered_write"
         self.data[req] = (lba, version, path)
         self.replica.write(lba, req, version)
+        self._joined(req, lba)
+
+    def _joined(self, req, lba):
+        """Cache-bound write ``req`` of ``lba`` was submitted; note the residency it joined."""
+        if lba in self.replica.resident:
+            self.install_of[req] = self.replica.resident[lba]
 
     def _disk_write(self, req):
         lba, version, path = self.data[req]

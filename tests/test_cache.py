@@ -1,6 +1,5 @@
-"""Cache policy semantics, counters, LRU against a list oracle and the cache replica."""
+"""Cache policy semantics, counters, and access planning against the cache replica."""
 
-import random
 from collections import namedtuple
 
 import pytest
@@ -216,75 +215,12 @@ class TestContracts:
             assert len(engine.resident_lbas()) <= 3
 
 
-class LruOracle:
-    """Independent list-based LRU: index 0 is the victim."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.order = []
-
-    def touch(self, lba):
-        """Access one block; returns whether it was a hit."""
-        if lba in self.order:
-            self.order.remove(lba)
-            self.order.append(lba)
-            return True
-        if len(self.order) == self.capacity:
-            self.order.pop(0)
-        self.order.append(lba)
-        return False
-
-
-def replay_against_oracle(capacity, accesses):
-    """Drive engine and oracle in lockstep; returns per-access hit flags."""
-    engine = make_engine(capacity=capacity)
-    oracle = LruOracle(capacity)
-    engine_hits = []
-    oracle_hits = []
-    for step, (lba, is_read) in enumerate(accesses):
-        engine_hits.append(lba in engine.resident_lbas())
-        oracle_hits.append(oracle.touch(lba))
-        engine.access(step, lba, is_read, step)
-    assert engine.resident_lbas() == oracle.order  # same blocks, same recency order
-    return engine_hits, oracle_hits
-
-
-@given(
-    st.integers(min_value=1, max_value=16),
-    st.lists(
-        st.tuples(st.integers(min_value=0, max_value=48), st.booleans()),
-        max_size=200,
-    ),
-)
-def test_lru_equivalence_property(capacity, accesses):
-    engine_hits, oracle_hits = replay_against_oracle(capacity, accesses)
-    assert engine_hits == oracle_hits
-
-
-
 def test_read_hit_miss_counters():
     engine = make_engine(capacity=2)
     read(engine, 1, lba=1)
     read(engine, 2, lba=1)
     read(engine, 3, lba=2)
     assert (engine.read_hits, engine.read_misses) == (1, 2)
-
-
-def test_dirty_episode_accounting_small_scale():
-    """Every dirtied block ends resident or with exactly one writeback."""
-    rng = random.Random(99)
-    engine = make_engine(capacity=4)
-    evictions = []
-    for step in range(400):
-        lba = rng.randrange(12)
-        if rng.random() < 0.5:
-            immediate, _, _ = write(engine, step, lba, now=step)
-        else:
-            immediate, _, _ = read(engine, step, lba, now=step)
-        evictions.extend(r for r in immediate if r.origin is Origin.E)
-    assert engine.dirty_writebacks == len(evictions)
-    # engine-reported writebacks all target the disk
-    assert all(r.target is DeviceRole.HDD for r in evictions)
 
 
 def documented_plan(policy, is_read, lba, hit, writeback_lba):

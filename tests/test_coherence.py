@@ -16,11 +16,17 @@ each count is charged):
   the cache queue only after the block was evicted again; the read hits
   served in between read a block that never reached the cache.
 
+The oracle also counts early hits apart: read hits the cache serves
+before the first install of their residency completes, such as a hit
+queued while its block's promotion still waits for its disk read.
+
 The counts are pinned, so a change that moves one shows here; a fix to a
 path sets its counts to 0 in the same change.
 """
 
 import csv
+import dataclasses
+import functools
 import io
 import sys
 from pathlib import Path
@@ -44,41 +50,71 @@ PINNED = {
     ("read_then_write", "lbica"): {"buffered_write": 529, "dropped_promotion": 131},
 }
 
+# per pair, the oracle's early hits; every other pair has none
+EARLY_HITS = {
+    ("random_read", "none-wb"): 173,
+    ("random_read", "lbica"): 1,
+    ("random_read", "sib"): 3964,
+    ("mixed_rw", "sib"): 23,
+    ("read_then_write", "none-wb"): 77,
+    ("read_then_write", "lbica"): 185,
+    ("read_then_write", "sib"): 1812,
+}
+
 
 def expected(pair):
     return {**dict.fromkeys(VersionOracle.PATHS, 0), **PINNED.get(pair, {})}
 
 
 def replayed(text, cache_blocks):
-    """The oracle's counts over an ``events.log`` held in ``text``."""
+    """The oracle after replaying an ``events.log`` held in ``text``."""
+    oracle = VersionOracle(cache_blocks)
     with io.StringIO(text) as fh:
         fh.readline()  # "# scenario=..." header
-        return VersionOracle(cache_blocks).replay(csv.DictReader(fh))
+        oracle.replay(csv.DictReader(fh))
+    return oracle
+
+
+@functools.cache
+def read_then_write(balancer):
+    """The oracle after replaying read_then_write.cfg's log under ``balancer``."""
+    config = dataclasses.replace(load_config(READ_THEN_WRITE), balancer=balancer)
+    buffer = io.StringIO()
+    run_simulation(config, events=EventLog(buffer, config.scenario_hash()))
+    return replayed(buffer.getvalue(), config.cache_blocks)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("balancer", BALANCERS)
 def test_the_oracle_counts_are_pinned_per_pair_and_path(scenario_replays, scenario, balancer):
-    assert scenario_replays[(scenario, balancer)].counts == expected((scenario, balancer))
+    replay = scenario_replays[(scenario, balancer)]
+    assert replay.counts == expected((scenario, balancer))
+    assert replay.early_hits == EARLY_HITS.get((scenario, balancer), 0)
 
 
 def test_the_oracle_counts_are_pinned_on_read_then_write():
-    config = load_config(READ_THEN_WRITE)
-    buffer = io.StringIO()
-    run_simulation(config, events=EventLog(buffer, config.scenario_hash()))
-    counts = replayed(buffer.getvalue(), config.cache_blocks)
-    assert counts == expected(("read_then_write", config.balancer))
+    balancer = load_config(READ_THEN_WRITE).balancer
+    assert read_then_write(balancer).counts == expected(("read_then_write", balancer))
+
+
+@pytest.mark.parametrize("balancer", BALANCERS)
+def test_the_early_hits_are_pinned_on_read_then_write(balancer):
+    assert read_then_write(balancer).early_hits == EARLY_HITS.get(("read_then_write", balancer), 0)
 
 
 def small_run(schedule, cache_blocks, drive):
-    """Run ``schedule`` through ``drive(sim)``; the oracle's counts over its log."""
+    """Run ``schedule`` through ``drive(sim)``; the oracle's nonzero counts over its log.
+
+    Early hits count under ``early_hits``.
+    """
     config = RunConfig(cache_blocks=cache_blocks, phases=())  # SSD 100us, HDD 5000us
     buffer = io.StringIO()
     sim = Simulation(config, schedule, events=EventLog(buffer, config.scenario_hash()))
     sim.set_policy(sim.balancer.initial_policy)
     drive(sim)
     assert sim.sim.step(sys.maxsize) is False
-    counts = replayed(buffer.getvalue(), cache_blocks)
+    oracle = replayed(buffer.getvalue(), cache_blocks)
+    counts = {**oracle.counts, "early_hits": oracle.early_hits}
     return {path: n for path, n in counts.items() if n}
 
 
@@ -104,4 +140,12 @@ def test_a_hit_on_a_block_whose_promotion_is_dropped_is_a_phantom():
         sim.sim.step(10)
         sim.set_policy(WritePolicy.WO)
 
-    assert small_run(schedule, 4, drive) == {"dropped_promotion": 1}
+    # its residency is never installed, so the phantom hit is also early
+    assert small_run(schedule, 4, drive) == {"dropped_promotion": 1, "early_hits": 1}
+
+
+def test_a_hit_queued_before_its_blocks_promotion_is_early():
+    # the hit enters the cache queue at 10 and is served at 110; the
+    # miss's promotion enters it only when the disk read ends, at 5 000
+    schedule = schedule_of([(0, 1, Origin.R), (10, 1, Origin.R)])
+    assert small_run(schedule, 4, lambda sim: None) == {"early_hits": 1}

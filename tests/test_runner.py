@@ -104,6 +104,19 @@ class TestEndToEnd:
         assert ssd_done == summary["ssd_submitted"]
         assert hdd_done == summary["hdd_submitted"]
 
+    def test_latencies_of_three_queued_reads(self):
+        # three read misses queue on the disk and finish 5, 10 and 15 ms in
+        schedule = schedule_of((0, lba, Origin.R) for lba in range(3))
+        summary = Simulation(small_config(phases=()), schedule).run().summary
+        latencies = [summary[f"{k}_latency_us"] for k in ("mean", "median", "p99", "max")]
+        assert latencies == [10_000, 10_000, 15_000, 15_000]
+
+    def test_an_empty_schedule_closes_no_interval(self):
+        result = Simulation(small_config(phases=()), Schedule()).run()
+        assert result.rows == []
+        latencies = [result.summary[f"{k}_latency_us"] for k in ("mean", "median", "p99", "max")]
+        assert latencies == [0, 0, 0, 0]
+
     def test_event_log_records_the_scenario_hash(self):
         config = small_config()
         buffer = io.StringIO()

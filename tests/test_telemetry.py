@@ -1,7 +1,7 @@
 """The interval record, snapshots, and interval bookkeeping."""
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lbicasim.engine import Device, DeviceRole, Origin, Requests, Schedule
@@ -37,10 +37,6 @@ class TestComputeQueueTimes:
 
 class TestIntervalStats:
     @given(qsizes, latencies, qsizes, latencies)
-    @example(0, 100, 0, 5000)  # an idle system: both empty, no burst
-    @example(10, 100, 1, 5000)  # the disk side dominates
-    @example(50, 100, 1, 5000)  # equal queue times are not a burst
-    @example(60, 100, 1, 5000)  # the cache side strictly larger
     def test_queue_times_and_burst_derive_from_the_depths(self, s, ls, h, lh):
         stats = make_stats(s, ls, h, lh)
         assert (stats.cache_qtime, stats.disk_qtime) == (s * ls, h * lh)
