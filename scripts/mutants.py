@@ -363,6 +363,9 @@ def probe(
     return outcomes, time.monotonic() - started, setting
 
 
+STATUSES = ("killed", "survived", "timeout", "equivalent")
+
+
 def tally(
     chosen: list[Mutant], outcomes: dict[str, Outcome], equivalents: dict[str, str]
 ) -> dict[str, dict[str, int]]:
@@ -376,8 +379,6 @@ def tally(
         row[status] += 1
     return counts
 
-
-STATUSES = ("killed", "survived", "timeout", "equivalent")
 
 
 def report(chosen, outcomes, equivalents, runtime, setting) -> None:
