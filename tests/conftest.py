@@ -6,12 +6,16 @@ session and every test reads from the cache. Each cached run keeps the
 in-memory result, the written report directory (with events.log), and
 the wall-clock duration of the run itself. Each run's events.log is
 replayed once, by the version oracle, and the tests read that replay.
+``tests/scenarios/read_then_write.cfg`` runs once per balancer, with its
+ticks recorded and its log kept in memory.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
+import io
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -19,7 +23,15 @@ from pathlib import Path
 
 import pytest
 
-from lbicasim import EventLog, RunResult, load_config, run_simulation, write_run
+from lbicasim import (
+    EventLog,
+    RunResult,
+    Simulation,
+    build_requests,
+    load_config,
+    run_simulation,
+    write_run,
+)
 from lbicasim.balancer import BALANCERS
 from lbicasim.engine import Origin, Schedule
 from lbicasim.telemetry import IntervalStats
@@ -31,6 +43,7 @@ SCENARIOS = {
     "mixed_rw": SCENARIO_DIR / "mixed_rw.cfg",
     "write_intensive": SCENARIO_DIR / "write_intensive.cfg",
 }
+READ_THEN_WRITE = Path(__file__).with_name("scenarios") / "read_then_write.cfg"
 
 
 @dataclass
@@ -76,6 +89,43 @@ def scenario_replays(scenario_runs) -> dict[tuple[str, str], VersionOracle]:
         replays[pair] = oracle = VersionOracle(run.result.config.cache_blocks)
         oracle.replay(rows)
     return replays
+
+
+@dataclass
+class LoggedRun:
+    result: RunResult
+    ticks: list  # (the policy before each tick, the tick's decision)
+    log: str  # the run's events.log
+
+    @functools.cached_property
+    def replay(self) -> VersionOracle:
+        """The version oracle after replaying ``log``."""
+        oracle = VersionOracle(self.result.config.cache_blocks)
+        oracle.replay(read_events(io.StringIO(self.log))[1])
+        return oracle
+
+
+def logged_run(config_path: Path, balancer: str) -> LoggedRun:
+    config = dataclasses.replace(load_config(config_path), balancer=balancer)
+    buffer = io.StringIO()
+    sim = Simulation(config, build_requests(config), events=EventLog(buffer, config.scenario_hash()))
+    decide, ticks = sim.balancer.tick, []
+
+    def recording_tick(stats, ratios):
+        decision = decide(stats, ratios)
+        ticks.append((sim.cache.policy, decision))
+        return decision
+
+    sim.balancer.tick = recording_tick
+    result = sim.run()
+    assert len(ticks) == len(result.rows)
+    return LoggedRun(result, ticks, buffer.getvalue())
+
+
+@pytest.fixture(scope="session")
+def read_then_write():
+    """``read_then_write(balancer)``: that balancer's run of read_then_write.cfg, made once."""
+    return functools.cache(functools.partial(logged_run, READ_THEN_WRITE))
 
 
 class CacheReplica:
@@ -416,13 +466,15 @@ def recount_origins(device) -> list[int]:
     return [origins.count(origin.index) for origin in Origin]
 
 
-def read_events(path: Path) -> tuple[str, list[dict[str, str]]]:
-    """Load events.log rows in written order, plus the scenario hash."""
-    with open(path, newline="") as fh:
-        first = fh.readline().strip()
-        assert first.startswith("# scenario="), f"{path}: missing scenario header"
-        rows = list(csv.DictReader(fh))
-    return first.removeprefix("# scenario="), rows
+def read_events(source) -> tuple[str, list[dict[str, str]]]:
+    """The scenario hash and the rows of an events.log, a path or a text buffer read from its start."""
+    if isinstance(source, Path):
+        with open(source, newline="") as fh:
+            return read_events(fh)
+    source.seek(0)
+    first = source.readline().strip()
+    assert first.startswith("# scenario="), f"{source}: missing scenario header"
+    return first.removeprefix("# scenario="), list(csv.DictReader(source))
 
 
 def burst_window_indices(result: RunResult) -> set[int]:

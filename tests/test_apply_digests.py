@@ -11,13 +11,13 @@ clamped ``remove_tail`` changes a digest.
 
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
-from lbicasim import EventLog, Simulation, build_requests, load_config, write_run
+from lbicasim import load_config, write_run
 
-SCENARIO = Path(__file__).with_name("scenarios") / "read_then_write.cfg"
+from conftest import READ_THEN_WRITE
+
 OUTPUT_FILES = ("intervals.csv", "summary.csv", "events.log")
 DIGESTS = {
     "events.log": "288d1b72851ffa566bfd5ba34d9782b216a45d2cb33a914624a737c32c9a85fc",
@@ -27,25 +27,13 @@ DIGESTS = {
 
 
 @pytest.fixture(scope="module")
-def applied_run(tmp_path_factory):
+def applied_run(read_then_write, tmp_path_factory):
     """The lbica run, each tick's policy before it, its decision, and the run directory."""
-    config = load_config(SCENARIO)
+    run = read_then_write(load_config(READ_THEN_WRITE).balancer)
     out_dir = tmp_path_factory.mktemp("read_then_write")
-    ticks = []
-    with open(out_dir / "events.log", "w", newline="") as fh:
-        sim = Simulation(config, build_requests(config), events=EventLog(fh, config.scenario_hash()))
-        decide = sim.balancer.tick
-
-        def recording_tick(stats, ratios):
-            decision = decide(stats, ratios)
-            ticks.append((sim.cache.policy, decision))
-            return decision
-
-        sim.balancer.tick = recording_tick
-        result = sim.run()
-    write_run(result, out_dir)
-    assert len(ticks) == len(result.rows)
-    return result, ticks, out_dir
+    (out_dir / "events.log").write_bytes(run.log.encode())
+    write_run(run.result, out_dir)
+    return run.result, run.ticks, out_dir
 
 
 def test_a_tick_bypasses_and_switches_policy(applied_run):

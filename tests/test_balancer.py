@@ -90,16 +90,6 @@ class TestClassify:
         st.integers(min_value=0, max_value=500),
         st.integers(min_value=0, max_value=500),
         st.integers(min_value=0, max_value=500),
-    )
-    def test_totality(self, r, w, p, e):
-        klass = classify(RatioVector.from_counts(r, w, p, e), THETA_DOM)
-        assert isinstance(klass, WorkloadClass)
-
-    @given(
-        st.integers(min_value=0, max_value=500),
-        st.integers(min_value=0, max_value=500),
-        st.integers(min_value=0, max_value=500),
-        st.integers(min_value=0, max_value=500),
         st.integers(min_value=2, max_value=9),
     )
     def test_ratio_invariance_under_scaling(self, r, w, p, e, k):
@@ -121,22 +111,6 @@ class TestRatioVector:
         snap = QueueSnapshot(ssd_inqueue=(1, 1, 2, 0), hdd_inqueue=(0, 0, 0, 1))
         v = RatioVector.from_snapshot(snap)
         assert (v.r, v.w, v.p, v.e) == (0.25, 0.25, 0.5, 0.0)
-
-    @given(
-        st.integers(min_value=0, max_value=1000),
-        st.integers(min_value=0, max_value=1000),
-        st.integers(min_value=0, max_value=1000),
-        st.integers(min_value=0, max_value=1000),
-    )
-    def test_fractions_sum_to_one_when_nonempty(self, r, w, p, e):
-        v = RatioVector.from_counts(r, w, p, e)
-        total = v.r + v.w + v.p + v.e
-        if r + w + p + e > 0:
-            assert total == pytest.approx(1.0)
-        else:
-            assert total == 0.0
-        for value in (v.r, v.w, v.p, v.e):
-            assert 0.0 <= value <= 1.0
 
 
 # one cache-queue mix per workload class, in ``(r, w, p, e)`` counts

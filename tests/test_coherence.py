@@ -24,23 +24,17 @@ The counts are pinned, so a change that moves one shows here; a fix to a
 path sets its counts to 0 in the same change.
 """
 
-import csv
-import dataclasses
-import functools
 import io
 import sys
-from pathlib import Path
 
 import pytest
 
-from lbicasim import EventLog, RunConfig, Simulation, load_config, run_simulation
+from lbicasim import EventLog, RunConfig, Simulation, load_config
 from lbicasim.balancer import BALANCERS
 from lbicasim.cache import WritePolicy
 from lbicasim.engine import Origin
 
-from conftest import SCENARIOS, VersionOracle, schedule_of
-
-READ_THEN_WRITE = Path(__file__).with_name("scenarios") / "read_then_write.cfg"
+from conftest import READ_THEN_WRITE, SCENARIOS, VersionOracle, read_events, schedule_of
 
 # per pair, the paths the oracle charges; every other path counts 0
 PINNED = {
@@ -66,24 +60,6 @@ def expected(pair):
     return {**dict.fromkeys(VersionOracle.PATHS, 0), **PINNED.get(pair, {})}
 
 
-def replayed(text, cache_blocks):
-    """The oracle after replaying an ``events.log`` held in ``text``."""
-    oracle = VersionOracle(cache_blocks)
-    with io.StringIO(text) as fh:
-        fh.readline()  # "# scenario=..." header
-        oracle.replay(csv.DictReader(fh))
-    return oracle
-
-
-@functools.cache
-def read_then_write(balancer):
-    """The oracle after replaying read_then_write.cfg's log under ``balancer``."""
-    config = dataclasses.replace(load_config(READ_THEN_WRITE), balancer=balancer)
-    buffer = io.StringIO()
-    run_simulation(config, events=EventLog(buffer, config.scenario_hash()))
-    return replayed(buffer.getvalue(), config.cache_blocks)
-
-
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("balancer", BALANCERS)
 def test_the_oracle_counts_are_pinned_per_pair_and_path(scenario_replays, scenario, balancer):
@@ -92,14 +68,15 @@ def test_the_oracle_counts_are_pinned_per_pair_and_path(scenario_replays, scenar
     assert replay.early_hits == EARLY_HITS.get((scenario, balancer), 0)
 
 
-def test_the_oracle_counts_are_pinned_on_read_then_write():
+def test_the_oracle_counts_are_pinned_on_read_then_write(read_then_write):
     balancer = load_config(READ_THEN_WRITE).balancer
-    assert read_then_write(balancer).counts == expected(("read_then_write", balancer))
+    assert read_then_write(balancer).replay.counts == expected(("read_then_write", balancer))
 
 
 @pytest.mark.parametrize("balancer", BALANCERS)
-def test_the_early_hits_are_pinned_on_read_then_write(balancer):
-    assert read_then_write(balancer).early_hits == EARLY_HITS.get(("read_then_write", balancer), 0)
+def test_the_early_hits_are_pinned_on_read_then_write(read_then_write, balancer):
+    early_hits = read_then_write(balancer).replay.early_hits
+    assert early_hits == EARLY_HITS.get(("read_then_write", balancer), 0)
 
 
 def small_run(schedule, cache_blocks, drive):
@@ -113,7 +90,8 @@ def small_run(schedule, cache_blocks, drive):
     sim.set_policy(sim.balancer.initial_policy)
     drive(sim)
     assert sim.sim.step(sys.maxsize) is False
-    oracle = replayed(buffer.getvalue(), cache_blocks)
+    oracle = VersionOracle(cache_blocks)
+    oracle.replay(read_events(buffer)[1])
     counts = {**oracle.counts, "early_hits": oracle.early_hits}
     return {path: n for path, n in counts.items() if n}
 

@@ -227,6 +227,8 @@ def base_config(**overrides):
 class TestValidation:
     def test_valid_config_has_no_warnings(self):
         assert base_config().validate() == []
+        smallest = base_config(cache_blocks=1, interval_us=1, ssd_read_us=1, theta_dom=1.0)
+        assert smallest.validate() == []
 
     def test_unknown_balancer(self):
         with pytest.raises(ConfigError, match="balancer"):
@@ -243,6 +245,10 @@ class TestValidation:
     def test_nonpositive_interval(self):
         with pytest.raises(ConfigError, match="interval"):
             base_config(interval_us=0).validate()
+
+    def test_empty_cache(self):
+        with pytest.raises(ConfigError, match="cache_blocks"):
+            base_config(cache_blocks=0).validate()
 
     def test_workload_source_is_exactly_one(self):
         with pytest.raises(ConfigError, match="exactly one"):

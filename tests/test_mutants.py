@@ -58,3 +58,12 @@ def test_the_probe_kills_all_but_the_equivalent_mutant(tmp_path, monkeypatch):
     assert mutants.tally(chosen, outcomes, equivalents) == {
         "arith": {"killed": 2, "survived": 0, "timeout": 0, "equivalent": 1}
     }
+
+
+def test_every_listed_equivalent_is_a_mutant_of_the_package(monkeypatch):
+    # ids carry their line and column, so an edit that moves a listed
+    # mutant would otherwise turn it into an unexplained survivor
+    monkeypatch.syspath_prepend(SCRIPTS)
+    mutants = importlib.import_module("mutants")
+    generated = {m.id for m in mutants.package_mutants(mutants.ROOT / "src" / mutants.PACKAGE)}
+    assert sorted(set(mutants.read_equivalents(mutants.EQUIVALENTS)) - generated) == []

@@ -105,6 +105,25 @@ class TestCompare:
         assert cmp.balancer_b == "lbica"
         assert cmp.burst_intervals == sum(1 for row in base.rows if row.burst)
 
+    def test_cache_ops_count_the_baseline_burst_windows_only(self, tmp_path):
+        # interval 0 of run A is not a burst, so its 20 cache completions
+        # count in neither run; run B's own burst flags are never read
+        runs = {
+            "a": ("none-wb", [(0, 0, "5,5,5,5"), (1, 1, "3,2,1,4"), (2, 1, "1,1,1,1")]),
+            "b": ("lbica", [(0, 1, "9,9,9,9"), (1, 0, "1,1,1,1"), (2, 0, "2,0,1,0")]),
+        }
+        for name, (balancer, rows) in runs.items():
+            out = tmp_path / name
+            out.mkdir()
+            lines = [f"{i},{burst},0,{done}" for i, burst, done in rows]
+            header = "interval,burst,ssd_qsize,ssd_done_r,ssd_done_w,ssd_done_p,ssd_done_e"
+            (out / "intervals.csv").write_text("\n".join(["# scenario=s", header, *lines, ""]))
+            summary = f"metric,value\nbalancer,{balancer}\nmean_latency_us,1\np99_latency_us,1\n"
+            (out / "summary.csv").write_text("# scenario=s\n" + summary)
+        cmp = compare_runs(tmp_path / "a", tmp_path / "b")
+        assert (cmp.burst_intervals, cmp.cache_ops_a, cmp.cache_ops_b) == (2, 14, 7)
+        assert cmp.cache_ops_reduction_pct == 50.0
+
     def test_format_is_human_readable(self, run_dir):
         _result, out = run_dir
         text = format_comparison(compare_runs(out, out))

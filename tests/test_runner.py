@@ -32,7 +32,7 @@ from lbicasim.engine import DeviceRole, Origin, Requests, Schedule, Simulator
 from lbicasim.report import read_intervals, read_summary
 from lbicasim.workload import PhaseSpec, UniformRandom, dump_trace
 
-from conftest import SCENARIOS, recount_origins, schedule_of
+from conftest import SCENARIOS, read_events, recount_origins, schedule_of
 
 
 def small_config(**overrides):
@@ -63,12 +63,6 @@ def logged_sim(config, schedule):
     """A simulation whose event log is written to the returned buffer."""
     buffer = io.StringIO()
     return Simulation(config, schedule, events=EventLog(buffer, config.scenario_hash())), buffer
-
-
-def logged_rows(buffer):
-    buffer.seek(0)
-    buffer.readline()  # scenario header
-    return list(csv.DictReader(buffer))
 
 
 class TestEndToEnd:
@@ -157,7 +151,7 @@ class TestDeferredPromotion:
         # the promotion enters the cache queue the instant the disk read completes
         steps = [
             (r["event"], r["origin"], r["target"], int(r["time"]))
-            for r in logged_rows(buffer)
+            for r in read_events(buffer)[1]
             if r["event"] in ("submit", "complete")
         ]
         assert steps[:3] == [
@@ -196,7 +190,7 @@ class TestBypassTail:
         assert sim.sim.requests.live == {}
         # each moved write left the cache queue, then entered the disk
         # queue, its origin and arrival intact
-        rows = logged_rows(buffer)
+        rows = read_events(buffer)[1]
         for row in (1, 2):
             steps = [
                 (r["event"], r["target"], r["origin"], r["arrival"])
@@ -238,7 +232,7 @@ class TestApplyDecision:
         sim._tick(config.interval_us)
         assert sim.rows[-1].bypassed == 2  # clamped to the waiting queue
         assert sim.rows[-1].policy == "WT"
-        events = [r["event"] for r in logged_rows(buffer)]
+        events = [r["event"] for r in read_events(buffer)[1]]
         assert events == ["submit"] * 3 + ["remove", "submit"] * 2 + ["policy"]
         # a decision without a bypass leaves the queue alone
         self.submit_ssd_writes(sim, 3, 2)
@@ -246,7 +240,7 @@ class TestApplyDecision:
         sim._tick(2 * config.interval_us)
         assert sim.rows[-1].bypassed == 0
         assert sim.sim.ssd.qsize == 3
-        assert [r["event"] for r in logged_rows(buffer)].count("remove") == 2
+        assert [r["event"] for r in read_events(buffer)[1]].count("remove") == 2
 
 
 class RecountingSimulation(Simulation):
@@ -491,7 +485,7 @@ class TestPolicyLog:
         sim.set_policy(WritePolicy.WO)
         sim.set_policy(WritePolicy.WO)  # repeat is not logged
         sim.set_policy(WritePolicy.WB)
-        rows = [r for r in logged_rows(buffer) if r["event"] == "policy"]
+        rows = [r for r in read_events(buffer)[1] if r["event"] == "policy"]
         assert [r["note"] for r in rows] == ["WO", "WB"]
 
 

@@ -117,20 +117,3 @@ class TestIntervalTracker:
         self.tracker.close_interval(1000, 0, 0)
         with pytest.raises(ValueError):
             self.tracker.close_interval(1000, 0, 0)
-
-    def test_served_counts_partition_completions(self):
-        # (device, origin, latency)
-        requests = [
-            (DeviceRole.SSD, Origin.R, 100),
-            (DeviceRole.SSD, Origin.P, 200),
-            (DeviceRole.HDD, Origin.R, 5000),
-            (DeviceRole.HDD, Origin.E, 9000),
-            (DeviceRole.SSD, Origin.W, 250),
-        ]
-        for role, origin, latency in requests:
-            self.tracker.record_completion(role.index, origin.index, latency)
-        stats = self.tracker.close_interval(10_000, 0, 0)
-        assert sum(stats.ssd_served) + sum(stats.hdd_served) == len(requests)
-        # (r, w, p, e) per device
-        assert stats.ssd_served == (1, 1, 1, 0)
-        assert stats.hdd_served == (1, 0, 0, 1)

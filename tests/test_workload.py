@@ -1,6 +1,5 @@
 """Synthetic generation determinism and the textual trace format."""
 
-import csv
 import io
 import itertools
 import random
@@ -17,7 +16,7 @@ from lbicasim import EventLog, RunConfig, Simulation, TraceFormatError, workload
 from lbicasim.engine import Origin
 from lbicasim.workload import PhaseSpec, Sequential, UniformRandom, dump_trace, generate, load_trace
 
-from conftest import scheduled
+from conftest import read_events, scheduled
 
 
 def uniform_phase(duration_ms=100, rate=1000, read_fraction=1.0, working_set=64, **kw):
@@ -190,6 +189,9 @@ class TestLoadTrace:
     def test_out_of_order_arrivals_rejected_with_line_number(self):
         with pytest.raises(TraceFormatError, match="line 3"):
             load_trace(io.StringIO("0,1,1,R\n10,2,1,R\n5,3,1,R\n"))
+        # records at one instant are in order, and load in file order
+        same_instant = load_trace(io.StringIO("0,0,1,W\n0,7,1,R\n"))
+        assert scheduled(same_instant) == [(0, 0, Origin.W), (0, 7, Origin.R)]
 
     def test_malformed_line_rejected_with_line_number(self):
         with pytest.raises(TraceFormatError, match="line 1"):
@@ -198,6 +200,11 @@ class TestLoadTrace:
     def test_non_integer_fields_rejected(self):
         with pytest.raises(TraceFormatError, match="integers"):
             load_trace(io.StringIO("zero,1,1,R\n"))
+
+    @pytest.mark.parametrize("line", ["-1,1,1,R", "0,-1,1,R"])
+    def test_negative_arrival_or_lba_rejected(self, line):
+        with pytest.raises(TraceFormatError, match="non-negative"):
+            load_trace(io.StringIO(line + "\n"))
 
     def test_unknown_op_rejected(self):
         with pytest.raises(TraceFormatError, match="op"):
@@ -221,10 +228,8 @@ class TestLoadTrace:
         schedule = load_trace(io.StringIO("0,1,2,R\n5,9,1,W\n"))
         buffer = io.StringIO()
         Simulation(RunConfig(cache_blocks=8), schedule, EventLog(buffer, "trace")).run()
-        buffer.seek(0)
-        buffer.readline()  # scenario header
         accesses = {}
-        for row in csv.DictReader(buffer):
+        for row in read_events(buffer)[1]:
             if row["event"] == "submit" and row["app"]:
                 accesses.setdefault(row["req"], (row["app"], row["lba"]))
         assert accesses == {"0": ("0", "1"), "1": ("1", "2"), "2": ("2", "9")}
