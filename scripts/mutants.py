@@ -26,7 +26,9 @@ the module back. The unmutated copy runs first; if it fails, the probe
 exits 2. A run that takes longer than ``TIMEOUT_FACTOR`` times the
 unmutated run counts as a kill. Each run starts in its own session, and
 a timed-out run's whole process group is killed, so a mutant that loops
-leaves nothing behind. ``os.cpu_count()`` runs go at once.
+leaves nothing behind. ``os.cpu_count()`` runs go at once. A SIGTERM
+kills the process groups of the runs in flight, and the probe then puts
+each module back and removes its copies before it exits.
 
 ``--module NAME`` (repeatable) limits the probe to those modules.
 ``--kill-matrix FILE`` drops ``-x``, so every test runs against every
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import json
 import os
 import queue
@@ -54,6 +57,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -73,6 +77,9 @@ REPEATABLE = ("--hypothesis-seed=0", "-rfE", "--tb=no")
 TIMEOUT_FACTOR = 4
 MIN_TIMEOUT_S = 10.0
 WORKERS = os.cpu_count() or 1
+# the runs in flight, and whether a SIGTERM came, so that it can end them
+RUNNING: set[subprocess.Popen] = set()
+STOPPING = threading.Event()
 
 SWAPS = {
     ast.Lt: (ast.LtE, "<", "<="),
@@ -278,13 +285,17 @@ class Workspace:
             text=True,
             start_new_session=True,
         )
+        RUNNING.add(proc)
+        if STOPPING.is_set():  # the SIGTERM came before this run was added
+            _kill(proc)
         try:
             output, _ = proc.communicate(timeout=timeout)
         except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
+            _kill(proc)
             proc.communicate()
             return Outcome("timeout", seconds=time.monotonic() - started)
         finally:
+            RUNNING.discard(proc)
             if path:
                 path.write_text(original, encoding="utf-8")
         seconds = time.monotonic() - started
@@ -309,6 +320,21 @@ class Workspace:
         return Path(out).is_relative_to(self.tree)
 
 
+def _kill(proc: subprocess.Popen) -> None:
+    """Kill the process group of a run; it may have ended already."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+
+
+def _stop(signum, _frame) -> None:
+    """On SIGTERM: kill the runs in flight, then unwind, so every ``finally`` cleans up."""
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    STOPPING.set()
+    for proc in list(RUNNING):
+        _kill(proc)
+    raise SystemExit(128 + signum)
+
+
 def package_mutants(package_dir: Path, modules: list[str] | None = None) -> list[Mutant]:
     """Every single-point mutant of the package's ``modules`` (all by default)."""
     return [
@@ -328,6 +354,8 @@ def probe(
     setting; exits 2 if the unmutated copy does not pass.
     """
     started = time.monotonic()
+    STOPPING.clear()
+    previous = signal.signal(signal.SIGTERM, _stop)
     parent = Path(tempfile.mkdtemp(prefix="mutants-"))
     try:
         spaces = [Workspace(root, package, parent) for _ in range(min(WORKERS, len(chosen) or 1))]
@@ -346,7 +374,7 @@ def probe(
                 outcome = space.run(mutant, keep_going, timeout)
             finally:
                 free.put(space)
-            if progress:
+            if progress and not STOPPING.is_set():
                 progress(mutant, outcome)
             return mutant.id, outcome
 
@@ -359,6 +387,7 @@ def probe(
             pool.shutdown(cancel_futures=True)
     finally:
         shutil.rmtree(parent, ignore_errors=True)
+        signal.signal(signal.SIGTERM, previous)
     setting = {
         "runs_at_once": len(spaces),
         "baseline_s": round(baseline.seconds, 2),

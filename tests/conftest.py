@@ -1,13 +1,11 @@
-"""Shared fixtures: cached scenario runs and event-log helpers.
+"""Shared fixtures: one logged run per scenario x balancer pair, and event-log helpers.
 
-The acceptance tests measure full runs of the committed scenarios under
-several balancers. Runs are deterministic, so they execute once per
-session and every test reads from the cache. Each cached run keeps the
-in-memory result, the written report directory (with events.log), and
-the wall-clock duration of the run itself. Each run's events.log is
-replayed once, by the version oracle, and the tests read that replay.
-``tests/scenarios/read_then_write.cfg`` runs once per balancer, with its
-ticks recorded and its log kept in memory.
+The acceptance, golden and coherence tests read full runs of the
+scenarios in ``CONFIGS`` under every balancer. Runs are deterministic,
+so the ``runs`` fixture makes each pair once per session, when a test
+first asks for it. A run keeps its result, each tick's policy and
+decision, its events.log text and the wall-clock time of the simulation
+itself; the version oracle replays its log once, on first use.
 """
 
 from __future__ import annotations
@@ -15,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import hashlib
 import io
 import time
 from collections import Counter, deque
@@ -29,66 +28,20 @@ from lbicasim import (
     Simulation,
     build_requests,
     load_config,
-    run_simulation,
     write_run,
 )
-from lbicasim.balancer import BALANCERS
 from lbicasim.engine import Origin, Schedule
 from lbicasim.telemetry import IntervalStats
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 SCENARIOS = {
-    "random_read": SCENARIO_DIR / "random_read.cfg",
-    "mixed_rw": SCENARIO_DIR / "mixed_rw.cfg",
-    "write_intensive": SCENARIO_DIR / "write_intensive.cfg",
+    name: SCENARIO_DIR / f"{name}.cfg" for name in ("random_read", "mixed_rw", "write_intensive")
 }
-READ_THEN_WRITE = Path(__file__).with_name("scenarios") / "read_then_write.cfg"
-
-
-@dataclass
-class CachedRun:
-    result: RunResult
-    out_dir: Path
-    elapsed_s: float
-
-    @property
-    def summary(self) -> dict:
-        return self.result.summary
-
-
-def execute_run(config_path: Path, balancer: str, out_dir: Path) -> CachedRun:
-    config = dataclasses.replace(load_config(config_path), balancer=balancer)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.monotonic()
-    with open(out_dir / "events.log", "w", newline="") as fh:
-        result = run_simulation(config, events=EventLog(fh, config.scenario_hash()))
-    elapsed = time.monotonic() - started
-    write_run(result, out_dir)
-    return CachedRun(result=result, out_dir=out_dir, elapsed_s=elapsed)
-
-
-@pytest.fixture(scope="session")
-def scenario_runs(tmp_path_factory) -> dict[tuple[str, str], CachedRun]:
-    """Every scenario x balancer pair, each with its event log and reports."""
-    root = tmp_path_factory.mktemp("runs")
-    runs = {}
-    for scenario, config_path in SCENARIOS.items():
-        for balancer in BALANCERS:
-            out = root / f"{scenario}-{balancer}"
-            runs[(scenario, balancer)] = execute_run(config_path, balancer, out)
-    return runs
-
-
-@pytest.fixture(scope="session")
-def scenario_replays(scenario_runs) -> dict[tuple[str, str], VersionOracle]:
-    """Every scenario x balancer pair's events.log, replayed once by the version oracle."""
-    replays = {}
-    for pair, run in scenario_runs.items():
-        _, rows = read_events(run.out_dir / "events.log")
-        replays[pair] = oracle = VersionOracle(run.result.config.cache_blocks)
-        oracle.replay(rows)
-    return replays
+# the committed scenarios, and one whose lbica run bypasses in a tick that
+# also switches policy and, in another tick, asks for more than the queue holds
+CONFIGS = {**SCENARIOS, "read_then_write": Path(__file__).parent / "scenarios/read_then_write.cfg"}
+OUTPUT_FILES = ("intervals.csv", "summary.csv", "events.log")
 
 
 @dataclass
@@ -96,6 +49,11 @@ class LoggedRun:
     result: RunResult
     ticks: list  # (the policy before each tick, the tick's decision)
     log: str  # the run's events.log
+    elapsed_s: float  # wall-clock time of the simulation itself
+
+    @property
+    def summary(self) -> dict:
+        return self.result.summary
 
     @functools.cached_property
     def replay(self) -> VersionOracle:
@@ -104,11 +62,20 @@ class LoggedRun:
         oracle.replay(read_events(io.StringIO(self.log))[1])
         return oracle
 
+    def digests(self, out_dir: Path) -> dict[str, str]:
+        """Write the run's three output files to ``out_dir``; the SHA-256 of each, by name."""
+        write_run(self.result, out_dir)
+        (out_dir / "events.log").write_bytes(self.log.encode())
+        return {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest() for f in OUTPUT_FILES}
 
-def logged_run(config_path: Path, balancer: str) -> LoggedRun:
-    config = dataclasses.replace(load_config(config_path), balancer=balancer)
+
+def logged_run(scenario: str, balancer: str) -> LoggedRun:
+    """Run ``CONFIGS[scenario]`` under ``balancer`` with its event log kept in memory."""
+    config = dataclasses.replace(load_config(CONFIGS[scenario]), balancer=balancer)
     buffer = io.StringIO()
-    sim = Simulation(config, build_requests(config), events=EventLog(buffer, config.scenario_hash()))
+    started = time.monotonic()
+    events = EventLog(buffer, config.scenario_hash())
+    sim = Simulation(config, build_requests(config), events=events)
     decide, ticks = sim.balancer.tick, []
 
     def recording_tick(stats, ratios):
@@ -118,14 +85,15 @@ def logged_run(config_path: Path, balancer: str) -> LoggedRun:
 
     sim.balancer.tick = recording_tick
     result = sim.run()
+    elapsed = time.monotonic() - started
     assert len(ticks) == len(result.rows)
-    return LoggedRun(result, ticks, buffer.getvalue())
+    return LoggedRun(result, ticks, buffer.getvalue(), elapsed)
 
 
 @pytest.fixture(scope="session")
-def read_then_write():
-    """``read_then_write(balancer)``: that balancer's run of read_then_write.cfg, made once."""
-    return functools.cache(functools.partial(logged_run, READ_THEN_WRITE))
+def runs():
+    """``runs(scenario, balancer)``: that pair's logged run, made once per session."""
+    return functools.cache(logged_run)
 
 
 class CacheReplica:

@@ -2,11 +2,11 @@
 
 Each test is one criterion; the `pytest -v` status line is the pass/fail
 line, and every test also prints a one-line result with the measured
-values. Full-run criteria read the session-cached scenario runs from
-conftest, and their event logs' session-cached replays.
+values. Full-run criteria read the session-cached runs of conftest's
+``runs`` fixture, and their event logs' cached replays.
 """
 
-import filecmp
+import itertools
 import random
 import time
 from statistics import fmean
@@ -15,6 +15,7 @@ import pytest
 
 from lbicasim import EventLog, Simulation, build_requests, load_config
 from lbicasim.balancer import (
+    BALANCERS,
     TAIL_CUT_CLASSES,
     RatioVector,
     WorkloadClass,
@@ -27,11 +28,12 @@ from lbicasim.engine import DeviceRole
 from lbicasim.runner import EVENT_COLUMNS
 
 from conftest import (
+    CONFIGS,
     SCENARIOS,
     CacheReplica,
     VersionOracle,
     burst_window_indices,
-    execute_run,
+    logged_run,
     make_stats,
     read_events,
 )
@@ -85,11 +87,11 @@ def test_criterion_02_reference_mixes_classify_exactly():
 # criterion 3: zero-traffic guarantees while WO / RO are active
 
 
-def test_criterion_03_policy_zero_traffic_guarantees(scenario_replays):
-    wo = scenario_replays[("random_read", "lbica")]
+def test_criterion_03_policy_zero_traffic_guarantees(runs):
+    wo = runs("random_read", "lbica").replay
     assert wo.policies["WO"] >= 1  # the policy actually engaged
     assert wo.cache_submits["WO", "P"] == 0  # zero tolerance: no promotion enters the cache
-    ro = scenario_replays[("mixed_rw", "lbica")]
+    ro = runs("mixed_rw", "lbica").replay
     assert ro.policies["RO"] >= 1
     assert ro.cache_submits["RO", "W"] == 0  # zero tolerance: no write enters the cache
     report(
@@ -132,27 +134,27 @@ def test_criterion_04_lru_matches_brute_force():
 # criterion 5: random-read burst, promote-heavy queue, cache load drops >= 40%
 
 
-def burst_reduction(scenario_runs, scenario_replays, scenario):
+def burst_reduction(runs, scenario):
     """Cache submits in none-wb's burst windows, under none-wb and under lbica, and their drop.
 
     Window k covers times ((k-1)*L, k*L].
     """
-    baseline = scenario_runs[(scenario, "none-wb")].result
+    baseline = runs(scenario, "none-wb").result
     windows = burst_window_indices(baseline)
     assert windows, "scenario never saturated the cache queue"
     interval = baseline.config.interval_us
-    counts = [scenario_replays[(scenario, b)].cache_submit_times for b in ("none-wb", "lbica")]
+    counts = [runs(scenario, b).replay.cache_submit_times for b in ("none-wb", "lbica")]
     before, after = (sum(n for t, n in c.items() if -(-t // interval) in windows) for c in counts)
     assert before > 0
     return before, after, 1.0 - after / before
 
 
-def test_criterion_05_random_read_burst_reduction(scenario_runs, scenario_replays):
-    baseline = scenario_runs[("random_read", "none-wb")]
-    lbica = scenario_runs[("random_read", "lbica")]
+def test_criterion_05_random_read_burst_reduction(runs):
+    baseline = runs("random_read", "none-wb")
+    lbica = runs("random_read", "lbica")
     assert baseline.elapsed_s < 60 and lbica.elapsed_s < 60
 
-    before, after, reduction = burst_reduction(scenario_runs, scenario_replays, "random_read")
+    before, after, reduction = burst_reduction(runs, "random_read")
     promote_ratios = [row.ratios.p for row in baseline.result.rows if row.burst]
     mean_p = fmean(promote_ratios)
     assert 0.45 <= mean_p <= 0.55  # tuned promote share, +/- 0.05
@@ -168,15 +170,15 @@ def test_criterion_05_random_read_burst_reduction(scenario_runs, scenario_replay
 # criterion 6: mixed burst at write fraction 0.70, cache load drops >= 60%
 
 
-def test_criterion_06_mixed_burst_reduction(scenario_runs, scenario_replays):
-    baseline = scenario_runs[("mixed_rw", "none-wb")]
-    lbica = scenario_runs[("mixed_rw", "lbica")]
+def test_criterion_06_mixed_burst_reduction(runs):
+    baseline = runs("mixed_rw", "none-wb")
+    lbica = runs("mixed_rw", "lbica")
     assert baseline.elapsed_s < 60 and lbica.elapsed_s < 60
 
     for phase in baseline.result.config.phases:
         assert abs((1.0 - phase.read_fraction) - 0.70) < 1e-9  # stated write fraction
 
-    before, after, reduction = burst_reduction(scenario_runs, scenario_replays, "mixed_rw")
+    before, after, reduction = burst_reduction(runs, "mixed_rw")
     assert reduction >= 0.60
     report(6, f"cache submissions {before} -> {after} ({reduction:.1%} >= 60%)")
 
@@ -185,17 +187,17 @@ def test_criterion_06_mixed_burst_reduction(scenario_runs, scenario_replays):
 # criterion 7: latency orderings across balancers
 
 
-def test_criterion_07_latency_orderings(scenario_runs):
+def test_criterion_07_latency_orderings(runs):
     means = {}
-    for scenario in ("random_read", "mixed_rw", "write_intensive"):
-        wb = scenario_runs[(scenario, "none-wb")]
-        lb = scenario_runs[(scenario, "lbica")]
+    for scenario in SCENARIOS:
+        wb = runs(scenario, "none-wb")
+        lb = runs(scenario, "lbica")
         assert wb.elapsed_s < 60 and lb.elapsed_s < 60
         means[scenario] = (wb.summary["mean_latency_us"], lb.summary["mean_latency_us"])
         assert means[scenario][1] < means[scenario][0], scenario  # adaptive beats baseline
 
-    sib = scenario_runs[("write_intensive", "sib")]
-    lb = scenario_runs[("write_intensive", "lbica")]
+    sib = runs("write_intensive", "sib")
+    lb = runs("write_intensive", "lbica")
     assert sib.elapsed_s < 60
     assert lb.summary["mean_latency_us"] < sib.summary["mean_latency_us"]
     # the write-through bypass baseline piles work onto the disk queue
@@ -233,37 +235,31 @@ def test_criterion_08_bypass_depth_minimality():
 # criterion 9: repeat runs are byte-identical
 
 
-def test_criterion_09_repeat_runs_byte_identical(scenario_runs, tmp_path):
+def test_criterion_09_repeat_runs_byte_identical(runs, tmp_path):
     repeats = [
         ("random_read", "none-wb"),
         ("random_read", "lbica"),
         ("write_intensive", "sib"),
     ]
-    compared = 0
     for scenario, balancer in repeats:
-        cached = scenario_runs[(scenario, balancer)]
-        fresh = execute_run(SCENARIOS[scenario], balancer, tmp_path / f"{scenario}-{balancer}")
-        for name in ("intervals.csv", "summary.csv", "events.log"):
-            assert filecmp.cmp(cached.out_dir / name, fresh.out_dir / name, shallow=False), (
-                scenario,
-                balancer,
-                name,
-            )
-            compared += 1
-    report(9, f"{len(repeats)} repeated runs, {compared} files byte-identical")
+        cached = runs(scenario, balancer).digests(tmp_path / f"{scenario}-{balancer}")
+        fresh = logged_run(scenario, balancer).digests(tmp_path / f"{scenario}-{balancer}-again")
+        assert fresh == cached, (scenario, balancer)
+    report(9, f"{len(repeats)} repeated runs, {3 * len(repeats)} files byte-identical")
 
 
 # ----------------------------------------------------------------------
 # criterion 10: event-log conservation and dirty-block accounting
 
 
-def test_criterion_10_event_log_conservation(scenario_replays, scenario_runs):
+def test_criterion_10_event_log_conservation(runs):
     # the version oracle's replay checks each request's lifecycle on every
     # row: an access at its arrival, every submit closed by one complete or
     # remove row, no id submitted again before then or after its complete
     checked = 0
-    for (scenario, balancer), replay in scenario_replays.items():
-        summary = scenario_runs[(scenario, balancer)].summary
+    for scenario, balancer in itertools.product(CONFIGS, BALANCERS):
+        run = runs(scenario, balancer)
+        summary, replay = run.summary, run.replay
         replica = replay.replica
 
         # each application request is accessed once and completes once

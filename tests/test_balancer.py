@@ -267,34 +267,17 @@ class TestControllers:
         st.integers(min_value=1, max_value=10_000),
     )
     @example(1, 100, 0, 1)  # a lone in-service request never moves
+    @example(5, 100, 0, 1)  # an empty disk queue takes every request but the in-service one
+    @example(10, 100, 1, 5000)  # balanced queues
+    @example(60, 100, 1, 5000)  # the cut stops where the inequality flips
+    @example(300, 100, 300, 100)  # mirrored write-through queues, in lockstep
     def test_sib_requests_the_scan_oracle_depth(self, s, ls, h, lh):
         depth = sib_scan_oracle(s, ls, h, lh)
-        assert sib_requested_depth(s, ls, h, lh) == depth
+        stats, ratios = make_stats(s, ls, h, lh), RatioVector.from_counts(0, 0, 0, 0)
+        assert SibBalancer(THETA_DOM).tick(stats, ratios).bypass_depth == depth
         assert depth <= max(s - 1, 0)  # the in-service request never moves
         if s * ls <= h * lh:
             assert depth == 0
-
-
-def sib_requested_depth(s, ls, h, lh):
-    """The bypass depth ``SibBalancer.tick`` requests for this queue state."""
-    stats = make_stats(s, ls, h, lh)
-    return SibBalancer(THETA_DOM).tick(stats, RatioVector.from_counts(0, 0, 0, 0)).bypass_depth
-
-
-class TestSibScanDepth:
-    def test_balanced_queues_bypass_nothing(self):
-        assert sib_requested_depth(10, 100, 1, 5000) == 0
-
-    def test_imbalanced_queue_bypasses_until_the_inequality_flips(self):
-        assert sib_requested_depth(60, 100, 1, 5000) == sib_scan_oracle(60, 100, 1, 5000) == 1
-
-    def test_lockstep_queues_never_bypass(self):
-        # mirrored write-through queues: equal depths, equal latencies
-        assert sib_requested_depth(300, 100, 300, 100) == 0
-
-    def test_in_service_position_is_never_bypassed(self):
-        # disk estimate of zero would otherwise drain the whole queue
-        assert sib_requested_depth(5, 100, 0, 1) == 4
 
 
 class TestFactory:

@@ -29,12 +29,12 @@ import sys
 
 import pytest
 
-from lbicasim import EventLog, RunConfig, Simulation, load_config
+from lbicasim import EventLog, RunConfig, Simulation
 from lbicasim.balancer import BALANCERS
 from lbicasim.cache import WritePolicy
 from lbicasim.engine import Origin
 
-from conftest import READ_THEN_WRITE, SCENARIOS, VersionOracle, read_events, schedule_of
+from conftest import CONFIGS, VersionOracle, read_events, schedule_of
 
 # per pair, the paths the oracle charges; every other path counts 0
 PINNED = {
@@ -42,6 +42,7 @@ PINNED = {
     ("mixed_rw", "sib"): {"wt_half": 2258, "dropped_promotion": 23},
     ("write_intensive", "lbica"): {"buffered_write": 421},
     ("read_then_write", "lbica"): {"buffered_write": 529, "dropped_promotion": 131},
+    ("read_then_write", "sib"): {"wt_half": 48, "dropped_promotion": 519, "late_promotion": 457},
 }
 
 # per pair, the oracle's early hits; every other pair has none
@@ -60,23 +61,12 @@ def expected(pair):
     return {**dict.fromkeys(VersionOracle.PATHS, 0), **PINNED.get(pair, {})}
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("scenario", sorted(CONFIGS))
 @pytest.mark.parametrize("balancer", BALANCERS)
-def test_the_oracle_counts_are_pinned_per_pair_and_path(scenario_replays, scenario, balancer):
-    replay = scenario_replays[(scenario, balancer)]
+def test_the_oracle_counts_are_pinned_per_pair_and_path(runs, scenario, balancer):
+    replay = runs(scenario, balancer).replay
     assert replay.counts == expected((scenario, balancer))
     assert replay.early_hits == EARLY_HITS.get((scenario, balancer), 0)
-
-
-def test_the_oracle_counts_are_pinned_on_read_then_write(read_then_write):
-    balancer = load_config(READ_THEN_WRITE).balancer
-    assert read_then_write(balancer).replay.counts == expected(("read_then_write", balancer))
-
-
-@pytest.mark.parametrize("balancer", BALANCERS)
-def test_the_early_hits_are_pinned_on_read_then_write(read_then_write, balancer):
-    early_hits = read_then_write(balancer).replay.early_hits
-    assert early_hits == EARLY_HITS.get(("read_then_write", balancer), 0)
 
 
 def small_run(schedule, cache_blocks, drive):

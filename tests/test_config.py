@@ -27,6 +27,7 @@ phase1.rate = 2000
 phase1.read_fraction = 0.9
 phase1.address = uniform
 phase1.working_set = 512
+phase1.write_base = 2000
 phase1.jitter = 0.5
 
 phase2.duration_ms = 100
@@ -53,6 +54,7 @@ class TestParsing:
         assert first.duration_us == 300_000
         assert first.arrival_rate == 2000
         assert first.jitter == 0.5
+        assert first.write_base == 2000
         assert isinstance(first.address_model, UniformRandom)
         assert isinstance(second.address_model, Sequential)
         assert second.address_model.start == 1000
@@ -272,6 +274,7 @@ class TestScenarioHash:
         a = base_config(balancer="none-wb")
         b = base_config(balancer="lbica")
         assert a.scenario_hash() == b.scenario_hash()
+        assert len(a.scenario_hash()) == 16
 
     def test_seed_changes_the_hash(self):
         assert base_config(seed=1).scenario_hash() != base_config(seed=2).scenario_hash()

@@ -1,13 +1,12 @@
 """Golden output digests: every scenario x balancer pair, byte for byte.
 
 ``golden_digests.json`` holds the SHA-256 of ``intervals.csv``,
-``summary.csv`` and ``events.log`` for each pair. A change that is not
-meant to alter behaviour must leave all of them as they are. A change
-that alters results on purpose updates the file in the same commit; the
-failure message prints the digests to paste in.
+``summary.csv`` and ``events.log`` for each pair of ``CONFIGS``. A
+change that is not meant to alter behaviour must leave all of them as
+they are. A change that alters results on purpose updates the file in
+the same commit; the failure message prints the digests to paste in.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -15,24 +14,19 @@ import pytest
 
 from lbicasim.balancer import BALANCERS
 
-from conftest import SCENARIOS
+from conftest import CONFIGS
 
 GOLDEN = json.loads((Path(__file__).with_name("golden_digests.json")).read_text())
-OUTPUT_FILES = ("intervals.csv", "summary.csv", "events.log")
 
 
 def test_golden_file_covers_every_pair():
-    pairs = {f"{scenario}/{balancer}" for scenario in SCENARIOS for balancer in BALANCERS}
+    pairs = {f"{scenario}/{balancer}" for scenario in CONFIGS for balancer in BALANCERS}
     assert set(GOLDEN) == pairs
 
 
 @pytest.mark.parametrize("pair", sorted(GOLDEN))
-def test_outputs_match_golden_digests(scenario_runs, pair):
-    scenario, balancer = pair.split("/")
-    out_dir = scenario_runs[(scenario, balancer)].out_dir
-    actual = {
-        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in OUTPUT_FILES
-    }
+def test_outputs_match_golden_digests(runs, pair, tmp_path):
+    actual = runs(*pair.split("/")).digests(tmp_path)
     assert actual == GOLDEN[pair], (
         f"{pair} outputs changed; actual digests:\n"
         + json.dumps({pair: actual}, indent=2, sort_keys=True)

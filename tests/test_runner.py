@@ -3,13 +3,15 @@
 import ast
 import csv
 import dataclasses
+import functools
 import gc
 import inspect
 import io
+import itertools
 import sys
 import tracemalloc
 import weakref
-from collections import deque
+from collections import Counter, deque
 from enum import Enum
 
 import pytest
@@ -32,7 +34,7 @@ from lbicasim.engine import DeviceRole, Origin, Requests, Schedule, Simulator
 from lbicasim.report import read_intervals, read_summary
 from lbicasim.workload import PhaseSpec, UniformRandom, dump_trace
 
-from conftest import SCENARIOS, read_events, recount_origins, schedule_of
+from conftest import CONFIGS, SCENARIOS, read_events, recount_origins, schedule_of
 
 
 def small_config(**overrides):
@@ -104,6 +106,16 @@ class TestEndToEnd:
         summary = Simulation(small_config(phases=()), schedule).run().summary
         latencies = [summary[f"{k}_latency_us"] for k in ("mean", "median", "p99", "max")]
         assert latencies == [10_000, 10_000, 15_000, 15_000]
+
+    def test_latencies_of_two_hundred_queued_reads(self):
+        # an even count, so the median is the mean of the middle two, and
+        # enough for the p99 rank to move with any of its constants; the
+        # reads arrive at 100 us and finish 5 ms apart on the disk
+        schedule = schedule_of((100, lba, Origin.R) for lba in range(200))
+        result = Simulation(small_config(phases=()), schedule).run()
+        latencies = [result.summary[f"{k}_latency_us"] for k in ("median", "p99", "max")]
+        assert latencies == [502_500, 990_000, 1_000_000]
+        assert max(row.hdd_max_latency for row in result.rows) == 1_000_000
 
     def test_an_empty_schedule_closes_no_interval(self):
         result = Simulation(small_config(phases=()), Schedule()).run()
@@ -302,70 +314,69 @@ class UnwalkableQueue(deque):
     __iter__ = __reversed__ = __contains__ = __getitem__ = count = index = copy = refuse
 
 
+@pytest.fixture(scope="module")
+def counted():
+    """``counted(scenario, balancer)``: one run of a committed pair, made once, and its counts.
+
+    The counts are the run's ``Enum.__hash__`` calls on ``Origin``,
+    ``DeviceRole`` and ``WritePolicy`` (``hash``), its ``Simulator.step``
+    (``step``) and ``Simulator.submit`` (``submit``) calls, the requests
+    both devices were submitted (``submitted``), and the write-through
+    writes still waiting for a half (``halves_pending``).
+    """
+
+    @functools.cache
+    def run(scenario, balancer):
+        config = scenario_config(scenario, balancer)
+        sim = Simulation(config, build_requests(config))
+        calls = Counter()
+
+        def counting(name, body):
+            def call(*args):
+                calls[name] += 1
+                return body(*args)
+
+            return call
+
+        with pytest.MonkeyPatch.context() as patch:
+            for enum in (Origin, DeviceRole, WritePolicy):
+                patch.setattr(enum, "__hash__", counting("hash", Enum.__hash__))
+            patch.setattr(Simulator, "step", counting("step", Simulator.step))
+            patch.setattr(Simulator, "submit", counting("submit", Simulator.submit))
+            result = sim.run()
+        assert result.summary["app_completed"] == result.summary["app_requests"]
+        calls["submitted"] = sim.sim.ssd.submitted + sim.sim.hdd.submitted
+        calls["halves_pending"] = any(sim._both_halves_pending)
+        return len(result.rows), calls
+
+    return run
+
+
 class TestEnumHashing:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("balancer", BALANCERS)
-    def test_requests_hash_no_enum_members(self, monkeypatch, scenario, balancer):
+    def test_requests_hash_no_enum_members(self, counted, scenario, balancer):
         # enum-keyed dicts are built per tick, never per request
-        config = scenario_config(scenario, balancer)
-        sim = Simulation(config, build_requests(config))
-        hashes = 0
-
-        def counting_hash(member):
-            nonlocal hashes
-            hashes += 1
-            return Enum.__hash__(member)
-
-        for enum in (Origin, DeviceRole, WritePolicy):
-            monkeypatch.setattr(enum, "__hash__", counting_hash)
-        result = sim.run()
-        monkeypatch.undo()
-        assert result.summary["app_completed"] == result.summary["app_requests"]
-        assert hashes <= 40 * len(result.rows), (hashes, len(result.rows))
+        intervals, calls = counted(scenario, balancer)
+        assert calls["hash"] <= 40 * intervals, (calls["hash"], intervals)
 
 
 class TestLoopCalls:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("balancer", BALANCERS)
-    def test_one_step_call_per_interval(self, monkeypatch, scenario, balancer):
+    def test_one_step_call_per_interval(self, counted, scenario, balancer):
         # the engine walks a whole interval per call, never one event per call
-        config = scenario_config(scenario, balancer)
-        sim = Simulation(config, build_requests(config))
-        calls = 0
-        step = Simulator.step
-
-        def counting_step(*args):
-            nonlocal calls
-            calls += 1
-            return step(*args)
-
-        monkeypatch.setattr(Simulator, "step", counting_step)
-        result = sim.run()
-        monkeypatch.undo()
-        assert result.summary["app_completed"] == result.summary["app_requests"]
-        intervals = len(result.rows)
-        assert calls <= intervals + 1, (calls, intervals)
+        intervals, calls = counted(scenario, balancer)
+        assert calls["step"] <= intervals + 1, (calls["step"], intervals)
         # every write-through write saw both of its halves complete
-        assert not any(sim._both_halves_pending)
+        assert not calls["halves_pending"]
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("balancer", BALANCERS)
-    def test_every_submission_goes_through_simulator_submit(self, monkeypatch, scenario, balancer):
+    def test_every_submission_goes_through_simulator_submit(self, counted, scenario, balancer):
         # the benchmark samples the SSD queue peak after each Simulator.submit
-        config = scenario_config(scenario, balancer)
-        sim = Simulation(config, build_requests(config))
-        calls = 0
-        submit = Simulator.submit
-
-        def counting_submit(*args):
-            nonlocal calls
-            calls += 1
-            return submit(*args)
-
-        monkeypatch.setattr(Simulator, "submit", counting_submit)
-        sim.run()
-        monkeypatch.undo()
-        assert calls == sim.sim.ssd.submitted + sim.sim.hdd.submitted > 0
+        _intervals, calls = counted(scenario, balancer)
+        assert calls["submit"] == calls["submitted"] > 0
 
 
 class TestRunLifetime:
@@ -596,11 +607,11 @@ class TestEventLogFormat:
 
 
 class TestIntervalRows:
-    def test_burst_flag_marks_cache_side_bottlenecks(self, scenario_runs):
+    def test_burst_flag_marks_cache_side_bottlenecks(self, runs):
         # every balancer reports bursts, the baseline too, though it never acts
         bursts = dict.fromkeys(BALANCERS, 0)
-        for (_scenario, balancer), run in scenario_runs.items():
-            bursts[balancer] += sum(row.burst for row in run.result.rows)
+        for scenario, balancer in itertools.product(CONFIGS, BALANCERS):
+            bursts[balancer] += sum(row.burst for row in runs(scenario, balancer).result.rows)
         assert all(count > 0 for count in bursts.values()), bursts
 
 
