@@ -34,7 +34,7 @@ from lbicasim.balancer import BALANCERS
 from lbicasim.cache import WritePolicy
 from lbicasim.engine import Origin
 
-from conftest import CONFIGS, VersionOracle, read_events, schedule_of
+from conftest import SCENARIOS, VersionOracle, read_events, schedule_of
 
 # per pair, the paths the oracle charges; every other path counts 0
 PINNED = {
@@ -61,12 +61,23 @@ def expected(pair):
     return {**dict.fromkeys(VersionOracle.PATHS, 0), **PINNED.get(pair, {})}
 
 
-@pytest.mark.parametrize("scenario", sorted(CONFIGS))
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("balancer", BALANCERS)
 def test_the_oracle_counts_are_pinned_per_pair_and_path(runs, scenario, balancer):
     replay = runs(scenario, balancer).replay
     assert replay.counts == expected((scenario, balancer))
     assert replay.early_hits == EARLY_HITS.get((scenario, balancer), 0)
+
+
+def test_the_oracle_counts_are_pinned_on_read_then_write(runs):
+    counts = {b: runs("read_then_write", b).replay.counts for b in BALANCERS}
+    assert counts == {b: expected(("read_then_write", b)) for b in BALANCERS}
+
+
+@pytest.mark.parametrize("balancer", BALANCERS)
+def test_the_early_hits_are_pinned_on_read_then_write(runs, balancer):
+    early_hits = runs("read_then_write", balancer).replay.early_hits
+    assert early_hits == EARLY_HITS.get(("read_then_write", balancer), 0)
 
 
 def small_run(schedule, cache_blocks, drive):
