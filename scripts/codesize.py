@@ -35,11 +35,19 @@ def count(source: str) -> tuple[int, int]:
     return len(lines), len(code)
 
 
-def main() -> None:
+def sizes() -> dict[str, dict[str, int]]:
+    """Total lines and code lines of each tree, by its path from the root."""
+    result = {}
     for tree in TREES:
-        sizes = [count(path.read_text()) for path in sorted((ROOT / tree).rglob("*.py"))]
-        total, code = (sum(column) for column in zip(*sizes))
-        print(f"{tree}: {total} lines, {code} code lines")
+        counts = [count(path.read_text()) for path in sorted((ROOT / tree).rglob("*.py"))]
+        total, code = (sum(column) for column in zip(*counts))
+        result[tree] = {"lines": total, "code_lines": code}
+    return result
+
+
+def main() -> None:
+    for tree, size in sizes().items():
+        print(f"{tree}: {size['lines']} lines, {size['code_lines']} code lines")
 
 
 if __name__ == "__main__":

@@ -49,11 +49,11 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=8, help="rounds of both sides")
-    args = parser.parse_args(argv)
+def measure(repeats: int) -> dict:
+    """Each side's time per round over replay's pairs, and the ratios of the two.
 
+    Raises ValueError if a pair's summary differs between the sides.
+    """
     lb = harness.import_lbicasim()
     pairs = harness.WORKLOADS["replay"]
     walls: dict[str, list[float]] = {side: [] for side in SIDES}
@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         configs = harness.load_pairs(lb, pairs, Path(tmp), None)
         schedules = [lb.runner.build_requests(config) for config in configs]
-        for repeat in range(args.repeats):
+        for repeat in range(repeats):
             for side in SIDES if repeat % 2 == 0 else SIDES[::-1]:
                 total = 0.0
                 summaries[side] = []
@@ -71,22 +71,38 @@ def main(argv: list[str] | None = None) -> int:
                     summaries[side].append(run.summary)
                 walls[side].append(total)
             if summaries["with log"] != summaries["without log"]:
-                print("error: the event log changed a simulated summary", file=sys.stderr)
-                return 1
-    print(f"{len(pairs)} pairs, {args.repeats} rounds, timed as perfbench's replay:")
-    for side in SIDES:
-        runs = walls[side]
+                raise ValueError("the event log changed a simulated summary")
+    ratios = [a / b for a, b in zip(walls["with log"], walls["without log"])]
+    return {
+        "pairs": len(pairs),
+        "rounds": repeats,
+        "walls_s": walls,
+        "ratio": statistics.median(walls["with log"]) / statistics.median(walls["without log"]),
+        "round_ratios": {"min": min(ratios), "median": statistics.median(ratios), "max": max(ratios)},
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=8, help="rounds of both sides")
+    args = parser.parse_args(argv)
+    try:
+        cost = measure(args.repeats)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(f"{cost['pairs']} pairs, {args.repeats} rounds, timed as perfbench's replay:")
+    for side, runs in cost["walls_s"].items():
         q1, q3 = quartiles(runs)
         print(
             f"  {side:<12} median {statistics.median(runs):.3f} s"
             f" [q1 {q1:.3f}, q3 {q3:.3f}] (min {min(runs):.3f}, max {max(runs):.3f})"
         )
-    ratio = statistics.median(walls["with log"]) / statistics.median(walls["without log"])
-    print(f"  with / without log: {ratio:.2f}x")
-    ratios = [a / b for a, b in zip(walls["with log"], walls["without log"])]
+    print(f"  with / without log: {cost['ratio']:.2f}x")
+    spread = cost["round_ratios"]
     print(
-        f"  per round: min {min(ratios):.2f}x, median {statistics.median(ratios):.2f}x,"
-        f" max {max(ratios):.2f}x"
+        f"  per round: min {spread['min']:.2f}x, median {spread['median']:.2f}x,"
+        f" max {spread['max']:.2f}x"
     )
     return 0
 

@@ -95,30 +95,34 @@ SWAPS = {
 # (name, module, text, replacement): each text occurs once in its module
 NAMED = (
     (
-        "HDD finished before SSD at an equal instant",
-        "engine",
-        "on_complete(done, _SSD)\n                        on_complete(hdd_done, _HDD)",
-        "on_complete(hdd_done, _HDD)\n                        on_complete(done, _SSD)",
+        "HDD logged before SSD at an equal instant",
+        "runner",
+        "if ssd_next <= hdd_next:",
+        "if ssd_next < hdd_next:",
     ),
     (
-        "arrival handled before a completion at an equal instant",
+        "arrival handled before a promotion at an equal instant",
         "engine",
-        "                if ssd_due == t:",
-        "                if next_arrival == t:\n"
-        "                    ssd_due = hdd_due = None\n"
-        "                if ssd_due == t:",
+        "promotions[0][0] <= next_arrival",
+        "promotions[0][0] < next_arrival",
     ),
     (
         "remove_tail taking one request too many",
         "engine",
-        "n = min(count, len(self.waiting))",
-        "n = min(count + 1, len(self.waiting))",
+        "n = min(count, len(finish) - self.head - 1)",
+        "n = min(count + 1, len(finish) - self.head - 1)",
     ),
     (
         "remove_tail taking one request too few",
         "engine",
-        "n = min(count, len(self.waiting))",
-        "n = min(count - 1, len(self.waiting))",
+        "n = min(count, len(finish) - self.head - 1)",
+        "n = min(count - 1, len(finish) - self.head - 1)",
+    ),
+    (
+        "dispatched rows counted as completed",
+        "runner",
+        '"app_completed": app_completed,',
+        '"app_completed": len(latencies),',
     ),
     (
         "a promotion admitted under WO",

@@ -161,6 +161,28 @@ def count_pairs(pairs) -> tuple[Count, Count, int]:
     return build, run, sum(len(schedule) for schedule in schedules)
 
 
+def load(workload: str) -> list:
+    """``(config, events)`` of each pair of the workload, loaded as the benchmark loads them."""
+    pairs = harness.WORKLOADS[workload]
+    with tempfile.TemporaryDirectory() as workdir:  # where steady's config is written
+        configs = harness.load_pairs(lbicasim, pairs, Path(workdir), seed=None)
+    return [(config, pair.events) for config, pair in zip(configs, pairs)]
+
+
+def counts(pairs, top: int) -> dict:
+    """The counts of ``count_pairs(pairs)``, with the ``top`` functions by bytecodes run."""
+    build, run, requests = count_pairs(pairs)
+    return {
+        "requests": requests,
+        "run_opcodes": run.opcodes,
+        "run_opcodes_per_request": run.opcodes / requests,
+        "run_frames": run.frames,
+        "build_opcodes": build.opcodes,
+        "build_frames": build.frames,
+        "top": dict(run.by_function.most_common(top)),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -170,18 +192,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     print(f"python {sys.version.split()[0]} ({sys.version})")
     for workload in args.workload or list(harness.WORKLOADS):
-        pairs = harness.WORKLOADS[workload]
-        with tempfile.TemporaryDirectory() as workdir:  # where steady's config is written
-            configs = harness.load_pairs(lbicasim, pairs, Path(workdir), seed=None)
-        build, run, requests = count_pairs(
-            [(config, pair.events) for config, pair in zip(configs, pairs)]
-        )
+        c = counts(load(workload), args.top)
         print(
-            f"{workload}: {requests} requests; run {run.opcodes} bytecodes"
-            f" ({run.opcodes / requests:.1f} per request), {run.frames} frames;"
-            f" build {build.opcodes} bytecodes, {build.frames} frames"
+            f"{workload}: {c['requests']} requests; run {c['run_opcodes']} bytecodes"
+            f" ({c['run_opcodes_per_request']:.1f} per request), {c['run_frames']} frames;"
+            f" build {c['build_opcodes']} bytecodes, {c['build_frames']} frames"
         )
-        for name, opcodes in run.by_function.most_common(args.top):
+        for name, opcodes in c["top"].items():
             print(f"  {opcodes:>12}  {name}")
     return 0
 

@@ -7,12 +7,22 @@ interval. Every request is an ``int`` id (see :mod:`lbicasim.engine`).
 The arrival handler dispatches each application arrival, a schedule
 row, through the cache engine, which creates the access's cache
 traffic in the run's request table, and submits the row and that
-traffic to their devices. The completion handler submits deferred
-promotions when their backing disk reads complete and keeps the
-per-application bookkeeping that defines request latency (a
-write-through write completes when both halves finish). Between two
-``step`` calls, with the clock at the interval boundary, it ticks the
-balancer.
+traffic to their devices. The promotion handler submits a deferred
+promotion when its backing disk read finishes; at an equal instant the
+engine hands it over before an arrival, as the completion that releases
+it would have come first. Between two ``step``
+calls, with the clock at the interval boundary, the run retires both
+devices to the boundary and ticks the balancer.
+
+Completions are not events: a device's FIFO timeline gives each
+request's finish when it is submitted. So an access's completion, which
+defines its latency, is fixed at dispatch, in one ``array('q')`` per
+run holding each application row's finish. A write-through write
+completes when both halves finish, and both are submitted at its
+arrival, so it holds the later finish. A row that a bypass moves to the
+disk holds its new disk finish: if it is a write-through cache half,
+that is the later half too, since its mirror is ahead of it in the
+disk's FIFO queue.
 
 Balancer ticks only return a decision; the simulation applies it through
 two methods, so every policy change and queue edit flows through one
@@ -25,13 +35,20 @@ logged place:
 
 With an event log enabled, every request lifecycle step and policy
 change is recorded, which is enough to independently replay cache
-metadata and re-derive interval statistics.
+metadata and re-derive interval statistics. The ``complete`` rows come
+from the devices' columns: before each event's rows and each tick's,
+one merged pass writes the rows of every request finished by then, in
+time order and SSD before HDD at an equal instant, where a
+completion-by-completion loop would have written them.
 """
 
 from __future__ import annotations
 
 import statistics
+import sys
+from array import array
 from dataclasses import dataclass
+from operator import sub
 from typing import IO
 
 from .balancer import RatioVector, make_balancer
@@ -42,6 +59,7 @@ from .telemetry import IntervalStats, IntervalTracker, take_snapshot
 from .workload import generate, load_trace
 
 _SSD, _HDD = DeviceRole
+_NEVER = sys.maxsize  # an instant after every finish of a run
 # the origin and op fields of a request row, by Origin.index
 _ORIGIN_FIELDS = tuple(f"{origin.value},{origin.op}" for origin in Origin)
 
@@ -120,25 +138,26 @@ class Simulation:
         self.events = events
         ssd = Device(DeviceRole.SSD, config.ssd_read_us, config.ssd_write_us)
         hdd = Device(DeviceRole.HDD, config.hdd_read_us, config.hdd_write_us)
-        self.sim = Simulator(ssd, hdd, self._on_complete, self._dispatch, schedule)
+        self.sim = Simulator(ssd, hdd, self._promote, self._dispatch, schedule)
         requests = self.sim.requests
         self._arrivals, self._lbas, self._reads = schedule.arrival, schedule.lba, schedule.read
-        self._origins, self._live = requests.origin, requests.live
         if events:
             events.requests = requests
+            # per device, the entries of its history whose complete rows are written
+            self._ssd_logged = self._hdd_logged = 0
+            self._log_due = _NEVER  # see ``_log_completions``
+        else:
+            requests.live = None  # only the log reads a cache request's fields
+        self._live = requests.live
         self._n_app = len(schedule)
         self.cache = CacheEngine(config.cache_blocks, requests=requests)
         self.tracker = IntervalTracker(config.ssd_latency_avg, config.hdd_latency_avg)
         self.balancer = make_balancer(config.balancer, config.theta_dom)
         self.rows: list[IntervalStats] = []
         self.dropped_promotions = 0
-        # an application read's row -> the id of its deferred promotion
-        self._deferred: dict[int, int] = {}
-        # per application row: 1 while both halves of its write-through
-        # write are pending; empty until the run's first write-through
-        # write, so a run without one pays no byte per row
-        self._both_halves_pending = bytearray()
-        self._latencies: list[int] = []
+        # per application row, the instant its access completes
+        self._done = array("q", bytes(8 * len(schedule)))
+        self._mirrors = 0  # write-through mirrors, which are W requests but no rows
 
     # ------------------------------------------------------------------
     # applying controller decisions
@@ -150,84 +169,127 @@ class Simulation:
                 self.events.policy(self.sim.clock, policy)
 
     def bypass_tail(self, count: int) -> int:
+        """Move up to ``count`` requests off the cache queue's tail; return how many moved.
+
+        The cache device must be retired to the clock, as ``_tick`` does.
+        """
         removed = self.sim.ssd.remove_tail(count)
         events, clock = self.events, self.sim.clock
         for req in removed:
             if events:
                 events.request(clock, "remove", req, _SSD)
             if req < self._n_app:
-                self._submit(req, _HDD)
+                # the access now completes on the disk, after its
+                # write-through mirror if it has one
+                self._done[req] = self._submit(req, _HDD)
             else:
                 # the cache queue's only cache traffic is promotions, and a
                 # dropped one loses no data: the disk copy is current
                 self.dropped_promotions += 1
                 if events:
                     events.request(clock, "drop", req, _SSD, "bypassed promotion")
-                del self._live[req]
+                    del self._live[req]
         return len(removed)
 
     # ------------------------------------------------------------------
     # event handling
 
-    def _submit(self, req: int, target: DeviceRole) -> None:
-        self.sim.submit(req, target)
+    def _submit(self, req: int, target: DeviceRole) -> int:
+        finish = self.sim.submit(req, target)
         if self.events:
             self.events.request(self.sim.clock, "submit", req, target)
+            if finish < self._log_due:
+                self._log_due = finish
+        return finish
 
     def _dispatch(self, row: int) -> None:
+        sim = self.sim
+        events = self.events
+        if events and sim.clock >= self._log_due:
+            self._log_completions(sim.clock)
         before, target, after, promotion, foreground = self.cache.access(
-            row, self._lbas[row], self._reads[row], self.sim.clock
+            row, self._lbas[row], self._reads[row], sim.clock
         )
-        if foreground == 2:
-            if not self._both_halves_pending:
-                self._both_halves_pending = bytearray(self._n_app)
-            self._both_halves_pending[row] = 1
-        if promotion is not None:
-            self._deferred[row] = promotion
         # cache traffic other than a promotion goes to the disk
         if before is not None:
             self._submit(before, _HDD)
         # ``_submit`` of the row, inline on the per-request path
-        self.sim.submit(row, target)
-        if self.events:
-            self.events.request(self.sim.clock, "submit", row, target)
+        done = sim.submit(row, target)
+        if events:
+            events.request(sim.clock, "submit", row, target)
+            if done < self._log_due:
+                self._log_due = done
         if after is not None:
-            self._submit(after, _HDD)
+            finish = self._submit(after, _HDD)
+            if foreground == 2:
+                # the write-through mirror: the access completes with the later half
+                self._mirrors += 1
+                if finish > done:
+                    done = finish
+        self._done[row] = done
+        if promotion is not None:
+            # it installs the block the row reads from the disk, once read
+            sim.promotions.append((done, promotion))
 
-    def _on_complete(self, req: int, role: DeviceRole) -> None:
+    def _promote(self, promotion: int) -> None:
         clock = self.sim.clock
         events = self.events
-        if events:
-            events.request(clock, "complete", req, role)
-        if req < self._n_app:
-            arrival = self._arrivals[req]
-            app = req
+        if events and clock >= self._log_due:
+            self._log_completions(clock)
+        if self.cache.admits_promotion:
+            if events:
+                # it enters the cache queue now, so it arrives now
+                _arrival, lba, app = self._live[promotion]
+                self._live[promotion] = (clock, lba, app)
+            self._submit(promotion, _SSD)
         else:
-            arrival, _lba, app = self._live.pop(req)
-        self.tracker.record_completion(role.index, self._origins[req], clock - arrival)
-        if self._deferred:
-            promotion = self._deferred.pop(req, None)
-            if promotion is not None:
-                if self.cache.admits_promotion:
-                    # it enters the cache queue now, for the row's block
-                    self._live[promotion] = (clock, self._lbas[req], -1)
-                    self._submit(promotion, _SSD)
-                else:
-                    self.dropped_promotions += 1
-                    if events:
-                        events.request(clock, "drop", promotion, _SSD, "write-only policy")
-                    del self._live[promotion]
-        # an application request and its WT mirror are foreground, and
-        # both carry the application's arrival: the mirror is created at it
-        if app >= 0:
-            pending = self._both_halves_pending
-            if pending and pending[app]:
-                pending[app] = 0
+            self.dropped_promotions += 1
+            if events:
+                events.request(clock, "drop", promotion, _SSD, "write-only policy")
+                del self._live[promotion]
+
+    def _log_completions(self, t: int) -> None:
+        """Write the ``complete`` row of every request finished by ``t`` and not yet logged.
+
+        The rows go in time order, SSD before HDD at an equal instant. A
+        cache request's fields leave the request table with its row. The
+        callers skip the call while ``t`` is before ``_log_due``, the
+        earliest unlogged finish, which each logged submission lowers
+        when it finishes earlier.
+        """
+        ssd, hdd = self.sim.ssd, self.sim.hdd
+        events, live, rows = self.events, self._live, self._n_app
+        ssd_finish, ssd_ids, i = ssd.finish, ssd.ids, self._ssd_logged - ssd.offset
+        hdd_finish, hdd_ids, j = hdd.finish, hdd.ids, self._hdd_logged - hdd.offset
+        ssd_len, hdd_len = len(ssd_finish), len(hdd_finish)
+        ssd_next = ssd_finish[i] if i < ssd_len else _NEVER
+        hdd_next = hdd_finish[j] if j < hdd_len else _NEVER
+        while True:
+            if ssd_next <= hdd_next:
+                if ssd_next > t:
+                    break
+                req = ssd_ids[i]
+                events.request(ssd_next, "complete", req, _SSD)
+                i += 1
+                ssd_next = ssd_finish[i] if i < ssd_len else _NEVER
             else:
-                self._latencies.append(clock - arrival)
+                if hdd_next > t:
+                    break
+                req = hdd_ids[j]
+                events.request(hdd_next, "complete", req, _HDD)
+                j += 1
+                hdd_next = hdd_finish[j] if j < hdd_len else _NEVER
+            if req >= rows:
+                del live[req]
+        self._ssd_logged, self._hdd_logged = i + ssd.offset, j + hdd.offset
+        self._log_due = ssd_next if ssd_next < hdd_next else hdd_next
 
     def _tick(self, boundary: int) -> None:
         ssd, hdd = self.sim.ssd, self.sim.hdd
+        if self.events:
+            self._log_completions(boundary)
+        self.tracker.record_completion(_SSD.index, *ssd.retire(boundary))
+        self.tracker.record_completion(_HDD.index, *hdd.retire(boundary))
         ratios = RatioVector.from_snapshot(take_snapshot(ssd, hdd))
         stats = self.tracker.close_interval(boundary, ssd.qsize, hdd.qsize)
         decision = self.balancer.tick(stats, ratios)
@@ -253,17 +315,16 @@ class Simulation:
             boundary += interval
         end_time = sim.clock
         if end_time > boundary - interval:
-            # final partial interval: queues are empty, the tick just closes it
+            # final partial interval: the tick retires what is left and closes it
             sim.clock = boundary
             self._tick(boundary)
         # the handlers are bound methods of this Simulation: dropping them
         # breaks the cycle, so a finished run is freed by reference counting
-        sim.on_complete = sim.on_arrive = None
+        sim.on_promote = sim.on_arrive = None
         return RunResult(self.config, self.rows, self._summary(end_time))
 
     def _summary(self, end_time: int) -> dict:
-        latencies = self._latencies
-        latencies.sort()
+        latencies = self._latencies = sorted(map(sub, self._done, self._arrivals))
         if latencies:
             mean_lat = statistics.fmean(latencies)
             # what ``statistics.median`` returns, without sorting a copy
@@ -277,6 +338,21 @@ class Simulation:
         else:
             mean_lat = median_lat = 0.0
             p99_lat = max_lat = 0
+        completed = {
+            f"{device}_completed_{origin.value.lower()}": sum(
+                counts[origin.index] for counts in served
+            )
+            for device, served in (
+                ("ssd", [row.ssd_served for row in self.rows]),
+                ("hdd", [row.hdd_served for row in self.rows]),
+            )
+            for origin in Origin
+        }
+        # the application rows the devices retired: every R and W request
+        # but the write-through mirrors
+        app_completed = -self._mirrors + sum(
+            completed[f"{device}_completed_{op}"] for device in ("ssd", "hdd") for op in "rw"
+        )
         burst_rows = [row for row in self.rows if row.burst]
         summary = {
             "scenario": self.config.scenario_hash(),
@@ -285,7 +361,7 @@ class Simulation:
             "simulated_end_us": end_time,
             "intervals": len(self.rows),
             "app_requests": self._n_app,
-            "app_completed": len(latencies),
+            "app_completed": app_completed,
             "mean_latency_us": mean_lat,
             "median_latency_us": median_lat,
             "p99_latency_us": p99_lat,
@@ -306,14 +382,7 @@ class Simulation:
                 statistics.fmean(row.hdd_qsize for row in self.rows) if self.rows else 0.0
             ),
         }
-        for device, served in (
-            ("ssd", [row.ssd_served for row in self.rows]),
-            ("hdd", [row.hdd_served for row in self.rows]),
-        ):
-            for origin in Origin:
-                summary[f"{device}_completed_{origin.value.lower()}"] = sum(
-                    counts[origin.index] for counts in served
-                )
+        summary.update(completed)
         return summary
 
 

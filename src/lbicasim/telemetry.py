@@ -10,9 +10,14 @@ The balancers act on two views of the system, both produced here:
   which becomes one row of ``intervals.csv``.
 
 Per-origin counts are 4-tuples in ``Origin`` order ``(r, w, p, e)``,
-the format ``Device.inqueue`` keeps. The open window counts completions
-in one list per device, indexed by ``Origin.index``, and closing it
-copies each list into a tuple of :class:`IntervalStats`.
+the format ``Device.inqueue`` keeps. Completions are not events: the
+runner retires each device to the boundary at every tick, and hands the
+tracker each device's retired window once, its per-origin counts and
+its largest latency. A request that finishes at a boundary instant is
+retired at that tick, so it counts in the window the boundary closes.
+The open window adds them into one list per
+device, indexed by ``Origin.index``, and closing it copies each list
+into a tuple of :class:`IntervalStats`.
 
 The latency term is the configured per-device average of read and write
 service latency, fixed for the whole run; queue times are exact integer
@@ -22,6 +27,7 @@ products of that and the sampled depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import TYPE_CHECKING
 
 from .engine import Device, DeviceRole, Origin
@@ -89,7 +95,7 @@ class IntervalStats:
 
 
 class IntervalTracker:
-    """Streams completions into non-overlapping interval windows.
+    """Adds retired completions into non-overlapping interval windows.
 
     The open window's counts are int-indexed: ``_served[role][origin]``
     and ``_max_latency[role]`` by ``DeviceRole.index`` and
@@ -107,11 +113,11 @@ class IntervalTracker:
         self._served = [[0] * len(Origin) for _role in DeviceRole]
         self._max_latency = [0] * len(DeviceRole)
 
-    def record_completion(self, role: int, origin: int, latency: int) -> None:
-        """Count one completion: its device's and origin's indices, and its latency."""
-        self._served[role][origin] += 1
-        if latency > self._max_latency[role]:
-            self._max_latency[role] = latency
+    def record_completion(self, role: int, served: list[int], max_latency: int) -> None:
+        """Add device ``role``'s retired window: per-origin completions, largest latency."""
+        self._served[role] = list(map(add, self._served[role], served))
+        if max_latency > self._max_latency[role]:
+            self._max_latency[role] = max_latency
 
     def close_interval(self, end: int, ssd_qsize: int, hdd_qsize: int) -> IntervalStats:
         """Close the window ending at ``end`` and reset windowed counters."""

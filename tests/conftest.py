@@ -429,8 +429,11 @@ def scheduled(schedule: Schedule) -> list[tuple[int, int, Origin]]:
 
 
 def recount_origins(device) -> list[int]:
-    """Per-origin counts of the device's pending requests in ``Origin`` order, by a full walk."""
-    origins = [device.origins[r] for r in (device.in_service, *device.waiting) if r is not None]
+    """Per-origin counts of the device's unretired requests in ``Origin`` order, by a full walk.
+
+    Each request's origin is read from the run's table, not the device's column.
+    """
+    origins = [device.origins[r] for r in device.ids[device.head :]]
     return [origins.count(origin.index) for origin in Origin]
 
 

@@ -4,7 +4,7 @@ import heapq
 import random
 import sys
 from array import array
-from collections import namedtuple
+from collections import deque
 
 import pytest
 from hypothesis import given
@@ -28,7 +28,7 @@ def bound_device(read=100, write=100):
     """An SSD whose requests live in a table of their own, and that table."""
     dev = Device(DeviceRole.SSD, read, write)
     requests = Requests(Schedule())
-    dev.origins = requests.origin
+    dev.bind(requests)
     return dev, requests
 
 
@@ -45,19 +45,12 @@ def test_a_request_reads_exactly_when_its_origin_is_an_application_read(origin):
 FOREVER = sys.maxsize
 
 
-# a finished request as the recorder reads it back from its run's table
-Done = namedtuple("Done", "id target origin arrival lba")
-
-
 class Recorder:
     """Recording handlers: every call as ``(clock, kind, request id)``.
 
     With ``submit`` set, the arrival handler submits each arrival's
     schedule row to the device ``targets`` names for it, the way the
-    runner's dispatch does once it has planned the access. Each finished
-    request is kept as a :class:`Done`, its fields read from the
-    simulator's request table; a cache request's entry is popped then,
-    as the runner pops it.
+    runner's dispatch does once it has planned the access.
     """
 
     def __init__(self, submit=True):
@@ -65,26 +58,15 @@ class Recorder:
         self.submit = submit
         self.targets = []
         self.calls = []
-        self.completed = []
 
-    def on_complete(self, req, role):
-        self.calls.append((self.sim.clock, "complete", req))
-        requests = self.sim.requests
-        if req < requests.rows:
-            arrival, lba = requests.schedule.arrival[req], requests.schedule.lba[req]
-        else:
-            arrival, lba, _app = requests.live.pop(req)
-        self.completed.append(Done(req, role, ORIGINS[requests.origin[req]], arrival, lba))
+    def on_promote(self, req):
+        self.calls.append((self.sim.clock, "promote", req))
 
     def on_arrive(self, row):
         assert row.__class__ is int
         self.calls.append((self.sim.clock, "arrive", row))
         if self.submit:
             self.sim.submit(row, self.targets[row])
-
-    def completions(self):
-        """``(id, completion instant)`` of every completion, in handler order."""
-        return [(req_id, clock) for clock, kind, req_id in self.calls if kind == "complete"]
 
 
 def new_sim(ssd=(100, 100), hdd=(5000, 5000), submit=True, recorder=None, arrivals=()):
@@ -97,7 +79,7 @@ def new_sim(ssd=(100, 100), hdd=(5000, 5000), submit=True, recorder=None, arriva
     rec.targets = [target for *_, target in arrivals]
     schedule = schedule_of(row[:3] for row in arrivals)
     ssd_dev, hdd_dev = Device(DeviceRole.SSD, *ssd), Device(DeviceRole.HDD, *hdd)
-    rec.sim = Simulator(ssd_dev, hdd_dev, rec.on_complete, rec.on_arrive, schedule)
+    rec.sim = Simulator(ssd_dev, hdd_dev, rec.on_promote, rec.on_arrive, schedule)
     return rec.sim, rec
 
 
@@ -105,16 +87,15 @@ def make_sim(submit=True, arrivals=()):
     return new_sim(ssd=(100, 300), hdd=(4000, 6000), submit=submit, arrivals=arrivals)
 
 
-def drain(sim, rec):
-    """Run the loop dry, returning completions in completion order."""
-    assert sim.step(FOREVER) is False
-    return rec.completed
+def finishes(device):
+    """``(id, finish)`` of every request the device holds, retired or not, in queue order."""
+    return list(zip(device.ids, device.finish))
 
 
 class TestSubmit:
     def test_empty_queue_accepts_one_read(self):
         dev, requests = bound_device()
-        dev.submit(add_read(requests), now=0)
+        assert dev.submit(add_read(requests), now=0) == 100
         assert dev.qsize == 1
 
     def test_back_to_back_submissions_keep_fifo_order(self):
@@ -122,22 +103,46 @@ class TestSubmit:
         for _ in range(5):
             dev.submit(add_read(requests), now=0)
         assert dev.qsize == 5
-        assert [dev.in_service, *dev.waiting] == [0, 1, 2, 3, 4]
+        assert finishes(dev) == [(0, 100), (1, 200), (2, 300), (3, 400), (4, 500)]
+
+    def test_an_idle_device_starts_at_the_submission(self):
+        # finish = max(now, previous finish) + service
+        dev, requests = bound_device()
+        assert [dev.submit(add_read(requests), now) for now in (0, 50, 500)] == [100, 200, 600]
+        assert dev.busy_until == 600
+
+    def test_qsize_counts_what_is_pending_at_the_latest_submission(self):
+        # unretired requests that finished by then are not pending
+        dev, requests = bound_device()
+        dev.submit(add_read(requests), now=0)
+        dev.submit(add_read(requests), now=0)
+        dev.submit(add_read(requests), now=150)  # request 0 finished at 100
+        assert dev.qsize == 2
+        assert dev.inqueue == [3, 0, 0, 0]  # until a retire takes request 0 off
+        dev.retire(150)
+        assert (dev.qsize, dev.inqueue) == (2, [2, 0, 0, 0])
 
     def test_a_schedule_row_is_queued_as_itself_and_served_by_its_op(self):
         # a write row on an SSD with 100us reads and 300us writes
         sim, rec = new_sim(ssd=(100, 300), submit=False, arrivals=[(0, 7, Origin.W, None)])
         sim.step(0)
-        sim.submit(0, DeviceRole.SSD)
+        assert sim.submit(0, DeviceRole.SSD) == 300
         read = submit_new(sim)  # a read request behind it, the first cache request
         assert read == 1
-        assert sim.ssd.in_service == 0  # the row is its own id
-        assert list(sim.ssd.waiting) == [1]
+        assert list(sim.ssd.ids) == [0, 1]  # the row is its own id
         assert sim.ssd.inqueue == [1, 1, 0, 0]
-        drain(sim, rec)
-        assert rec.completions() == [(0, 300), (1, 400)]
-        assert rec.completed[0] == Done(0, DeviceRole.SSD, Origin.W, 0, 7)
-        assert sim.requests.live == {}
+        assert list(sim.ssd.latency) == [300, 400]
+        assert sim.requests.live == {1: (0, 0, -1)}
+        drain(sim)
+        assert finishes(sim.ssd) == [(0, 300), (1, 400)]
+
+    def test_a_resubmitted_row_keeps_its_arrival(self):
+        # a row arriving at 100 that reaches the disk only at 2 000 waits 7 000
+        sim, rec = new_sim(submit=False, arrivals=[(100, 7, Origin.R, None)])
+        sim.step(100)
+        sim.clock = 2_000  # as the runner's tick at a boundary leaves it
+        assert sim.submit(0, DeviceRole.HDD) == 7_000
+        assert list(sim.hdd.latency) == [6_900]
 
     def test_negative_latency_rejected(self):
         for latencies in ((0, 100), (100, 0), (-1, 100), (100, -1)):
@@ -146,27 +151,33 @@ class TestSubmit:
         assert Device(DeviceRole.SSD, 1, 1).busy_time == 0  # one microsecond is enough
 
 
+def drain(sim):
+    """Run the loop dry; it must end."""
+    assert sim.step(FOREVER) is False
+
+
 class TestStep:
     def test_single_read_completes_after_service_latency(self):
         sim, rec = new_sim()
         submit_new(sim)
-        drain(sim, rec)
-        assert rec.completions() == [(0, 100)]
+        drain(sim)
+        assert finishes(sim.ssd) == [(0, 100)]
+        assert sim.clock == 100  # the run ends at its last finish
 
     def test_two_reads_serialize_fifo(self):
         sim, rec = new_sim()
         submit_new(sim)
         submit_new(sim)
-        drain(sim, rec)
-        assert rec.completions() == [(0, 100), (1, 200)]
+        drain(sim)
+        assert finishes(sim.ssd) == [(0, 100), (1, 200)]
 
     def test_mixed_read_then_write_schedule(self):
         # read 100us then write 200us, both queued at t=0 -> 100 and 300
         sim, rec = new_sim(ssd=(100, 200))
         submit_new(sim)
         submit_new(sim, origin=Origin.W)
-        drain(sim, rec)
-        assert rec.completions() == [(0, 100), (1, 300)]
+        drain(sim)
+        assert finishes(sim.ssd) == [(0, 100), (1, 300)]
 
     def test_no_pending_events_signals_end(self):
         sim, rec = new_sim()
@@ -182,39 +193,161 @@ class TestStep:
         assert sim.clock == 250
         assert rec.calls == [(250, "arrive", 0)]
 
+    def test_promotions_surface_at_their_instant_in_order(self):
+        sim, rec = new_sim(submit=False)
+        sim.promotions.extend([(100, 7), (300, 8)])
+        assert sim.step(99) is True
+        assert sim.step(300) is False
+        assert rec.calls == [(100, "promote", 7), (300, "promote", 8)]
+        assert sim.clock == 300
+
     def test_same_instant_completions_precede_arrivals(self):
+        # the promotion a disk read's completion releases goes first
         sim, rec = new_sim(submit=False, arrivals=[(100, 0, Origin.R, None)])
-        submit_new(sim)  # request 1: the schedule holds request 0
+        sim.promotions.append((100, 7))
         assert sim.step(100) is False
-        assert sim.clock == 100
-        assert rec.calls == [(100, "complete", 1), (100, "arrive", 0)]
+        assert rec.calls == [(100, "promote", 7), (100, "arrive", 0)]
 
     def test_both_due_completions_leave_their_devices_before_either_handler(self):
+        # an SSD and an HDD request finish at 100, when a promotion is due:
+        # the promotion's handler finds both done
         seen = []
 
-        def on_complete(req, role):
-            seen.append((req, role, sim.ssd.in_service, sim.hdd.in_service))
+        def on_promote(req):
+            finish = sim.submit(req, DeviceRole.SSD)
+            seen.append((finish, sim.ssd.qsize, sim.hdd.retire(sim.clock)))
 
         ssd, hdd = Device(DeviceRole.SSD, 100, 100), Device(DeviceRole.HDD, 100, 100)
-        sim = Simulator(ssd, hdd, on_complete, seen.append, Schedule())
+        sim = Simulator(ssd, hdd, on_promote, None, Schedule())
         submit_new(sim)
         submit_new(sim, target=DeviceRole.HDD)
-        assert sim.step(100) is False
-        # SSD first; when its handler runs the HDD is already idle
-        assert seen == [(0, DeviceRole.SSD, None, None), (1, DeviceRole.HDD, None, None)]
+        sim.promotions.append((100, sim.requests.add(Origin.P.index, 100, 0)))
+        assert sim.step(100) is True  # the promotion is pending past 100
+        assert seen == [(200, 1, ([1, 0, 0, 0], 100))]
 
     def test_step_stops_at_until_and_resumes_there(self):
         sim, rec = new_sim()
         for _ in range(3):
             submit_new(sim)
+        # no event is left, but the device is busy until 300
         assert sim.step(150) is True
-        assert sim.clock == 150  # left at ``until`` while events remain past it
-        assert rec.calls == [(100, "complete", 0)]
-        assert sim.step(200) is True  # the event at exactly ``until`` is handled
-        assert rec.calls[-1] == (200, "complete", 1)
-        assert sim.clock == 200
+        assert sim.clock == 150  # left at ``until`` while anything is pending past it
+        assert sim.ssd.retire(150) == ([1, 0, 0, 0], 100)
+        assert sim.step(300) is False  # the finish at exactly ``until`` ends the run
+        assert sim.clock == 300
+        assert sim.ssd.retire(300) == ([2, 0, 0, 0], 300)
+
+    def test_step_stops_at_the_last_event_when_nothing_else_is_pending(self):
+        # the last arrival submits nothing, and the device finished before it
+        sim, rec = new_sim(submit=False, arrivals=[(500, 0, Origin.R, None)])
+        submit_new(sim)
         assert sim.step(FOREVER) is False
-        assert rec.calls[-1] == (300, "complete", 2)
+        assert sim.clock == 500
+
+
+class TestRetire:
+    def setup_method(self):
+        self.dev, self.requests = bound_device(read=100, write=300)
+
+    def test_retire_counts_the_window_per_origin_with_its_largest_latency(self):
+        for origin in (Origin.R, Origin.P, Origin.P, Origin.W):
+            self.dev.submit(self.requests.add(origin.index, 0, 0), now=0)
+        # finishes 100, 400, 700, 1 000
+        assert self.dev.retire(99) == ([0, 0, 0, 0], 0)
+        assert self.dev.retire(700) == ([1, 0, 2, 0], 700)
+        assert self.dev.inqueue == [0, 1, 0, 0]
+        assert self.dev.qsize == 1
+        assert self.dev.retire(700) == ([0, 0, 0, 0], 0)  # nothing twice
+        assert self.dev.retire(5_000) == ([0, 1, 0, 0], 1_000)
+        assert (self.dev.qsize, self.dev.inqueue) == (0, [0, 0, 0, 0])
+
+    def test_the_columns_drop_a_retired_prefix_longer_than_the_pending_part(self):
+        for _ in range(4):
+            self.dev.submit(add_read(self.requests), now=0)
+        self.dev.retire(200)  # two retired, two pending: kept
+        assert (len(self.dev.ids), self.dev.head, self.dev.offset) == (4, 2, 0)
+        self.dev.retire(300)  # three retired, one pending: dropped
+        assert (list(self.dev.ids), self.dev.head, self.dev.offset) == ([3], 0, 3)
+        assert self.dev.submitted == 4
+        self.dev.submit(add_read(self.requests), now=300)
+        assert finishes(self.dev) == [(3, 400), (4, 500)]
+        assert self.dev.submitted == 5
+
+
+class TestTimelineMatchesAPerEventQueue:
+    """The timeline ``Device`` against a queue that finishes one request per event."""
+
+    class NaiveFifo:
+        """A single-server FIFO queue stepped completion by completion."""
+
+        def __init__(self, service):
+            self.service = service  # by Origin.index
+            self.queue = deque()  # (id, origin, arrival), the head in service
+            self.started = 0  # when the head entered service
+            self.done = []  # (id, finish, origin, latency), in completion order
+
+        def advance(self, t):
+            while self.queue:
+                req, origin, arrival = self.queue[0]
+                finish = self.started + self.service[origin]
+                if finish > t:
+                    return
+                self.queue.popleft()
+                self.done.append((req, finish, origin, finish - arrival))
+                self.started = finish
+
+        def submit(self, req, origin, arrival, now):
+            self.advance(now)
+            if not self.queue:
+                self.started = now
+            self.queue.append((req, origin, arrival))
+
+        def remove_tail(self, count):
+            removed = [self.queue.pop()[0] for _ in range(min(count, len(self.queue) - 1))]
+            return removed[::-1]
+
+    operations = st.lists(
+        st.tuples(st.sampled_from(["submit", "retire", "cut"]), st.integers(0, 400),
+                  st.integers(0, 5)),
+        max_size=60,
+    )
+
+    @given(operations)
+    def test_finishes_counts_latencies_and_depths_agree(self, operations):
+        rows = 6  # schedule rows 0-5, all arriving at 0, reads and writes
+        schedule = schedule_of((0, row, (Origin.R, Origin.W)[row % 2]) for row in range(rows))
+        requests = Requests(schedule)
+        dev = Device(DeviceRole.SSD, 70, 250)
+        dev.bind(requests)
+        ref = self.NaiveFifo(dev._service)
+        now, seen, finish_of = 0, 0, {}
+        for kind, step, pick in operations:
+            now += step
+            if kind == "submit":
+                # a schedule row, its first time on the device, or a cache request
+                fresh = [row for row in range(rows) if row not in finish_of]
+                req = fresh[0] if fresh and pick < 2 else requests.add(pick % 4, now, 0)
+                arrival = 0 if req < rows else now
+                finish_of[req] = dev.submit(req, now)
+                ref.submit(req, requests.origin[req], arrival, now)
+                continue
+            served, max_latency = dev.retire(now)
+            ref.advance(now)
+            window = ref.done[seen:]
+            seen = len(ref.done)
+            assert [(req, finish_of[req]) for req, *_ in window] == [(r, f) for r, f, *_ in window]
+            assert served == [sum(o == k for _r, _f, o, _l in window) for k in range(4)]
+            assert max_latency == max((lat for *_, lat in window), default=0)
+            assert dev.qsize == len(ref.queue)
+            assert dev.inqueue == [sum(o == k for _r, o, _a in ref.queue) for k in range(4)]
+            if kind == "cut":
+                assert dev.remove_tail(pick) == ref.remove_tail(pick)
+                assert dev.qsize == len(ref.queue)
+        # what is left finishes as the reference finishes it
+        ref.advance(FOREVER)
+        dev.retire(FOREVER)
+        assert [(r, finish_of[r]) for r, *_ in ref.done] == [(r, f) for r, f, *_ in ref.done]
+        assert dev.busy_time == sum(ref.service[o] for _r, _f, o, _l in ref.done)
 
 
 class TestArrivalOrder:
@@ -292,11 +425,13 @@ class TestRemoveTail:
         self.dev, self.requests = bound_device()
 
     def test_removes_tail_in_queue_order(self):
-        # build a waiting-only queue: nothing has entered service
-        self.dev.waiting.extend(add_read(self.requests) for _ in range(3))
+        for _ in range(4):
+            self.dev.submit(add_read(self.requests), now=0)
         removed = self.dev.remove_tail(2)
-        assert removed == [1, 2]
-        assert list(self.dev.waiting) == [0]
+        assert removed == [2, 3]
+        assert finishes(self.dev) == [(0, 100), (1, 200)]
+        assert self.dev.inqueue == [2, 0, 0, 0]
+        assert self.dev.submitted == 4
 
     def test_remove_zero_is_identity(self):
         self.dev.submit(add_read(self.requests), now=0)
@@ -306,11 +441,19 @@ class TestRemoveTail:
     def test_in_service_request_is_protected(self):
         for _ in range(3):
             self.dev.submit(add_read(self.requests), now=0)
-        assert self.dev.in_service == 0
         removed = self.dev.remove_tail(3)  # clamped to the waiting portion
         assert removed == [1, 2]
         assert self.dev.qsize == 1
-        assert self.dev.in_service == 0
+        assert list(self.dev.ids) == [0]
+
+    def test_a_cut_frees_the_device_after_the_request_in_service(self):
+        for _ in range(3):
+            self.dev.submit(add_read(self.requests), now=0)
+        self.dev.retire(150)  # request 1 is in service, 2 waits
+        assert self.dev.remove_tail(5) == [2]
+        assert (self.dev.busy_until, self.dev.busy_time) == (200, 200)
+        # the next request starts when request 1 finishes
+        assert self.dev.submit(add_read(self.requests), now=150) == 300
 
 
 def random_schedule(seed, n=60):
@@ -328,26 +471,22 @@ def random_schedule(seed, n=60):
 def run_schedule(seed):
     """Drain a random schedule; the recorder submits each request as it arrives."""
     sim, rec = make_sim(arrivals=random_schedule(seed))
-    drain(sim, rec)
+    drain(sim)
     return sim, rec
-
-
-def service_latency(sim, req):
-    dev = sim.ssd if req.target is DeviceRole.SSD else sim.hdd
-    return dev.read_latency if req.origin is Origin.R else dev.write_latency
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_busy_time_equals_sum_of_service_latencies(seed):
     sim, rec = run_schedule(seed)
     for dev in (sim.ssd, sim.hdd):
-        expected = sum(service_latency(sim, r) for r in rec.completed if r.target is dev.role)
+        reads = [sim.schedule.read[req] for req in dev.ids]
+        expected = sum(dev.read_latency if read else dev.write_latency for read in reads)
         assert dev.busy_time == expected
 
 
 class TestRequestCreation:
     def test_no_application_request_object_exists_until_a_device_finishes_it(self):
-        # nor after: the simulator hands each handler a row id and a role
+        # each waits as its schedule row, in the device's id column
         rows = [(100 * k, k, Origin.W, DeviceRole.SSD) for k in range(1, 6)]
         # a 1 ms write service keeps every arrived request queued until
         # long after the last arrival; request k - 1 finishes at 100 + 1000k
@@ -358,12 +497,10 @@ class TestRequestCreation:
             sim.step(100 * k)
             # only cache requests have an entry in the request table
             assert sim.requests.live == {}
-        # all five wait or are in service, each as its schedule row
-        assert (sim.ssd.in_service, *sim.ssd.waiting) == (0, 1, 2, 3, 4)
-        assert drain(sim, rec) == [
-            Done(k - 1, DeviceRole.SSD, Origin.W, 100 * k, k) for k in range(1, 6)
-        ]
-        assert sim.requests.live == {}
+        assert list(sim.ssd.ids) == [0, 1, 2, 3, 4]
+        drain(sim)
+        assert finishes(sim.ssd) == [(k - 1, 100 + 1000 * k) for k in range(1, 6)]
+        assert list(sim.ssd.latency) == [1000 * k - 100 * (k - 1) for k in range(1, 6)]
 
 
 def test_identical_schedules_replay_identically():
@@ -372,7 +509,8 @@ def test_identical_schedules_replay_identically():
     second = Recorder()
     second.targets = first.targets
     ssd, hdd = Device(DeviceRole.SSD, 100, 300), Device(DeviceRole.HDD, 4000, 6000)
-    second.sim = Simulator(ssd, hdd, second.on_complete, second.on_arrive, first_sim.schedule)
-    drain(second.sim, second)
+    second.sim = Simulator(ssd, hdd, second.on_promote, second.on_arrive, first_sim.schedule)
+    drain(second.sim)
     assert first.calls == second.calls
-    assert first.completions() == second.completions()
+    for a, b in ((first_sim.ssd, ssd), (first_sim.hdd, hdd)):
+        assert finishes(a) == finishes(b)

@@ -11,7 +11,7 @@ import itertools
 import sys
 import tracemalloc
 import weakref
-from collections import Counter, deque
+from collections import Counter
 from enum import Enum
 
 import pytest
@@ -176,11 +176,40 @@ class TestDeferredPromotion:
         sim = Simulation(small_config(phases=()), schedule_of([(0, 5, Origin.R)]))
         sim.set_policy(sim.balancer.initial_policy)
         assert sim.sim.step(0) is True  # the arrival is dispatched, its disk read pending
-        assert sim.sim.hdd.in_service == 0  # request 0's schedule row
+        assert list(sim.sim.hdd.ids) == [0]  # request 0's schedule row
+        assert list(sim.sim.promotions) == [(5000, 1)]  # due when the read finishes
         sim.set_policy(WritePolicy.WO)  # flips while the disk read is in flight
         assert sim.sim.step(sys.maxsize) is False
         assert sim.dropped_promotions == 1
         assert sim.sim.ssd.submitted == 0
+
+
+class TestCompletions:
+    def test_completions_at_an_equal_instant_are_logged_ssd_first(self):
+        # a 5 ms cache write and a 5 ms disk read both finish at 5 000; the
+        # read's promotion follows its complete row
+        config = small_config(phases=(), ssd_write_us=5000)
+        sim, buffer = logged_sim(config, schedule_of([(0, 1, Origin.W), (0, 2, Origin.R)]))
+        sim.run()
+        rows = [(r["time"], r["event"], r["target"], r["req"]) for r in read_events(buffer)[1]]
+        assert rows[2:5] == [
+            ("5000", "complete", "ssd", "0"),
+            ("5000", "complete", "hdd", "1"),
+            ("5000", "submit", "ssd", "2"),
+        ]
+        # each cache request's fields left the table with its complete row
+        assert sim.sim.requests.live == {}
+
+    def test_a_request_lost_from_a_queue_does_not_complete(self):
+        # app_completed counts the rows the devices retired, not the rows
+        # dispatched, so a row taken off a queue and never resubmitted shows
+        config = small_config(phases=(), ssd_write_us=20_000)
+        sim = Simulation(config, writes_at_zero(3))
+        sim.set_policy(sim.balancer.initial_policy)
+        sim.sim.step(0)  # the three writes queue on the cache
+        assert sim.sim.ssd.remove_tail(1) == [2]
+        summary = sim.run().summary
+        assert (summary["app_requests"], summary["app_completed"]) == (3, 2)
 
 
 class TestBypassTail:
@@ -196,8 +225,10 @@ class TestBypassTail:
         assert sim.dropped_promotions == 1
         # the application writes now sit in the disk queue, as their rows
         hdd = sim.sim.hdd
-        assert [hdd.in_service, *hdd.waiting] == [1, 2]
+        assert list(hdd.ids) == [1, 2]
         assert hdd.inqueue == [0, 2, 0, 0]
+        # each moved access now completes when the disk finishes its row
+        assert list(sim._done[1:]) == [5000, 10_000]
         # the dropped promotion left the table of cache requests in flight
         assert sim.sim.requests.live == {}
         # each moved write left the cache queue, then entered the disk
@@ -237,7 +268,8 @@ class TestApplyDecision:
             sim._submit(row, DeviceRole.SSD)
 
     def test_runner_clamps_the_requested_bypass_then_switches_policy(self):
-        config = small_config(phases=())
+        # 20 ms cache writes: at the first boundary (10 ms) none has finished
+        config = small_config(phases=(), ssd_write_us=20_000)
         sim, buffer = logged_sim(config, writes_at_zero(5))
         self.submit_ssd_writes(sim, 0, 3)  # one in service, two waiting
         sim.balancer = FixedDecision(PolicyDecision(WritePolicy.WT, bypass_depth=10))
@@ -249,7 +281,7 @@ class TestApplyDecision:
         # a decision without a bypass leaves the queue alone
         self.submit_ssd_writes(sim, 3, 2)
         sim.balancer = FixedDecision(PolicyDecision(WritePolicy.WT))
-        sim._tick(2 * config.interval_us)
+        sim._tick(config.interval_us + 5_000)
         assert sim.rows[-1].bypassed == 0
         assert sim.sim.ssd.qsize == 3
         assert [r["event"] for r in read_events(buffer)[1]].count("remove") == 2
@@ -292,26 +324,68 @@ class TestQueueCounts:
         assert result.summary[exercised] > 0
 
     def test_ticks_never_walk_the_queue(self):
+        # mixed_rw/none-wb's queues stand thousands deep for most of the
+        # run: ticks that read the pending part would read millions of
+        # entries. A tick reads the entries submitted since the last one
+        # (to count their origins), its retired window, a bisection's
+        # probes and, when the columns drop their retired prefix, the
+        # entries that move, which never outnumber the entries dropped. So
+        # the ticks read each entry a bounded number of times.
         config = scenario_config("mixed_rw", "none-wb")
-        sim = Simulation(config, build_requests(config))
-        for device in (sim.sim.ssd, sim.sim.hdd):
-            device.waiting = UnwalkableQueue(device.role)
+        sim = TouchCounting(config, build_requests(config))
         result = sim.run()
-        assert result.summary["app_completed"] == result.summary["app_requests"]
-        assert max(row.ssd_qsize for row in result.rows) > 1000
+        summary = result.summary
+        assert summary["app_completed"] == summary["app_requests"]
+        depths = [row.ssd_qsize + row.hdd_qsize for row in result.rows]
+        assert max(depths) > 20_000 and sum(depths) > 4_000_000
+        submitted = summary["ssd_submitted"] + summary["hdd_submitted"]
+        assert sim.touched <= 16 * submitted + 100 * len(result.rows), (sim.touched, submitted)
 
 
-class UnwalkableQueue(deque):
-    """A waiting queue that serves its FIFO operations but refuses to be walked."""
+class TouchCounting(Simulation):
+    """Counts the device column entries that its ticks read or move; the columns refuse a walk."""
 
-    def __init__(self, role):
-        super().__init__()
-        self.role = role
+    touched = 0
+    ticking = False
 
-    def refuse(self, *args):
-        raise AssertionError(f"{self.role.name} waiting queue walked")
+    def __init__(self, config, schedule):
+        super().__init__(config, schedule)
+        for device in (self.sim.ssd, self.sim.hdd):
+            for name in ("finish", "ids", "latency", "origin"):
+                setattr(device, name, counted_column(getattr(device, name), self))
 
-    __iter__ = __reversed__ = __contains__ = __getitem__ = count = index = copy = refuse
+    def _tick(self, boundary):
+        self.ticking = True
+        try:
+            super()._tick(boundary)
+        finally:
+            self.ticking = False
+
+
+def counted_column(column, owner):
+    """A copy of an ``array`` or ``bytearray`` column that adds what it reads to ``owner.touched``."""
+    base = type(column)
+
+    class Counted(base):
+        def __getitem__(self, key):
+            if owner.ticking:
+                owner.touched += len(range(*key.indices(len(self)))) if type(key) is slice else 1
+            return base.__getitem__(self, key)
+
+        def __delitem__(self, key):
+            if owner.ticking:  # the entries after the deleted ones move
+                owner.touched += len(self) - key.indices(len(self))[1]
+            base.__delitem__(self, key)
+
+        def count(self, value, start=0, end=sys.maxsize):
+            if owner.ticking:
+                owner.touched += len(range(start, min(end, len(self))))
+            return base.count(self, value, start, end)
+
+        def __iter__(self):
+            raise AssertionError("a device column walked")
+
+    return Counted(column) if base is bytearray else Counted(column.typecode, column)
 
 
 @pytest.fixture(scope="module")
@@ -320,9 +394,9 @@ def counted():
 
     The counts are the run's ``Enum.__hash__`` calls on ``Origin``,
     ``DeviceRole`` and ``WritePolicy`` (``hash``), its ``Simulator.step``
-    (``step``) and ``Simulator.submit`` (``submit``) calls, the requests
-    both devices were submitted (``submitted``), and the write-through
-    writes still waiting for a half (``halves_pending``).
+    (``step``) and ``Simulator.submit`` (``submit``) calls, and the
+    requests both devices were submitted (``submitted``). Every
+    application request of the run completed.
     """
 
     @functools.cache
@@ -346,7 +420,6 @@ def counted():
             result = sim.run()
         assert result.summary["app_completed"] == result.summary["app_requests"]
         calls["submitted"] = sim.sim.ssd.submitted + sim.sim.hdd.submitted
-        calls["halves_pending"] = any(sim._both_halves_pending)
         return len(result.rows), calls
 
     return run
@@ -368,8 +441,6 @@ class TestLoopCalls:
         # the engine walks a whole interval per call, never one event per call
         intervals, calls = counted(scenario, balancer)
         assert calls["step"] <= intervals + 1, (calls["step"], intervals)
-        # every write-through write saw both of its halves complete
-        assert not calls["halves_pending"]
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("balancer", BALANCERS)
@@ -434,42 +505,36 @@ class TestRunLifetime:
         assert (long_peak - short_peak) / (long_n - short_n) <= 40
 
 
-class DiscardedSamples(list):
-    """A latency list that keeps no sample, so a run's memory is its queues and state."""
-
-    def append(self, sample):
-        pass
-
-
 class QueueSampling(Simulation):
-    """Records, at every tick, the application requests both devices hold.
+    """Records, after every tick, the application requests both devices hold.
 
     With ``held_at`` set, it also reads the memory ``tracemalloc`` traces
-    when it ticks at that boundary. It discards its latency samples.
+    when it ticks at that boundary.
     """
 
     held_at = None
 
     def __init__(self, config, schedule):
         super().__init__(config, schedule)
-        self._latencies = DiscardedSamples()
         self.queued = []
 
     def _tick(self, boundary):
+        super()._tick(boundary)  # which retires both devices to the boundary
         if boundary == self.held_at:
             self.held = tracemalloc.get_traced_memory()[0]
         # Origin R and W are the application requests
         app = sum(device.inqueue[0] + device.inqueue[1] for device in (self.sim.ssd, self.sim.hdd))
         self.queued.append((app, boundary))
-        super()._tick(boundary)
 
 
 class TestDeepQueueMemory:
     def test_a_queued_application_request_costs_its_row_and_a_queue_slot(self):
         # mixed_rw/none-wb queues about 30 000 application requests at its
-        # burst's peak. Each waits as its schedule row: an int (32 B) in a
-        # deque slot (8 B). A request object built at its arrival adds its
-        # 80 B and an arrival int, about 150 B in all.
+        # burst's peak. Each waits as its entry in its device's columns: an
+        # id, a finish and a latency (8 B each) and an origin byte, held at
+        # most twice while a retired prefix waits to be dropped. A request
+        # object built at its arrival adds its 80 B and an arrival int,
+        # about 150 B in all.
         config = scenario_config("mixed_rw", "none-wb")
         schedule = build_requests(config)
         probe = QueueSampling(config, schedule)

@@ -54,7 +54,8 @@ class TestSnapshot:
         self.ssd = Device(DeviceRole.SSD, 100, 100)
         self.hdd = Device(DeviceRole.HDD, 5000, 5000)
         self.requests = Requests(Schedule())
-        self.ssd.origins = self.hdd.origins = self.requests.origin
+        self.ssd.bind(self.requests)
+        self.hdd.bind(self.requests)
 
     def enqueue(self, device, origin, now=0):
         device.submit(self.requests.add(origin.index, now, 0), now)
@@ -78,8 +79,9 @@ class TestSnapshot:
         self.enqueue(self.ssd, Origin.R)
         snap = take_snapshot(self.ssd, self.hdd)
         before = snap.ssd_inqueue
-        self.ssd.finish(self.ssd.busy_until)  # drain the device
+        self.ssd.retire(self.ssd.busy_until)  # drain the device
         assert self.ssd.qsize == 0
+        assert self.ssd.inqueue == [0, 0, 0, 0]
         assert snap.ssd_inqueue == before
 
 
@@ -96,13 +98,23 @@ class TestIntervalTracker:
         assert (stats.cache_qtime, stats.disk_qtime) == (0, 0)
 
     def test_single_completion_sets_max_latency(self):
-        self.tracker.record_completion(DeviceRole.SSD.index, Origin.R.index, 250)
+        self.tracker.record_completion(DeviceRole.SSD.index, [1, 0, 0, 0], 250)
         stats = self.tracker.close_interval(1000, 0, 0)
         assert stats.ssd_max_latency == 250
         assert stats.ssd_served == (1, 0, 0, 0)
 
+    def test_retired_windows_add_up_within_a_window(self):
+        # a device's windows add per origin; the largest latency wins
+        self.tracker.record_completion(DeviceRole.SSD.index, [1, 0, 2, 0], 300)
+        self.tracker.record_completion(DeviceRole.SSD.index, [0, 1, 1, 0], 200)
+        self.tracker.record_completion(DeviceRole.HDD.index, [0, 0, 0, 0], 0)
+        stats = self.tracker.close_interval(1000, 0, 0)
+        assert stats.ssd_served == (1, 1, 3, 0)
+        assert stats.ssd_max_latency == 300
+        assert (stats.hdd_served, stats.hdd_max_latency) == ((0, 0, 0, 0), 0)
+
     def test_windowed_counters_reset_between_windows(self):
-        self.tracker.record_completion(DeviceRole.HDD.index, Origin.W.index, 400)
+        self.tracker.record_completion(DeviceRole.HDD.index, [0, 1, 0, 0], 400)
         first = self.tracker.close_interval(1000, 0, 0)
         stats = self.tracker.close_interval(2000, 0, 0)
         assert first.hdd_served == (0, 1, 0, 0)
